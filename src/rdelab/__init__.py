@@ -14,8 +14,8 @@ per base point, and computes, exactly at finite horizons:
   bounds (``entropy``), the separated-set witness construction and
   variational search (``variational``);
 * a deterministic fuzzing harness that mechanically checks the calculus on
-  random instances (``harness``), instance file I/O (``instances``) and a
-  command line (``cli``).
+  random instances (``harness``), instance file I/O (``instances``), the
+  solver guard errors (``guards``) and a command line (``cli``).
 """
 
 from . import presets

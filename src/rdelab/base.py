@@ -7,8 +7,11 @@ read from the matrix attached to ``theta^i(omega)``; the fiber map is the left
 shift, which carries the fiber over ``omega`` bijectively onto the fiber over
 ``theta(omega)``.  All computations touch only finitely many coordinates.
 
-Every type here is immutable after construction and every operation is a pure
-function of its inputs, so concurrent use from multiple threads is safe.
+Every type here is frozen after construction and every operation returns
+the same value for the same inputs.  The one mutable part is each bundle's
+memo of admissible word lists (``_word_cache``), filled on first use and
+never evicted; entries are only ever added, whole, so concurrent readers see
+either no entry or a complete one.
 """
 
 from __future__ import annotations
@@ -463,6 +466,9 @@ class CycleRates:
         }
 
 
+_RESCALE_ABOVE = 2.0**256
+
+
 def cycle_growth_rate(
     bundle: SymbolicBundle, tol: float = 1e-12, max_iterations: int = 100_000
 ) -> CycleRates:
@@ -470,16 +476,28 @@ def cycle_growth_rate(
 
     For a cycle of length ``L`` through ``omega`` the rate is
     ``(1/L) * ln(spectral radius of A(omega) ... A(theta^{L-1} omega))``; the
-    integrated rate weights each cycle by its total probability mass.
+    integrated rate weights each cycle by its total probability mass.  On long
+    cycles the running product is divided by a power of two ``2**e`` whenever
+    its largest entry passes ``2**256`` (exact in floating point), and
+    ``e * ln 2`` is added back to the log radius.
     """
     cycles = []
     integrated = 0.0
     for cyc in bundle.base.cycles():
         prod = np.eye(bundle.alphabet_size)
+        exponent = 0
         for w in cyc:
             prod = prod @ bundle.adjacency[w].astype(float)
+            top = float(prod.max())
+            if top > _RESCALE_ABOVE:
+                e = math.frexp(top)[1]
+                prod = np.ldexp(prod, -e)
+                exponent += e
         rho = spectral_radius(prod, tol=tol, max_iterations=max_iterations)
-        rate = math.log(rho) / len(cyc) if rho > 0 else -math.inf
+        # adding 0.0 when nothing was rescaled is exact, so short cycles keep
+        # their bits
+        log_rho = math.log(rho) + exponent * math.log(2) if rho > 0 else -math.inf
+        rate = log_rho / len(cyc)
         mass = float(sum(bundle.base.weights[w] for w in cyc))
         cycles.append(CycleRate(omegas=cyc, rate=rate, mass=mass))
         integrated += mass * rate

@@ -22,39 +22,25 @@ import sys
 
 import click
 
-from .base import PowerIterationError, validate
-from .covercomb import SetCoverSizeError, SolverLimits, UncoveredUniverseError
-from .covers import CoverError, JoinSizeError, PositionedPartition
+from .base import validate
+from .covercomb import SolverLimits
+from .covers import CoverError, PositionedPartition
 from .entropy import (
-    EnumerationGuardError,
     h_minus_report,
     h_plus_value,
     partition_entropy_report,
     topological_cover_entropy,
 )
-from .harness import GenerationError, SuiteConfig, run_suite
+from .guards import GUARDS
+from .harness import SuiteConfig, run_suite
 from .instances import SchemaError, canonical_json, load_instance
 from .measures import MeasureError
-from .variational import (
-    HorizonGuardError,
-    maximize_invariant_entropy,
-    witness_measures,
-)
+from .variational import maximize_invariant_entropy, witness_measures
 
 EXIT_CHECK_FAILED = 1
 EXIT_NAME = 2
 EXIT_SCHEMA = 3
 EXIT_GUARD = 4
-
-GUARDS = (
-    SetCoverSizeError,
-    JoinSizeError,
-    EnumerationGuardError,
-    HorizonGuardError,
-    PowerIterationError,
-    GenerationError,
-    UncoveredUniverseError,
-)
 
 
 def _write_json(path, payload):
@@ -372,9 +358,10 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
     report = _guarded(lambda: run_suite(config, instances=corpus, workers=workers))
     for r in report.results:
         status = "pass" if r.failures == 0 else "FAIL"
+        skipped = f", skipped {r.skipped}" if r.skipped else ""
         click.echo(
             f"{r.check:28s} {r.kind:5s} {status}  "
-            f"(pass {r.passes}, fail {r.failures})"
+            f"(pass {r.passes}, fail {r.failures}{skipped})"
         )
     click.echo("suite ok" if report.ok else "suite FAILED")
     _write_json(json_path, report.to_dict())

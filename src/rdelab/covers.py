@@ -10,8 +10,11 @@ Product-form covers additionally carry one defining word set per element,
 shared by all fibers; the per-fiber sections are the defining sets cut down to
 the fiber's admissible words.
 
-All values are immutable and all operations pure; iterators returned by the
-enumeration below are independent per caller.
+Covers are frozen dataclasses and every operation returns a new cover, with
+one exception: each cover memoizes its ``membership``/``cell_of`` maps in a
+per-object dict (``_mcache``, excluded from equality), which grows with every
+distinct fiber and hull queried.  Iterators returned by the enumeration below
+are independent per caller.
 """
 
 from __future__ import annotations
@@ -59,7 +62,11 @@ def _normalize_word(w) -> WordTuple:
 
 @dataclass(frozen=True)
 class PositionedCover:
-    """Indexed family of per-fiber word sets on the window [start, start+length)."""
+    """Indexed family of per-fiber word sets on the window [start, start+length).
+
+    Fields are frozen; ``_mcache`` is the one mutable part, a memo of the
+    membership maps keyed by fiber and hull.
+    """
 
     bundle: SymbolicBundle
     start: int
@@ -127,7 +134,8 @@ class PositionedCover:
 
         With ``hull=None`` the cover's own window is used.  Containment of a
         hull word means its restriction to the cover window lies in the
-        element's section.
+        element's section.  The fiber's sections are inverted once, so the
+        cost is the total section size plus the number of hull words.
         """
         hs, he = hull if hull is not None else self.window
         if hs > self.start or he < self.stop:
@@ -138,14 +146,11 @@ class PositionedCover:
             return hit
         lo = self.start - hs
         hi = lo + self.length
-        out: dict[WordTuple, tuple[int, ...]] = {}
-        own = hs == self.start and he == self.stop
-        for w in admissible_tuples(self.bundle, omega, hs, he - hs):
-            r = w if own else w[lo:hi]
-            idx = tuple(
-                i for i, sect in enumerate(self.sections) if r in sect[omega]
-            )
-            out[w] = idx
+        inv = _invert(elem[omega] for elem in self.sections)
+        out = {
+            w: tuple(inv.get(w[lo:hi], ()))
+            for w in admissible_tuples(self.bundle, omega, hs, he - hs)
+        }
         self._mcache[key] = out
         return out
 
@@ -188,10 +193,10 @@ class PositionedPartition(PositionedCover):
         hit = self._mcache.get(key)
         if hit is not None:
             return hit
-        by_word: dict[WordTuple, int] = {}
-        for e, elem in enumerate(self.sections):
-            for w in elem[omega]:
-                by_word[w] = e
+        by_word = {
+            w: ids[0]
+            for w, ids in _invert(elem[omega] for elem in self.sections).items()
+        }
         if hs == self.start and he == self.stop:
             out = by_word
         else:
@@ -203,6 +208,22 @@ class PositionedPartition(PositionedCover):
             }
         self._mcache[key] = out
         return out
+
+
+_EMPTY: frozenset = frozenset()
+
+
+def _invert(sets: Iterable[frozenset]) -> dict[WordTuple, list[int]]:
+    """Map each word to the ascending ids of the sets that contain it."""
+    out: dict[WordTuple, list[int]] = {}
+    for e, words in enumerate(sets):
+        for w in words:
+            ids = out.get(w)
+            if ids is None:
+                out[w] = [e]
+            else:
+                ids.append(e)
+    return out
 
 
 def _canonical_sections(
@@ -366,7 +387,10 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
 
     Element ``(i, j)`` of the result is stored at flat index ``i * len(v) + j``;
     all index pairs are kept even when empty in every fiber.  The result is a
-    partition whenever both inputs are.
+    partition whenever both inputs are.  Each hull word is added only to the
+    cells of the element pairs containing it, found from the inverted
+    sections of ``u`` and ``v``, so the cost is the total section size plus the
+    number of hull words plus the ``len(u) * len(v)`` stored elements.
     """
     if u.bundle is not v.bundle:
         raise ValueError("covers must live on the same bundle")
@@ -375,7 +399,7 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
     hs, he = hull
     omega_count = bundle.base.omega_count
     ku, kv = u.element_count, v.element_count
-    sections = [[set() for _ in range(omega_count)] for _ in range(ku * kv)]
+    filled: dict[int, list[set]] = {}
     for omega in range(omega_count):
         mu = u.membership(omega, hull)
         mv = v.membership(omega, hull)
@@ -383,21 +407,31 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
             for i in mu[w]:
                 row = i * kv
                 for j in mv[w]:
-                    sections[row + j][omega].add(w)
+                    cell = filled.get(row + j)
+                    if cell is None:
+                        cell = filled[row + j] = [set() for _ in range(omega_count)]
+                    cell[omega].add(w)
+    empty = (_EMPTY,) * omega_count
+    sections = tuple(
+        tuple(frozenset(per) if per else _EMPTY for per in filled[f])
+        if f in filled
+        else empty
+        for f in range(ku * kv)
+    )
     product_sections = None
     if u.product_form and v.product_form:
-        vocab = sorted(_somewhere_admissible(bundle, hs, he - hs))
+        inv_u = _invert(u.product_sections)
+        inv_v = _invert(v.product_sections)
         lou, hiu = u.start - hs, u.start - hs + u.length
         lov, hiv = v.start - hs, v.start - hs + v.length
+        cells: dict[int, set] = {}
+        for w in _somewhere_admissible(bundle, hs, he - hs):
+            for i in inv_u.get(w[lou:hiu], ()):
+                row = i * kv
+                for j in inv_v.get(w[lov:hiv], ()):
+                    cells.setdefault(row + j, set()).add(w)
         product_sections = tuple(
-            frozenset(
-                w
-                for w in vocab
-                if w[lou:hiu] in u.product_sections[i]
-                and w[lov:hiv] in v.product_sections[j]
-            )
-            for i in range(ku)
-            for j in range(kv)
+            frozenset(cells[f]) if f in cells else _EMPTY for f in range(ku * kv)
         )
     cls = (
         PositionedPartition
@@ -408,9 +442,7 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
         bundle=bundle,
         start=hs,
         length=he - hs,
-        sections=tuple(
-            tuple(frozenset(per) for per in elem) for elem in sections
-        ),
+        sections=sections,
         product_sections=product_sections,
     )
 

@@ -58,6 +58,7 @@ from .entropy import (
     partition_entropy_report,
     topological_cover_entropy,
 )
+from .guards import GUARDS, GenerationError
 from .measures import (
     MarkovMeasure,
     WordMeasure,
@@ -82,10 +83,6 @@ __all__ = [
     "run_suite",
     "CHECK_IDS",
 ]
-
-
-class GenerationError(RuntimeError):
-    """The rejection sampler ran out of budget (pathological parameters)."""
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,7 @@ class CheckResult:
     failures: int
     worst_margin: float | None
     failure_bundles: tuple[dict, ...]
+    skipped: int = 0  # cases a solver guard stopped; neither pass nor failure
 
     def to_dict(self) -> dict:
         return {
@@ -281,6 +279,7 @@ class CheckResult:
             "kind": self.kind,
             "passes": self.passes,
             "failures": self.failures,
+            "skipped": self.skipped,
             "worst_margin": self.worst_margin,
             "failure_bundles": list(self.failure_bundles),
         }
@@ -310,6 +309,7 @@ class _Tally:
         self.kind = kind
         self.passes = 0
         self.failures = 0
+        self.skipped = 0
         self.worst: float | None = None
         self.bundles: list[dict] = []
 
@@ -331,6 +331,7 @@ class _Tally:
             failures=self.failures,
             worst_margin=self.worst,
             failure_bundles=tuple(self.bundles),
+            skipped=self.skipped,
         )
 
 
@@ -727,8 +728,11 @@ def _check_witness(config, corpus):
                     _, _, _, rep = witness_measures(
                         inst.bundle, cov, n, horizon_cap=config.horizon_cap
                     )
-                except Exception as exc:  # guard trips are reported, not failures
-                    t.record(True, None, _repro(inst, cover=name, n=n, skipped=str(exc)))
+                except GUARDS:  # a tripped guard is a skip, not a pass
+                    t.skipped += 1
+                    continue
+                except AssertionError as exc:  # the construction broke its invariant
+                    t.record(False, None, _repro(inst, cover=name, n=n, error=str(exc)))
                     continue
                 t.record(rep.all_ok, None, _repro(inst, cover=name, n=n))
                 done += 1

@@ -310,7 +310,12 @@ def _parse_measure(bundle, name, entry, omega_names) -> MarkovMeasure:
 
 
 def dump_instance(bundle: SymbolicBundle, covers=None, measures=None) -> dict:
-    """Document form of a bundle with optional named covers and measures."""
+    """Document form of a bundle with optional named covers and measures.
+
+    The schema has no field for a cover's window start, so a cover that does
+    not start at coordinate 0 raises :class:`SchemaError` instead of
+    reloading on a different window.
+    """
     doc = {
         "alphabet": list(bundle.alphabet),
         "omega": list(bundle.base.labels),
@@ -324,6 +329,11 @@ def dump_instance(bundle: SymbolicBundle, covers=None, measures=None) -> dict:
     if covers:
         out = {}
         for name, cover in covers.items():
+            _expect(
+                cover.start == 0,
+                f"cover {name!r}: window starts at {cover.start}; "
+                "instance files hold covers starting at 0 only",
+            )
             entry = {"window": cover.length}
             words = lambda sect: [
                 [bundle.alphabet[s] for s in w] for w in sorted(sect)

@@ -126,10 +126,15 @@ class WitnessReport:
             "separated_sizes": list(self.separated_sizes),
             "pulled_counts": list(self.pulled_counts),
             "full_counts": list(self.full_counts),
-            "separation_checks": [vars(c) for c in self.separation_checks],
-            "averaged_checks": [vars(c) for c in self.averaged_checks],
+            "separation_checks": [_json_check(c) for c in self.separation_checks],
+            "averaged_checks": [_json_check(c) for c in self.averaged_checks],
             "all_ok": self.all_ok,
         }
+
+
+def _json_check(check) -> dict:
+    """Fields of a check; a vacuous ``-inf`` floor becomes ``None`` (JSON null)."""
+    return {k: None if v == -math.inf else v for k, v in vars(check).items()}
 
 
 def _log_floor(value: int) -> tuple[float, bool]:

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from rdelab import presets, stationary_starts
+from rdelab import per_fiber_cover, presets, product_cover, stationary_starts
 
 settings.register_profile(
     "suite", max_examples=25, derandomize=True, deadline=None
@@ -76,3 +77,35 @@ def brute_assignment_minimum(masses, candidates):
         h = -sum(x * math.log(x) for x in cells.values() if x > 0)
         best = min(best, h)
     return best
+
+
+@st.composite
+def small_cover(draw, bundle):
+    """A random product or per-fiber cover, overlapping or a partition."""
+    start = draw(st.integers(0, 2))
+    length = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    words = list(itertools.product(range(bundle.alphabet_size), repeat=length))
+    partition = draw(st.booleans())
+
+    def element_sets():
+        if partition:
+            owner = draw(
+                st.lists(st.integers(0, k - 1), min_size=len(words), max_size=len(words))
+            )
+            return [[w for w, o in zip(words, owner) if o == e] for e in range(k)]
+        sets = [draw(st.sets(st.sampled_from(words))) for _ in range(k)]
+        for w in words:
+            if not any(w in s for s in sets):
+                sets[draw(st.integers(0, k - 1))].add(w)
+        return [sorted(s) for s in sets]
+
+    if draw(st.booleans()):
+        return product_cover(bundle, element_sets(), start=start, partition=partition)
+    per_omega = [element_sets() for _ in range(bundle.base.omega_count)]
+    return per_fiber_cover(
+        bundle,
+        [[per_omega[om][e] for om in range(len(per_omega))] for e in range(k)],
+        start=start,
+        partition=partition,
+    )

@@ -133,6 +133,22 @@ class TestGrowthRates:
         assert rates.integrated == pytest.approx(0.5 * LN3, abs=1e-12)
         assert len(rates.cycles) == 1 and rates.cycles[0].mass == pytest.approx(1.0)
 
+    def test_long_cycle_does_not_overflow(self):
+        # the 600-step transfer product of the full 4-shift has entries 4**600,
+        # past the float range; rescaling by powers of two keeps it finite
+        length = 600
+        bundle = SymbolicBundle(
+            base=ProbBase(
+                weights=(1 / length,) * length,
+                theta=tuple((i + 1) % length for i in range(length)),
+            ),
+            alphabet=tuple("abcd"),
+            adjacency=(np.ones((4, 4), dtype=np.int8),) * length,
+        )
+        rates = cycle_growth_rate(bundle)
+        assert rates.cycles[0].rate == pytest.approx(math.log(4), abs=1e-12)
+        assert rates.integrated == pytest.approx(math.log(4), abs=1e-12)
+
     def test_rate_certifies_counts(self, gm):
         # the spectral value is the growth rate of the brute-force counts
         rate = cycle_growth_rate(gm).integrated

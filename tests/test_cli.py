@@ -69,6 +69,19 @@ class TestWitness:
         assert "separated words 12" in res.output
         assert "averaged inequalities: 2/2 hold" in res.output
 
+    def test_vacuous_floor_is_json_null(self, tmp_path):
+        # two fixed points, n=2: the full-count floor 2 // (2 * 2**2) is 0
+        out = tmp_path / "witness.json"
+        res = run(
+            "witness", "demos/instances/two_fixed_points.json", "--cover", "zero_cyl",
+            "--n", "2", "--json", str(out),
+        )
+        assert res.exit_code == 0
+        report = json.loads(out.read_text())["report"]
+        for check in report["averaged_checks"]:
+            assert check["vacuous"] and check["rhs"] is None
+        assert {c["rhs_submult"] for c in report["separation_checks"]} == {None}
+
     def test_horizon_guard_exits_4(self):
         res = run("witness", GOLDEN, "--cover", "zero_cyl", "--n", "5")
         assert res.exit_code == 4

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdelab import (
     full_word_partition,
@@ -10,10 +14,19 @@ from rdelab import (
     pullback,
     range_join,
     trivial_cover,
+    presets,
     zero_cylinders,
 )
-from rdelab.covers import CoverError, JoinSizeError, PositionedPartition
+from rdelab.base import admissible_tuples
+from rdelab.covers import (
+    CoverError,
+    JoinSizeError,
+    PositionedCover,
+    PositionedPartition,
+)
 from rdelab.harness import gen_instance
+
+from conftest import small_cover
 
 
 class TestConstruction:
@@ -195,3 +208,151 @@ class TestAlgebraOnFuzzedInstances:
         lhs = pullback(join(u, v), 1)
         rhs = join(pullback(u, 1), pullback(v, 1))
         assert lhs.sections == rhs.sections
+
+
+# ---------------------------------------------------------------------------
+# reference join: the element x vocabulary scan the indexed join replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_membership(cover, omega, hull=None):
+    hs, he = hull if hull is not None else cover.window
+    lo, hi = cover.start - hs, cover.start - hs + cover.length
+    return {
+        w: tuple(i for i, sect in enumerate(cover.sections) if w[lo:hi] in sect[omega])
+        for w in admissible_tuples(cover.bundle, omega, hs, he - hs)
+    }
+
+
+def reference_join(u, v):
+    """(sections, product_sections, class) of ``join(u, v)`` by full scans."""
+    bundle = u.bundle
+    hs, he = min(u.start, v.start), max(u.stop, v.stop)
+    omega_count = bundle.base.omega_count
+    ku, kv = u.element_count, v.element_count
+    sections = [[set() for _ in range(omega_count)] for _ in range(ku * kv)]
+    for omega in range(omega_count):
+        mu = reference_membership(u, omega, (hs, he))
+        mv = reference_membership(v, omega, (hs, he))
+        for w in admissible_tuples(bundle, omega, hs, he - hs):
+            for i in mu[w]:
+                for j in mv[w]:
+                    sections[i * kv + j][omega].add(w)
+    product_sections = None
+    if u.product_form and v.product_form:
+        vocab = {
+            w
+            for omega in range(omega_count)
+            for w in admissible_tuples(bundle, omega, hs, he - hs)
+        }
+        lou, hiu = u.start - hs, u.start - hs + u.length
+        lov, hiv = v.start - hs, v.start - hs + v.length
+        product_sections = tuple(
+            frozenset(
+                w
+                for w in vocab
+                if w[lou:hiu] in u.product_sections[i]
+                and w[lov:hiv] in v.product_sections[j]
+            )
+            for i in range(ku)
+            for j in range(kv)
+        )
+    both = isinstance(u, PositionedPartition) and isinstance(v, PositionedPartition)
+    cls = PositionedPartition if both else PositionedCover
+    return (
+        tuple(tuple(frozenset(per) for per in elem) for elem in sections),
+        product_sections,
+        cls,
+    )
+
+
+def assert_join_matches_reference(u, v):
+    got = join(u, v)
+    sections, product_sections, cls = reference_join(u, v)
+    assert type(got) is cls
+    assert got.sections == sections
+    assert got.product_sections == product_sections
+    assert got.window == (min(u.start, v.start), max(u.stop, v.stop))
+    for cover in (u, v, got):
+        wide = (max(cover.start - 1, 0), cover.stop + 1)
+        for omega in range(cover.bundle.base.omega_count):
+            for hull in (None, wide):
+                assert cover.membership(omega, hull) == reference_membership(
+                    cover, omega, hull
+                )
+    return got
+
+
+def overlap_cover(bundle, start=0):
+    words = [(a,) for a in range(bundle.alphabet_size)]
+    return product_cover(bundle, [words, words[1:]], start=start)
+
+
+def split_cover(bundle):
+    """Element 0 holds every symbol in fiber 0 but only symbol 0 elsewhere."""
+    k = bundle.alphabet_size
+    omega_count = bundle.base.omega_count
+    return per_fiber_cover(
+        bundle,
+        [
+            [[(a,) for a in range(k)] if om == 0 else [(0,)] for om in range(omega_count)],
+            [[(a,) for a in range(1, k)]] * omega_count,
+        ],
+    )
+
+
+class TestJoinMatchesReference:
+    @pytest.mark.parametrize("name", ["gm", "full2", "id2"])
+    def test_conftest_bundles(self, name, request):
+        bundle = request.getfixturevalue(name)
+        zero = zero_cylinders(bundle)
+        overlap = overlap_cover(bundle)
+        split = split_cover(bundle)
+        pairs = full_word_partition(bundle, 0, 2)
+        for u, v in itertools.product([zero, overlap, split, pairs], repeat=2):
+            for shift in (0, 1, 2):
+                assert_join_matches_reference(u, pullback(v, shift))
+
+    def test_nonzero_start_and_wider_hull(self, gm):
+        u = overlap_cover(gm, start=2)
+        v = full_word_partition(gm, 1, 2)
+        w = assert_join_matches_reference(u, v)
+        assert w.window == (1, 3)
+        deep = assert_join_matches_reference(w, pullback(split_cover(gm), 4))
+        assert deep.window == (1, 5)
+
+    def test_iterated_joins(self, gm):
+        u = overlap_cover(gm)
+        out = u
+        for k in range(1, 5):
+            out = assert_join_matches_reference(out, pullback(u, k))
+        assert out.element_count == 2**5
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_fuzzed_instances(self, seed):
+        inst = gen_instance(seed)
+        covers = [inst.covers[name] for name in sorted(inst.covers)]
+        for u, v in itertools.product(covers, repeat=2):
+            assert_join_matches_reference(u, pullback(v, 1))
+
+
+BUNDLES = (
+    presets.alternating_golden_mean(),
+    presets.full_shift(2),
+    presets.identity_shift(2),
+    presets.full_shift(3),
+)
+
+
+@st.composite
+def cover_pairs(draw):
+    bundle = draw(st.sampled_from(BUNDLES))
+    return draw(small_cover(bundle)), draw(small_cover(bundle))
+
+
+class TestJoinMatchesReferenceOnRandomCovers:
+    @given(cover_pairs())
+    def test_join_and_membership(self, pair):
+        u, v = pair
+        assert_join_matches_reference(u, v)
+        assert_join_matches_reference(v, u)

@@ -1,6 +1,6 @@
 import pytest
 
-from rdelab import cycle_growth_rate, validate, word_count
+from rdelab import cycle_growth_rate, harness, validate, word_count
 from rdelab.harness import (
     CHECK_IDS,
     GenParams,
@@ -10,6 +10,7 @@ from rdelab.harness import (
     run_suite,
 )
 from rdelab.measures import MarkovMeasure
+from rdelab.variational import HorizonGuardError
 
 
 class TestGeneration:
@@ -104,6 +105,32 @@ class TestSuite:
         a = run_suite(cfg, workers=1)
         b = run_suite(cfg, workers=4)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize(
+        "error, failed",
+        [
+            (AssertionError("separated set below floor"), True),
+            (HorizonGuardError("horizon over the cap"), False),
+        ],
+    )
+    def test_witness_errors_never_pass(self, monkeypatch, error, failed):
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness, "witness_measures", raising)
+        report = run_suite(
+            SuiteConfig(seed=7, instances=4, only=("witness-certificates",))
+        )
+        (res,) = report.results
+        assert res.passes == 0
+        if failed:
+            # a broken construction invariant is a failure, never a pass
+            assert res.failures >= 1 and res.skipped == 0 and not report.ok
+            assert res.failure_bundles[0]["error"] == str(error)
+        else:
+            # a tripped guard is counted apart from passes and failures
+            assert res.failures == 0 and res.skipped >= 1 and report.ok
+            assert res.to_dict()["skipped"] == res.skipped
 
     def test_config_caps_validated(self):
         with pytest.raises(ValueError, match="caps"):

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rdelab import validate, zero_cylinders
+from rdelab import presets, validate, zero_cylinders
 from rdelab.covers import PositionedPartition
 from rdelab.instances import (
     SchemaError,
@@ -11,6 +13,8 @@ from rdelab.instances import (
     loads_instance,
     parse_instance,
 )
+
+from conftest import small_cover
 
 
 def golden_doc():
@@ -49,6 +53,21 @@ class TestParsing:
         assert loaded.measures["m"].starts[0] == pytest.approx(
             gm_measure.starts[0], abs=1e-12
         )
+
+    @given(st.data())
+    def test_cover_round_trip_keeps_the_window(self, data):
+        bundle = presets.alternating_golden_mean()
+        cover = data.draw(small_cover(bundle))
+        if cover.start != 0:
+            # the schema has no window start, so reloading would move it
+            with pytest.raises(SchemaError, match="starts at"):
+                dump_instance(bundle, covers={"c": cover})
+            return
+        loaded = parse_instance(dump_instance(bundle, covers={"c": cover}))
+        back = loaded.covers["c"]
+        assert back.window == cover.window
+        assert back.sections == cover.sections
+        assert back.product_sections == cover.product_sections
 
     def test_partitions_detected(self):
         loaded = parse_instance(golden_doc())
