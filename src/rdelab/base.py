@@ -401,13 +401,21 @@ def _power_radius_irreducible(
 
     Iterates on ``matrix + I`` (same Perron vector, radius shifted by one),
     which is primitive, so convergence is geometric; the Rayleigh quotient is
-    returned once the residual drops below ``tol``.
+    returned once the residual drops below ``tol``.  The block is divided by
+    its entry sum; if that sum overflows, the block is first divided by a
+    power of two ``2**e`` (exact) and ``e`` is put back into the result.
     """
     n = matrix.shape[0]
     if n == 1:
         return float(matrix[0, 0])
     shifted = matrix + np.eye(n)
-    scale = shifted.sum()
+    with np.errstate(over="ignore"):
+        scale = shifted.sum()
+    exponent = 0
+    if not math.isfinite(scale):
+        exponent = math.frexp(float(shifted.max()))[1]
+        shifted = np.ldexp(shifted, -exponent)
+        scale = shifted.sum()
     shifted = shifted / scale
     vec = np.full(n, 1.0 / math.sqrt(n))
     residual = math.inf
@@ -418,7 +426,7 @@ def _power_radius_irreducible(
         residual = float(np.linalg.norm(shifted @ nxt - lam * nxt))
         vec = nxt
         if residual <= tol:
-            return lam * scale - 1.0
+            return np.ldexp(lam * scale, exponent) - 1.0
     raise PowerIterationError("power iteration did not converge", residual=residual)
 
 

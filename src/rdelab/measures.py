@@ -19,7 +19,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .base import SymbolicBundle, admissible_tuples, strongly_connected_components
+from .base import (
+    PowerIterationError,
+    SymbolicBundle,
+    admissible_tuples,
+    strongly_connected_components,
+)
 
 __all__ = [
     "MeasureError",
@@ -170,25 +175,48 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     """Stationary row vector of a row-stochastic matrix, from the uniform start.
 
     Iterates on the half-lazy matrix ``(M + I)/2`` (same fixed vectors, no
-    periodicity).  Returns the vector and whether the stationary vector is
-    unique, decided by counting closed communicating classes of the support
-    graph.
+    periodicity) until the L1 residual ``|p M - p|_1`` is at most ``tol``.
+    Returns the vector and whether the stationary vector is unique, decided
+    by counting closed communicating classes of the support graph.
+
+    Both vector-matrix products are numpy ``@`` calls (BLAS may round them
+    with fused multiply-adds, which a Python product would not reproduce);
+    the normalising sum and the residual are added term by term from left
+    to right in Python floats, which is exactly how numpy sums fewer than
+    eight entries.  Builtin ``sum`` (compensated from Python 3.12 on) and
+    ``math.fsum`` would round differently.
+
+    A transient state that drains slowly (second eigenvalue 0.9998, say)
+    can exhaust ``max_iterations`` before the residual reaches ``tol``; only
+    then the lazy matrix is squared 64 times (``2**64`` steps), with rows
+    renormalised, and the uniform start is mapped through the result.
+    ``PowerIterationError`` is raised only if this vector also misses
+    ``tol``.  Inputs that converge within the cap never reach this branch.
     """
     d = product.shape[0]
     lazy = 0.5 * (product + np.eye(d))
     p = np.full(d, 1.0 / d)
-    residual = math.inf
     for _ in range(max_iterations):
-        nxt = p @ lazy
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt @ product - nxt).sum())
-        p = nxt
+        raw = p @ lazy
+        total = 0.0
+        for x in raw.tolist():
+            total += x
+        p = raw / total
+        residual = 0.0
+        for x, y in zip((p @ product).tolist(), p.tolist()):
+            residual += abs(x - y)
         if residual <= tol:
             break
     else:
-        from .base import PowerIterationError
-
-        raise PowerIterationError("stationary vector iteration stalled", residual)
+        limit = lazy
+        for _ in range(64):
+            limit = limit @ limit
+            limit /= limit.sum(axis=1, keepdims=True)
+        p = np.full(d, 1.0 / d) @ limit
+        p /= p.sum()
+        residual = float(np.abs(p @ product - p).sum())
+        if residual > tol:
+            raise PowerIterationError("stationary vector iteration stalled", residual)
     return p, _closed_classes(product > 0) == 1
 
 
@@ -214,19 +242,31 @@ def stationary_starts(
     transitions: Sequence[np.ndarray],
     tol: float = 1e-12,
     max_iterations: int = 100_000,
+    *,
+    previous: MarkovMeasure | None = None,
 ) -> MarkovMeasure:
     """Solve the orbit-consistency fixed point for the given transition family.
 
     Per theta-cycle ``(w, theta w, ..)`` the start at ``w`` is a stationary
     vector of the cycle product ``Q(w) Q(theta w) ...``, found by damped power
-    iteration from the uniform vector, and successive starts propagate along
-    the cycle.  A reducible cycle product is flagged ``"non-unique stationary
-    start"`` and the uniform-start limit is used.
+    iteration from the uniform vector (see :func:`_stationary_of`, including
+    its fallback when ``max_iterations`` runs out), and successive starts
+    propagate along the cycle.  A reducible cycle product is flagged
+    ``"non-unique stationary start"`` and the uniform-start limit is used.
+
+    ``previous`` is an earlier result of this function for the same bundle,
+    ``tol`` and ``max_iterations``.  A cycle whose transition matrices are
+    byte-equal to ``previous``'s takes its starts and its flag from
+    ``previous`` instead of being solved again; the result is bit-for-bit
+    what a fresh solve gives.  A search that edits one fiber at a time thus
+    solves only the cycle it changed.
     """
     base = bundle.base
     qs = [np.array(q, dtype=float) for q in transitions]
     if len(qs) != base.omega_count:
         raise MeasureError("need one transition matrix per fiber")
+    if previous is not None and previous.bundle is not bundle:
+        raise MeasureError("previous measure belongs to another bundle")
     for omega, q in enumerate(qs):
         if q.shape != (bundle.alphabet_size,) * 2 or (q < 0).any():
             raise MeasureError(f"fiber {base.labels[omega]}: bad transition matrix")
@@ -239,12 +279,21 @@ def stationary_starts(
     starts: list[np.ndarray | None] = [None] * base.omega_count
     flags: list[str] = []
     for cyc in base.cycles():
+        flag = f"non-unique stationary start on cycle {cyc}"
+        if previous is not None and all(
+            qs[w].tobytes() == previous.transitions[w].tobytes() for w in cyc
+        ):
+            if flag in previous.flags:
+                flags.append(flag)
+            for w in cyc:
+                starts[w] = previous.starts[w]
+            continue
         prod = np.eye(bundle.alphabet_size)
         for w in cyc:
             prod = prod @ qs[w]
         p, unique = _stationary_of(prod, tol, max_iterations)
         if not unique:
-            flags.append(f"non-unique stationary start on cycle {cyc}")
+            flags.append(flag)
         starts[cyc[0]] = p
         for w in cyc[:-1]:
             p = p @ qs[w]

@@ -7,7 +7,10 @@ the uniform measure on it over its admissible completions, and average the
 resulting measure along the skew product.  Every counting inequality the
 construction is designed to certify is evaluated numerically per fiber and
 collected in the returned report; a floor hitting zero makes the bound vacuous
-and is marked as such rather than asserted.
+and is marked as such rather than asserted.  A separation check has two
+floors: its ``vacuous`` flag is set only when both are zero (the check then
+holds trivially); a single zero floor shows as a ``null`` ``rhs_pulled`` or
+``rhs_submult`` in the JSON report, and that side is not tested.
 
 ``maximize_invariant_entropy`` is the search half: random-restart hill
 climbing over the transition family, rows projected back onto their supported
@@ -72,7 +75,10 @@ class SeparationCheck:
     ``lhs`` is the fiber entropy of the empirical measure over the atoms of
     the ``shift``-pulled join of refinement ``refinement``; the two right-hand
     sides are the log floors coming from the separated-set cardinality chain.
-    ``vacuous`` marks a zero floor (bound trivially true).
+    A zero floor is stored as ``-inf`` (``null`` in JSON) and its side is not
+    tested.  ``vacuous`` is true only when *both* floors are zero, so the
+    check holds trivially; with one zero floor it is false and ``ok`` rests
+    on the other side alone.
     """
 
     omega: int
@@ -379,14 +385,16 @@ def maximize_invariant_entropy(
             for k in range(1, nmax + 1)
         ]
 
-    def build(qrows: list[np.ndarray]) -> MarkovMeasure:
+    def build(qrows: list[np.ndarray], previous: MarkovMeasure | None) -> MarkovMeasure:
         qs = []
         for w in range(base.omega_count):
             m = np.zeros((d, d))
             for a in range(d):
                 m[a, supports[w * d + a]] = qrows[w * d + a]
             qs.append(m)
-        return stationary_starts(bundle, qs)
+        # previous: the accepted measure; cycles the proposal left alone
+        # keep its starts instead of being solved again
+        return stationary_starts(bundle, qs, previous=previous)
 
     def score(mu: MarkovMeasure) -> float:
         if is_partition:
@@ -407,6 +415,7 @@ def maximize_invariant_entropy(
     evaluations = 0
     best_value = -math.inf
     best_measure = None
+    mu = None
     restarts = max(1, min(8, budget // 50)) if free_rows else 1
     per_restart = max(1, budget // restarts)
     for r in range(restarts):
@@ -415,7 +424,7 @@ def maximize_invariant_entropy(
             qrows = uniform_rows()
         else:
             qrows = [rng.dirichlet(np.ones(len(s))) for s in supports]
-        mu = build(qrows)
+        mu = build(qrows, mu)
         cur = score(mu)
         evaluations += 1
         if cur > best_value:
@@ -431,7 +440,7 @@ def maximize_invariant_entropy(
             old = qrows[i]
             proposal = _project_simplex(old + rng.normal(0.0, sigma, len(old)))
             qrows[i] = proposal
-            mu_new = build(qrows)
+            mu_new = build(qrows, mu)
             val = score(mu_new)
             evaluations += 1
             if val > cur:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from rdelab import per_fiber_cover, presets, product_cover, stationary_starts
+from rdelab import (
+    ProbBase,
+    SymbolicBundle,
+    per_fiber_cover,
+    presets,
+    product_cover,
+    stationary_starts,
+)
 
 settings.register_profile(
     "suite", max_examples=25, derandomize=True, deadline=None
@@ -35,6 +42,16 @@ def gm_measure(gm):
     q0 = np.array([[0.5, 0.5], [0.5, 0.5]])
     q1 = np.array([[0.5, 0.5], [1.0, 0.0]])
     return stationary_starts(gm, [q0, q1])
+
+
+def alphabet2_bundle(theta, adjacencies):
+    """Alphabet-2 bundle over equally weighted base points."""
+    k = len(theta)
+    return SymbolicBundle(
+        base=ProbBase(weights=(1 / k,) * k, theta=tuple(theta)),
+        alphabet=("a", "b"),
+        adjacency=tuple(np.array(a, dtype=np.int8) for a in adjacencies),
+    )
 
 
 def enumerate_words(bundle, omega, start, length):

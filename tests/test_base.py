@@ -149,6 +149,11 @@ class TestGrowthRates:
         assert rates.cycles[0].rate == pytest.approx(math.log(4), abs=1e-12)
         assert rates.integrated == pytest.approx(math.log(4), abs=1e-12)
 
+    def test_spectral_radius_past_the_float_range_of_the_entry_sum(self):
+        # the 16 entries sum past the largest float; the radius 6e307 does not
+        m = np.full((4, 4), 1.5e307)
+        assert spectral_radius(m) == pytest.approx(6e307, rel=1e-12)
+
     def test_rate_certifies_counts(self, gm):
         # the spectral value is the growth rate of the brute-force counts
         rate = cycle_growth_rate(gm).integrated

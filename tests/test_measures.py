@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rdelab import (
     MarkovMeasure,
+    PowerIterationError,
     WordMeasure,
     invariance_residual,
     markov_to_word,
@@ -12,7 +16,67 @@ from rdelab import (
     restrict,
     stationary_starts,
 )
-from rdelab.measures import MeasureError
+from rdelab.harness import gen_instance
+from rdelab.measures import MeasureError, _closed_classes, _stationary_of
+
+from conftest import alphabet2_bundle
+
+
+def reference_stationary_of(product, tol, max_iterations):
+    """The whole-array numpy loop that ``_stationary_of`` must reproduce."""
+    d = product.shape[0]
+    lazy = 0.5 * (product + np.eye(d))
+    p = np.full(d, 1.0 / d)
+    residual = math.inf
+    for _ in range(max_iterations):
+        nxt = p @ lazy
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt @ product - nxt).sum())
+        p = nxt
+        if residual <= tol:
+            break
+    else:
+        raise PowerIterationError("stationary vector iteration stalled", residual)
+    return p, _closed_classes(product > 0) == 1
+
+
+@st.composite
+def stochastic_matrices(draw):
+    """Row-stochastic d x d matrices, d in 2..4, with zero patterns.
+
+    Zero entries make reducible, periodic and transient-state products
+    common; an all-zero row becomes a fixed point.
+    """
+    d = draw(st.integers(2, 4))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    m = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
+    for a in range(d):
+        if m[a].sum() == 0.0:
+            m[a, a] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+# cycle products on which 100k lazy steps do not reach the residual 1e-12: a
+# transient state drains with second eigenvalue 0.99982 (verify --seed 39)
+# and 0.99970 (verify --seed 53)
+SLOW_DRAIN = [
+    (
+        [
+            [0.9998152941085231, 0.0, 1.8470589147697434e-04],
+            [0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0],
+        ],
+        [0.0, 1.0, 0.0],
+    ),
+    (
+        [
+            [1.0, 0.0, 0.0],
+            [0.00124371295903709, 0.46080814140793663, 0.5379481456330263],
+            [0.0, 0.171044066831668, 0.828955933168332],
+        ],
+        [1.0, 0.0, 0.0],
+    ),
+]
 
 
 class TestStationaryStarts:
@@ -40,6 +104,79 @@ class TestStationaryStarts:
         bad = [np.full((2, 2), 0.5), np.full((2, 2), 0.5)]  # mass on b->b
         with pytest.raises(MeasureError, match="forbidden edge"):
             stationary_starts(gm, bad)
+
+    @settings(max_examples=150)
+    @given(stochastic_matrices())
+    def test_loop_matches_the_numpy_reference_bit_for_bit(self, m):
+        try:
+            expected, unique = reference_stationary_of(m, 1e-12, 100_000)
+        except PowerIterationError:
+            assume(False)
+        got, got_unique = _stationary_of(m, 1e-12, 100_000)
+        assert got.tobytes() == expected.tobytes()
+        assert got_unique == unique
+
+    @pytest.mark.parametrize("product, limit", SLOW_DRAIN)
+    def test_slow_transient_drain_reaches_its_limit(self, product, limit):
+        m = np.array(product)
+        p, unique = _stationary_of(m, 1e-12, 100_000)
+        assert unique
+        assert p == pytest.approx(limit, abs=1e-12)
+        assert np.abs(p @ m - p).sum() <= 1e-12
+
+    def test_cap_fallback_agrees_with_the_converged_vector(self, gm_measure):
+        cycle = gm_measure.transitions[0] @ gm_measure.transitions[1]
+        converged, _ = _stationary_of(cycle, 1e-12, 100_000)
+        capped, unique = _stationary_of(cycle, 1e-12, 1)
+        assert unique
+        assert capped == pytest.approx(converged, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [2099060821, 2003792646])
+    def test_generated_instances_with_slow_drain_build(self, seed):
+        # the corpus instances of verify --seed 39 and --seed 53 that stalled
+        inst = gen_instance(seed)
+        for mu in inst.measures.values():
+            assert invariance_residual(mu) <= 1e-12
+
+
+class TestPreviousReuse:
+    GM = [[1, 1], [1, 0]]
+    FULL = [[1, 1], [1, 1]]
+
+    def test_only_the_changed_cycle_is_solved(self, monkeypatch):
+        import rdelab.measures as measures
+
+        bundle = alphabet2_bundle((0, 1, 2), [self.GM, self.FULL, [[1, 0], [0, 1]]])
+        qs = [np.array([[0.3, 0.7], [1.0, 0.0]]), np.full((2, 2), 0.5), np.eye(2)]
+        first = stationary_starts(bundle, qs)
+        qs[1] = np.array([[0.2, 0.8], [0.6, 0.4]])
+        solved = []
+
+        def counting(product, tol, max_iterations):
+            solved.append(product)
+            return _stationary_of(product, tol, max_iterations)
+
+        monkeypatch.setattr(measures, "_stationary_of", counting)
+        reused = stationary_starts(bundle, qs, previous=first)
+        assert len(solved) == 1
+        fresh = stationary_starts(bundle, qs)
+        assert [p.tobytes() for p in reused.starts] == [p.tobytes() for p in fresh.starts]
+        assert reused.flags == fresh.flags == ("non-unique stationary start on cycle (2,)",)
+
+    def test_reuse_on_a_two_point_cycle(self, gm, gm_measure):
+        qs = list(gm_measure.transitions)
+        again = stationary_starts(gm, qs, previous=gm_measure)
+        assert [p.tobytes() for p in again.starts] == [
+            p.tobytes() for p in gm_measure.starts
+        ]
+        qs[1] = np.array([[0.4, 0.6], [1.0, 0.0]])
+        moved = stationary_starts(gm, qs, previous=gm_measure)
+        fresh = stationary_starts(gm, qs)
+        assert [p.tobytes() for p in moved.starts] == [p.tobytes() for p in fresh.starts]
+
+    def test_previous_from_another_bundle_rejected(self, full2, gm_measure):
+        with pytest.raises(MeasureError, match="another bundle"):
+            stationary_starts(full2, [np.full((2, 2), 0.5)], previous=gm_measure)
 
 
 class TestInvarianceResidual:

@@ -2,18 +2,23 @@ import math
 
 import pytest
 
+import rdelab.variational as variational
 from rdelab import (
     cover_count,
     maximize_invariant_entropy,
     partition_conditional_entropy,
+    presets,
     product_cover,
     pullback,
     range_join,
+    stationary_starts,
     witness_measures,
     zero_cylinders,
 )
 from rdelab.covers import CoverError
 from rdelab.variational import HorizonGuardError
+
+from conftest import alphabet2_bundle
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -151,3 +156,30 @@ class TestMaximizeInvariantEntropy:
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.reference == pytest.approx(0.0, abs=1e-12)
         assert res.gap == pytest.approx(0.0, abs=1e-12)
+
+
+GM = [[1, 1], [1, 0]]
+FULL = [[1, 1], [1, 1]]
+SEARCH_BUNDLES = {
+    "golden-mean": alphabet2_bundle((0,), [GM]),
+    "full-2-shift": presets.full_shift(2),
+    "three-fixed-points": alphabet2_bundle((0, 1, 2), [GM, FULL, [[0, 1], [1, 1]]]),
+    "alternating-golden-mean": presets.alternating_golden_mean(),
+    "two-cycle-and-fixed-point": alphabet2_bundle((1, 0, 2), [FULL, GM, [[1, 0], [0, 1]]]),
+}
+
+
+class TestMaximizeReusesUnchangedCycles:
+    @pytest.mark.parametrize("name", sorted(SEARCH_BUNDLES))
+    def test_same_report_as_solving_every_cycle_afresh(self, name, monkeypatch):
+        bundle = SEARCH_BUNDLES[name]
+        target = zero_cylinders(bundle)
+        reused = maximize_invariant_entropy(bundle, target, 240, 5)
+
+        def fresh(bundle, transitions, previous=None):
+            return stationary_starts(bundle, transitions)
+
+        monkeypatch.setattr(variational, "stationary_starts", fresh)
+        afresh = maximize_invariant_entropy(bundle, target, 240, 5)
+        assert reused.to_dict() == afresh.to_dict()
+        assert reused.measure.flags == afresh.measure.flags
