@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -404,6 +405,8 @@ def _power_radius_irreducible(
     returned once the residual drops below ``tol``.  The block is divided by
     its entry sum; if that sum overflows, the block is first divided by a
     power of two ``2**e`` (exact) and ``e`` is put back into the result.
+    Raises :class:`OverflowError` when the radius itself is past the float
+    range.
     """
     n = matrix.shape[0]
     if n == 1:
@@ -426,7 +429,14 @@ def _power_radius_irreducible(
         residual = float(np.linalg.norm(shifted @ nxt - lam * nxt))
         vec = nxt
         if residual <= tol:
-            return np.ldexp(lam * scale, exponent) - 1.0
+            with np.errstate(over="ignore"):
+                radius = np.ldexp(lam * scale, exponent) - 1.0
+            if not math.isfinite(radius):
+                approx = Decimal(lam * scale) * 2**exponent
+                raise OverflowError(
+                    f"spectral radius about {approx:.3e} exceeds the float range"
+                )
+            return radius
     raise PowerIterationError("power iteration did not converge", residual=residual)
 
 
@@ -438,7 +448,8 @@ def spectral_radius(
     The matrix is first split into strongly connected components (the radius
     of a nonnegative matrix is the maximum over its irreducible diagonal
     blocks); each block is handled by power iteration, which converges
-    geometrically there.
+    geometrically there.  A radius past the float range raises
+    :class:`OverflowError`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -77,11 +77,22 @@ WordTuple = tuple[int, ...]
 class EnumerationGuardError(RuntimeError):
     """An exact enumeration exceeded its configured budget."""
 
-    def __init__(self, message: str, partial_minimum: float | None = None):
+    def __init__(
+        self,
+        message: str,
+        partial_minimum: float | None = None,
+        nodes: int | None = None,
+    ):
+        details = []
+        if nodes is not None:
+            details.append(f"{nodes} nodes")
         if partial_minimum is not None:
-            message = f"{message} (partial minimum {partial_minimum:.12g})"
+            details.append(f"partial minimum {partial_minimum:.12g}")
+        if details:
+            message = f"{message} ({', '.join(details)})"
         super().__init__(message)
         self.partial_minimum = partial_minimum
+        self.nodes = nodes
 
 
 def _xlnx(x: float) -> float:
@@ -268,9 +279,9 @@ def topological_cover_entropy(
 
 
 def _min_entropy_assignment(
-    words: Sequence[tuple[np.ndarray, tuple[int, ...]]],
+    words: Sequence[tuple[tuple[float, ...], tuple[int, ...]]],
     element_count: int,
-    pvec: np.ndarray,
+    pvec: Sequence[float],
     *,
     node_cap: int = 10**6,
 ) -> float:
@@ -278,11 +289,26 @@ def _min_entropy_assignment(
     of assigning each word's mass vector to one of its candidate elements.
 
     ``words`` holds ``(mass_vector, candidate_elements)`` pairs; mass vectors
-    are indexed by fiber.  Exact: forced words accumulate first, the rest
-    decompose into components that share no reachable cell, and each component
-    is searched with a concentration lower bound.
+    are tuples of floats indexed by fiber, and each fiber's masses add up to
+    one.  ``pvec`` holds the fiber weights.  Exact: forced words accumulate
+    first, the rest decompose into components that share no reachable cell,
+    and each component is searched with a concentration lower bound.
+
+    All arithmetic is on plain Python floats.  Every sum is added term by
+    term from left to right: builtin ``sum`` is compensated for floats from
+    Python 3.12 on, so it would make the result depend on the interpreter.
+    The two values that order the search, a word's weight ``pvec . mass``
+    (words are searched heaviest first) and a cell's weight (the greedy
+    incumbent's target), are numpy dot products when there are several
+    fibers: BLAS may fuse or reorder those products, which a Python loop
+    would not reproduce, and a changed order changes the result's last bits.
+
+    Raises :class:`EnumerationGuardError` with the best value found so far
+    and the node count once more than ``node_cap`` search nodes are visited.
     """
     dim = len(pvec)
+    pv = [float(p) for p in pvec]
+    log = math.log
     if words:
         common = set(words[0][1])
         for _, cands in words[1:]:
@@ -291,35 +317,53 @@ def _min_entropy_assignment(
             common &= set(cands)
         if common:
             return 0.0
-    base: dict[int, np.ndarray] = {}
-    grouped: dict[tuple[int, ...], np.ndarray] = {}
+
+    def vadd(a, b) -> list[float]:
+        return [x + y for x, y in zip(a, b)]
+
+    def g(vec) -> float:
+        # P-weighted -M ln M summed over fibers
+        s = 0.0
+        for p, x in zip(pv, vec):
+            s += p * (x * log(x) if x > 0.0 else 0.0)
+        return -s
+
+    def g_total(vecs) -> float:
+        s = 0.0
+        for v in vecs:
+            s += g(v)
+        return s
+
+    if dim == 1:
+        p0 = pv[0]
+
+        # a one-term dot product is a single rounded product
+        def weight(vec) -> float:
+            return p0 * vec[0]
+
+    else:
+        parr = np.array(pv)
+
+        def weight(vec) -> float:
+            return float(parr @ np.array(vec))
+
+    base: dict[int, list[float]] = {}
+    grouped: dict[tuple[int, ...], list[float]] = {}
     for mass, cands in words:
         if len(cands) == 1:
             e = cands[0]
-            if e in base:
-                base[e] = base[e] + mass
-            else:
-                base[e] = mass.copy()
+            base[e] = vadd(base[e], mass) if e in base else list(mass)
         elif len(cands) == 0:
             raise CoverError("a positive-mass word has no containing element")
         else:
             # words with identical candidate sets move together at some
             # optimum (concavity: a split assignment is an interior point of
             # the merged group's simplex), so merging them is exact
-            if cands in grouped:
-                grouped[cands] = grouped[cands] + mass
-            else:
-                grouped[cands] = mass.copy()
+            grouped[cands] = vadd(grouped[cands], mass) if cands in grouped else list(mass)
     free = [(mass, cands) for cands, mass in grouped.items()]
 
-    def g(vec: np.ndarray) -> float:
-        # P-weighted -M ln M summed over fibers
-        return -float(
-            sum(pvec[f] * _xlnx(float(vec[f])) for f in range(dim))
-        )
-
     if not free:
-        return sum(g(v) for v in base.values())
+        return g_total(base.values())
 
     # components over shared reachable cells
     parent: dict[int, int] = {}
@@ -338,7 +382,7 @@ def _min_entropy_assignment(
     for _, cands in free:
         for e in cands[1:]:
             union(cands[0], e)
-    comp_words: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
+    comp_words: dict[int, list[tuple[list[float], tuple[int, ...]]]] = {}
     for mass, cands in free:
         comp_words.setdefault(find(cands[0]), []).append((mass, cands))
     comp_elems: dict[int, set[int]] = {}
@@ -346,60 +390,66 @@ def _min_entropy_assignment(
         comp_elems.setdefault(find(cands[0]), set()).update(cands)
 
     touched = set().union(*comp_elems.values())
-    total = sum(g(v) for e, v in base.items() if e not in touched)
+    total = g_total(v for e, v in base.items() if e not in touched)
 
-    nodes = [0]
+    nodes = 0
+    zero = [0.0] * dim
     for root, wlist in comp_words.items():
         elems = sorted(comp_elems[root])
-        wlist = sorted(
-            wlist, key=lambda mc: (-float(pvec @ mc[0]), mc[1])
-        )
-        masses = {e: base.get(e, np.zeros(dim)).copy() for e in elems}
-        # pending[i][e]: total mass of words at depth >= i that can reach e
-        pending: list[dict[int, np.ndarray]] = [
-            {e: np.zeros(dim) for e in elems} for _ in range(len(wlist) + 1)
+        # cells are addressed by their slot in ``elems``, which keeps the
+        # element order wherever ties are broken
+        slot = {e: k for k, e in enumerate(elems)}
+        wlist = sorted(wlist, key=lambda mc: (-weight(mc[0]), mc[1]))
+        wl = [(mass, tuple(slot[e] for e in cands)) for mass, cands in wlist]
+        n_words = len(wl)
+        # per word, the fibers it has mass in: (fiber, weight, mass, weight * mass)
+        terms = [
+            [(f, pv[f], m, pv[f] * m) for f, m in enumerate(mass) if m > 0.0]
+            for mass, _ in wl
         ]
-        suffix = [np.zeros(dim) for _ in range(len(wlist) + 1)]
-        for i in range(len(wlist) - 1, -1, -1):
-            for e in elems:
-                pending[i][e] = pending[i + 1][e]
-            mass, cands = wlist[i]
-            suffix[i] = suffix[i + 1] + mass
-            for e in cands:
-                pending[i][e] = pending[i][e] + mass
-
-        def comp_value(ms: dict[int, np.ndarray]) -> float:
-            return sum(g(v) for v in ms.values())
+        ms = [base.get(e, zero) for e in elems]
+        # pending[i][k]: total mass of words at depth >= i that can reach k
+        pending: list[list[list[float]]] = [[]] * n_words + [[zero] * len(elems)]
+        suffix = [zero] * (n_words + 1)
+        for i in range(n_words - 1, -1, -1):
+            mass, cands = wl[i]
+            row = list(pending[i + 1])
+            for k in cands:
+                row[k] = vadd(row[k], mass)
+            pending[i] = row
+            suffix[i] = vadd(suffix[i + 1], mass)
 
         # incumbent: greedy concentration, then single-move local search
         choice = []
-        trial = {e: v.copy() for e, v in masses.items()}
-        for mass, cands in wlist:
-            target = max(cands, key=lambda e: float(pvec @ trial[e]))
-            trial[target] += mass
+        trial = list(ms)
+        for mass, cands in wl:
+            target = max(cands, key=lambda k: weight(trial[k]))
+            trial[target] = vadd(trial[target], mass)
             choice.append(target)
         for _ in range(30):
             improved = False
-            for j, (mass, cands) in enumerate(wlist):
+            for j, (mass, cands) in enumerate(wl):
                 here = choice[j]
-                trial[here] = trial[here] - mass
-                val_here = g(trial[here] + mass) - g(trial[here])
+                trial[here] = [x - y for x, y in zip(trial[here], mass)]
+                val_here = g(vadd(trial[here], mass)) - g(trial[here])
                 better, gain = here, val_here
-                for e in cands:
-                    if e == here:
+                for k in cands:
+                    if k == here:
                         continue
-                    v = g(trial[e] + mass) - g(trial[e])
+                    v = g(vadd(trial[k], mass)) - g(trial[k])
                     if v < gain - 1e-15:
-                        better, gain = e, v
-                trial[better] = trial[better] + mass
+                        better, gain = k, v
+                trial[better] = vadd(trial[better], mass)
                 if better != here:
                     choice[j] = better
                     improved = True
             if not improved:
                 break
-        best = [comp_value(trial)]
+        best = g_total(trial)
+        # g of every cell's current mass, kept in step with ``ms``
+        gs = [g(v) for v in ms]
 
-        def lower_bound(i: int, ms: dict[int, np.ndarray], cur: float) -> float:
+        def lower_bound(i: int, cur: float) -> float:
             """Cheapest-possible completion cost from depth ``i``.
 
             Three valid relaxations, the largest prunes.  Linearization: every
@@ -410,37 +460,39 @@ def _min_entropy_assignment(
             in the base mass and increments telescope per cell).  Dump: all
             remaining mass of a fiber lands on its heaviest cell.
             """
-            caps = {e: ms[e] + pending[i][e] for e in elems}
-            neglog = {
-                e: [
-                    -math.log(c) if 0.0 < c < 1.0 else 0.0
-                    for c in (float(x) for x in caps[e])
-                ]
-                for e in elems
-            }
+            # per cell: its cap U, U ln U and -ln U (0 unless 0 < U < 1), and
+            # the linear term of the mass it already holds
+            cells = []
             linear = 0.0
-            for e in elems:
-                held = ms[e]
-                for f in range(dim):
-                    if held[f] > 0.0:
-                        linear += pvec[f] * float(held[f]) * neglog[e][f]
+            for held, ahead in zip(ms, pending[i]):
+                cap = [x + y for x, y in zip(held, ahead)]
+                xl = []
+                nl = []
+                for f, c in enumerate(cap):
+                    if c > 0.0:
+                        lc = log(c)
+                        xl.append(c * lc)
+                        nl.append(-lc if c < 1.0 else 0.0)
+                        if held[f] > 0.0:
+                            linear += pv[f] * held[f] * nl[f]
+                    else:
+                        xl.append(0.0)
+                        nl.append(0.0)
+                cells.append((cap, xl, nl))
             by_word = 0.0
-            for j in range(i, len(wlist)):
-                mass, cands = wlist[j]
+            for j in range(i, n_words):
                 cheapest = math.inf
                 cheapest_lin = math.inf
-                for e in cands:
-                    cap = caps[e]
-                    nl = neglog[e]
+                word_terms = terms[j]
+                for k in wl[j][1]:
+                    cap, xl, nl = cells[k]
                     inc = 0.0
                     lin = 0.0
-                    for f in range(dim):
-                        m = float(mass[f])
-                        if m > 0.0:
-                            inc -= pvec[f] * (
-                                _xlnx(float(cap[f])) - _xlnx(float(cap[f]) - m)
-                            )
-                            lin += pvec[f] * m * nl[f]
+                    for f, p, m, pm in word_terms:
+                        # the cap holds this word, so U >= m > 0
+                        r = cap[f] - m
+                        inc -= p * (xl[f] - (r * log(r) if r > 0.0 else 0.0))
+                        lin += pm * nl[f]
                     if inc < cheapest:
                         cheapest = inc
                     if lin < cheapest_lin:
@@ -449,41 +501,44 @@ def _min_entropy_assignment(
                 linear += cheapest_lin
             dump = 0.0
             for f in range(dim):
-                r = float(suffix[i][f])
+                r = suffix[i][f]
                 if r <= 0.0:
                     continue
-                mx = max(float(ms[e][f]) for e in elems)
-                dump += pvec[f] * (_xlnx(mx) - _xlnx(mx + r))
+                mx = max(v[f] for v in ms)
+                dump += pv[f] * (_xlnx(mx) - _xlnx(mx + r))
             return max(cur + by_word, cur + dump, linear)
 
-        def dfs(i: int, ms: dict[int, np.ndarray], cur: float):
-            nodes[0] += 1
-            if nodes[0] > node_cap:
+        def dfs(i: int, cur: float):
+            nonlocal nodes, best
+            nodes += 1
+            if nodes > node_cap:
                 raise EnumerationGuardError(
-                    "assignment search exceeded node cap",
-                    partial_minimum=total + best[0],
+                    f"assignment search exceeded node cap {node_cap}",
+                    partial_minimum=total + best,
+                    nodes=nodes,
                 )
-            if i == len(wlist):
-                if cur < best[0]:
-                    best[0] = cur
+            if i == n_words:
+                if cur < best:
+                    best = cur
                 return
             # the margin sits at float resolution, far below value tolerances
-            if lower_bound(i, ms, cur) >= best[0] - 1e-13:
+            if lower_bound(i, cur) >= best - 1e-13:
                 return
-            mass, cands = wlist[i]
+            mass = wl[i][0]
             scored = []
-            for e in cands:
-                old = ms[e]
-                scored.append((g(old + mass) - g(old), e))
+            for k in wl[i][1]:
+                new = vadd(ms[k], mass)
+                g_new = g(new)
+                scored.append((g_new - gs[k], k, new, g_new))
             scored.sort()
-            for delta, e in scored:
-                old = ms[e]
-                ms[e] = old + mass
-                dfs(i + 1, ms, cur + delta)
-                ms[e] = old
+            for delta, k, new, g_new in scored:
+                old, g_old = ms[k], gs[k]
+                ms[k], gs[k] = new, g_new
+                dfs(i + 1, cur + delta)
+                ms[k], gs[k] = old, g_old
 
-        dfs(0, masses, comp_value(masses))
-        total += best[0]
+        dfs(0, g_total(ms))
+        total += best
     return total
 
 
@@ -539,16 +594,19 @@ def cover_conditional_entropy(
     bundle = cover.bundle
     if isinstance(cover, PositionedPartition):
         return partition_conditional_entropy(mu, cover)
+    omega_count = bundle.base.omega_count
     # an element containing every admissible word in every fiber is free
+    window_words = [
+        set(admissible_tuples(bundle, omega, cover.start, cover.length))
+        for omega in range(omega_count)
+    ]
     for elem in range(cover.element_count):
         if all(
-            set(admissible_tuples(bundle, omega, cover.start, cover.length))
-            <= cover.sections[elem][omega]
-            for omega in range(bundle.base.omega_count)
+            window_words[omega] <= cover.sections[elem][omega]
+            for omega in range(omega_count)
         ):
             return 0.0
     nu = _measure_at(mu, cover.stop)
-    omega_count = bundle.base.omega_count
     if mode == "general":
         total = 0.0
         for omega in range(omega_count):
@@ -557,11 +615,11 @@ def cover_conditional_entropy(
             for w, x in nu.window_masses(omega, cover.start, cover.length).items():
                 if x == 0.0:
                     continue
-                words.append((np.array([x]), member[w]))
+                words.append(((float(x),), member[w]))
             total += bundle.base.weights[omega] * _min_entropy_assignment(
                 words,
                 cover.element_count,
-                np.array([1.0]),
+                (1.0,),
                 node_cap=node_cap,
             )
         return total
@@ -578,13 +636,13 @@ def cover_conditional_entropy(
     ]
     words = []
     for i, w in enumerate(enum.words):
-        vec = np.array([marginals[omega].get(w, 0.0) for omega in range(omega_count)])
-        if vec.any():
+        vec = tuple(float(marginals[omega].get(w, 0.0)) for omega in range(omega_count))
+        if any(vec):
             words.append((vec, enum.choices[i]))
     return _min_entropy_assignment(
         words,
         cover.element_count,
-        np.array(bundle.base.weights),
+        bundle.base.weights,
         node_cap=node_cap,
     )
 
@@ -820,14 +878,14 @@ class PowerSystem:
                 for omega in range(base.omega_count):
                     member = joined.membership(omega, (0, granularity))
                     words = [
-                        (np.array([x]), member[w])
+                        ((float(x),), member[w])
                         for w, x in nu.weights[omega].items()
                         if x > 0.0
                     ]
                     h += base.weights[omega] * _min_entropy_assignment(
                         words,
                         joined.element_count,
-                        np.array([1.0]),
+                        (1.0,),
                         node_cap=node_cap,
                     )
             elif mode == "product":
@@ -848,11 +906,11 @@ class PowerSystem:
                         for i, d in enumerate(joined.product_sections)
                         if w[lo:hi] in d
                     )
-                    words.append((np.array(vec), cands))
+                    words.append((tuple(vec), cands))
                 h = _min_entropy_assignment(
                     words,
                     joined.element_count,
-                    np.array(base.weights),
+                    base.weights,
                     node_cap=node_cap,
                 )
             else:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ class TestGrowthRates:
         # the 16 entries sum past the largest float; the radius 6e307 does not
         m = np.full((4, 4), 1.5e307)
         assert spectral_radius(m) == pytest.approx(6e307, rel=1e-12)
+
+    def test_spectral_radius_past_the_float_range_raises(self):
+        # the radius 5.1e308 itself has no float; no inf, no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="5.100e\\+308 exceeds the float range"):
+                spectral_radius(np.full((3, 3), 1.7e308))
 
     def test_rate_certifies_counts(self, gm):
         # the spectral value is the growth rate of the brute-force counts

@@ -1,7 +1,14 @@
+import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import rdelab.entropy as entropy_module
 
 from rdelab import (
     block_power_system,
@@ -25,7 +32,8 @@ from rdelab import (
     zero_cylinders,
 )
 from rdelab.covercomb import global_min_subcover_count
-from rdelab.entropy import EnumerationGuardError
+from rdelab.covers import CoverError, PositionedPartition
+from rdelab.entropy import EnumerationGuardError, _min_entropy_assignment
 from rdelab.harness import gen_instance, random_word_measure
 from rdelab.measures import WordMeasure, pushforward
 
@@ -415,3 +423,392 @@ class TestPowerSystem:
         prod = h_minus_report(gm_measure, u, 4, "product")
         for (_, gv), (_, pv) in zip(gen.sequence, prod.sequence):
             assert pv >= gv - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the min-entropy assignment kernel against its numpy reference
+# ---------------------------------------------------------------------------
+
+
+def reference_min_entropy_assignment(words, element_count, pvec, *, node_cap=10**6):
+    """The numpy assignment search that the plain-float kernel replaced.
+
+    Mass vectors and per-cell masses are numpy arrays.  Two changes from the
+    replaced code: sums of Python floats are written as left-to-right loops
+    (what builtin ``sum`` does for them before Python 3.12), and a tripped
+    node cap also reports the node count.
+    """
+    words = [(np.array(m, dtype=float), tuple(c)) for m, c in words]
+    pvec = np.array(pvec, dtype=float)
+    dim = len(pvec)
+
+    def plain_sum(values):
+        s = 0.0
+        for v in values:
+            s += v
+        return s
+
+    if words:
+        common = set(words[0][1])
+        for _, cands in words[1:]:
+            if not common:
+                break
+            common &= set(cands)
+        if common:
+            return 0.0
+    base = {}
+    grouped = {}
+    for mass, cands in words:
+        if len(cands) == 1:
+            e = cands[0]
+            if e in base:
+                base[e] = base[e] + mass
+            else:
+                base[e] = mass.copy()
+        elif len(cands) == 0:
+            raise CoverError("a positive-mass word has no containing element")
+        else:
+            if cands in grouped:
+                grouped[cands] = grouped[cands] + mass
+            else:
+                grouped[cands] = mass.copy()
+    free = [(mass, cands) for cands, mass in grouped.items()]
+
+    def xlnx(x):
+        return x * math.log(x) if x > 0.0 else 0.0
+
+    def g(vec):
+        return -float(sum(pvec[f] * xlnx(float(vec[f])) for f in range(dim)))
+
+    if not free:
+        return plain_sum(g(v) for v in base.values())
+
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for _, cands in free:
+        for e in cands[1:]:
+            ra, rb = find(cands[0]), find(e)
+            if ra != rb:
+                parent[ra] = rb
+    comp_words = {}
+    comp_elems = {}
+    for mass, cands in free:
+        comp_words.setdefault(find(cands[0]), []).append((mass, cands))
+        comp_elems.setdefault(find(cands[0]), set()).update(cands)
+    touched = set().union(*comp_elems.values())
+    total = plain_sum(g(v) for e, v in base.items() if e not in touched)
+
+    nodes = [0]
+    for root, wlist in comp_words.items():
+        elems = sorted(comp_elems[root])
+        wlist = sorted(wlist, key=lambda mc: (-float(pvec @ mc[0]), mc[1]))
+        masses = {e: base.get(e, np.zeros(dim)).copy() for e in elems}
+        pending = [{e: np.zeros(dim) for e in elems} for _ in range(len(wlist) + 1)]
+        suffix = [np.zeros(dim) for _ in range(len(wlist) + 1)]
+        for i in range(len(wlist) - 1, -1, -1):
+            for e in elems:
+                pending[i][e] = pending[i + 1][e]
+            mass, cands = wlist[i]
+            suffix[i] = suffix[i + 1] + mass
+            for e in cands:
+                pending[i][e] = pending[i][e] + mass
+
+        def comp_value(ms):
+            return plain_sum(g(v) for v in ms.values())
+
+        choice = []
+        trial = {e: v.copy() for e, v in masses.items()}
+        for mass, cands in wlist:
+            target = max(cands, key=lambda e: float(pvec @ trial[e]))
+            trial[target] += mass
+            choice.append(target)
+        for _ in range(30):
+            improved = False
+            for j, (mass, cands) in enumerate(wlist):
+                here = choice[j]
+                trial[here] = trial[here] - mass
+                val_here = g(trial[here] + mass) - g(trial[here])
+                better, gain = here, val_here
+                for e in cands:
+                    if e == here:
+                        continue
+                    v = g(trial[e] + mass) - g(trial[e])
+                    if v < gain - 1e-15:
+                        better, gain = e, v
+                trial[better] = trial[better] + mass
+                if better != here:
+                    choice[j] = better
+                    improved = True
+            if not improved:
+                break
+        best = [comp_value(trial)]
+
+        def lower_bound(i, ms, cur):
+            caps = {e: ms[e] + pending[i][e] for e in elems}
+            neglog = {
+                e: [
+                    -math.log(c) if 0.0 < c < 1.0 else 0.0
+                    for c in (float(x) for x in caps[e])
+                ]
+                for e in elems
+            }
+            linear = 0.0
+            for e in elems:
+                held = ms[e]
+                for f in range(dim):
+                    if held[f] > 0.0:
+                        linear += pvec[f] * float(held[f]) * neglog[e][f]
+            by_word = 0.0
+            for j in range(i, len(wlist)):
+                mass, cands = wlist[j]
+                cheapest = math.inf
+                cheapest_lin = math.inf
+                for e in cands:
+                    cap = caps[e]
+                    nl = neglog[e]
+                    inc = 0.0
+                    lin = 0.0
+                    for f in range(dim):
+                        m = float(mass[f])
+                        if m > 0.0:
+                            inc -= pvec[f] * (xlnx(float(cap[f])) - xlnx(float(cap[f]) - m))
+                            lin += pvec[f] * m * nl[f]
+                    if inc < cheapest:
+                        cheapest = inc
+                    if lin < cheapest_lin:
+                        cheapest_lin = lin
+                by_word += cheapest
+                linear += cheapest_lin
+            dump = 0.0
+            for f in range(dim):
+                r = float(suffix[i][f])
+                if r <= 0.0:
+                    continue
+                mx = max(float(ms[e][f]) for e in elems)
+                dump += pvec[f] * (xlnx(mx) - xlnx(mx + r))
+            return max(cur + by_word, cur + dump, linear)
+
+        def dfs(i, ms, cur):
+            nodes[0] += 1
+            if nodes[0] > node_cap:
+                raise EnumerationGuardError(
+                    f"assignment search exceeded node cap {node_cap}",
+                    partial_minimum=total + best[0],
+                    nodes=nodes[0],
+                )
+            if i == len(wlist):
+                if cur < best[0]:
+                    best[0] = cur
+                return
+            if lower_bound(i, ms, cur) >= best[0] - 1e-13:
+                return
+            mass, cands = wlist[i]
+            scored = []
+            for e in cands:
+                old = ms[e]
+                scored.append((g(old + mass) - g(old), e))
+            scored.sort()
+            for delta, e in scored:
+                old = ms[e]
+                ms[e] = old + mass
+                dfs(i + 1, ms, cur + delta)
+                ms[e] = old
+
+        dfs(0, masses, comp_value(masses))
+        total += best[0]
+    return total
+
+
+# masses from a few levels make ties between words; 0.0 leaves fibers empty.
+# Eight words of at most 1/8 keep every fiber's total mass at most 1.
+MASS_LEVELS = (0.0, 0.01, 0.025, 0.05, 0.07, 1 / 12, 0.1, 0.125)
+
+
+@st.composite
+def assignment_inputs(draw):
+    """Words with per-fiber mass vectors and candidate elements, the fiber
+    weights, and the element count."""
+    dim = draw(st.integers(1, 4))
+    element_count = draw(st.integers(1, 6))
+    forced_only = draw(st.booleans())
+    entry = st.one_of(st.sampled_from(MASS_LEVELS), st.floats(1e-9, 0.125))
+    words = []
+    for _ in range(draw(st.integers(1, 8))):
+        mass = draw(
+            st.lists(entry, min_size=dim, max_size=dim).filter(lambda m: any(m))
+        )
+        size = 1 if forced_only else draw(st.integers(1, min(3, element_count)))
+        cands = draw(
+            st.lists(
+                st.integers(0, element_count - 1),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        words.append((tuple(mass), tuple(sorted(cands))))
+    shares = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    pvec = tuple(x / sum(shares) for x in shares)
+    return words, element_count, pvec
+
+
+def fifteen_bit_instance():
+    """A fixed one-fiber search: 15 free words with two candidates each
+    (2**15 assignments in one component) over 8 elements, plus 3 forced words."""
+    rng = random.Random(145)
+    pairs = [(e, e + 1) for e in range(7)]
+    others = [p for p in itertools.combinations(range(8), 2) if p not in pairs]
+    pairs += rng.sample(others, 8)
+    words = [([0.2 + rng.random()], p) for p in pairs]
+    for e in (0, 3, 5):
+        words.append(([0.5 + rng.random()], (e,)))
+    scale = sum(m[0] for m, _ in words)
+    return [((m[0] / scale,), c) for m, c in words], 8, (1.0,)
+
+
+# branch-and-bound nodes the search visits on that instance (of 2**16 - 1 in
+# the full binary tree); without any one of the three relaxations in the
+# lower bound it visits more
+FIFTEEN_BIT_NODES = 233
+
+
+# words whose weights pvec . mass are equal in exact arithmetic; numpy's dot
+# (which orders the search) can round them apart where a Python loop keeps
+# them equal, and the result's last bit then depends on which one is used
+TIED_WEIGHT_WORDS = (
+    [
+        ((0.07, 0.07, 0.025), (0, 3)),
+        ((0.07, 0.025, 0.07), (0, 3, 4)),
+        ((0.07, 0.07, 0.025), (1, 3)),
+        ((0.07, 0.07, 0.025), (2,)),
+    ],
+    5,
+    (0.2, 0.4, 0.4),
+)
+
+
+class TestMinEntropyAssignment:
+    """The plain-float kernel returns the reference's bits and visits the
+    reference's nodes."""
+
+    @given(assignment_inputs())
+    @settings(max_examples=300)
+    @example(TIED_WEIGHT_WORDS)
+    @example(([((0.25,), (0,)), ((0.25,), (1,)), ((0.5,), (0,))], 2, (1.0,)))
+    @example(
+        (
+            [((0.1, 0.0), (0, 1)), ((0.2, 0.3), (2, 3)), ((0.0, 0.4), (0, 1))],
+            4,
+            (0.5, 0.5),
+        )
+    )
+    def test_same_bits_as_the_reference(self, inputs):
+        words, element_count, pvec = inputs
+        got = _min_entropy_assignment(words, element_count, pvec)
+        expect = reference_min_entropy_assignment(words, element_count, pvec)
+        assert got.hex() == float(expect).hex()
+
+    @given(assignment_inputs())
+    @settings(max_examples=100)
+    @example(TIED_WEIGHT_WORDS)
+    def test_result_does_not_depend_on_how_sum_adds(self, inputs):
+        # from Python 3.12 builtin sum compensates float rounding; the kernel
+        # adds left to right itself, so a compensated sum changes nothing
+        words, element_count, pvec = inputs
+        expect = reference_min_entropy_assignment(words, element_count, pvec)
+        with mock.patch.object(entropy_module, "sum", math.fsum, create=True):
+            got = _min_entropy_assignment(words, element_count, pvec)
+        assert got.hex() == float(expect).hex()
+
+    @given(assignment_inputs())
+    @settings(max_examples=60)
+    def test_minimum_over_all_assignments(self, inputs):
+        # the kernel expects each fiber's masses to add up to one
+        words, element_count, pvec = inputs
+        totals = [sum(mass[f] for mass, _ in words) for f in range(len(pvec))]
+        assume(all(totals))
+        words = [
+            (tuple(x / t for x, t in zip(mass, totals)), cands) for mass, cands in words
+        ]
+        best = math.inf
+        for assign in itertools.product(*(cands for _, cands in words)):
+            cells = {}
+            for (mass, _), e in zip(words, assign):
+                held = cells.get(e, (0.0,) * len(pvec))
+                cells[e] = tuple(x + y for x, y in zip(held, mass))
+            h = -sum(
+                p * x * math.log(x)
+                for vec in cells.values()
+                for p, x in zip(pvec, vec)
+                if x > 0.0
+            )
+            best = min(best, h)
+        got = _min_entropy_assignment(words, element_count, pvec)
+        assert got == pytest.approx(best, abs=1e-12)
+
+    def test_matches_brute_force(self):
+        words, element_count, pvec = fifteen_bit_instance()
+        masses = {i: m[0] for i, (m, _) in enumerate(words)}
+        cands = {i: c for i, (_, c) in enumerate(words)}
+        got = _min_entropy_assignment(words, element_count, pvec)
+        assert got == pytest.approx(brute_assignment_minimum(masses, cands), abs=1e-12)
+
+    def test_node_count_is_pinned(self):
+        # a weaker bound or another visit order changes this count
+        words, element_count, pvec = fifteen_bit_instance()
+        nodes = FIFTEEN_BIT_NODES
+        got = _min_entropy_assignment(words, element_count, pvec, node_cap=nodes)
+        expect = reference_min_entropy_assignment(
+            words, element_count, pvec, node_cap=nodes
+        )
+        assert got.hex() == float(expect).hex()
+        with pytest.raises(EnumerationGuardError) as tripped:
+            _min_entropy_assignment(words, element_count, pvec, node_cap=nodes - 1)
+        assert tripped.value.nodes == nodes
+
+    @pytest.mark.parametrize("cap", [1, 40, 200])
+    def test_tripped_guard_reports_how_far_it_got(self, cap):
+        words, element_count, pvec = fifteen_bit_instance()
+        with pytest.raises(EnumerationGuardError) as ref:
+            reference_min_entropy_assignment(words, element_count, pvec, node_cap=cap)
+        with pytest.raises(EnumerationGuardError) as got:
+            _min_entropy_assignment(words, element_count, pvec, node_cap=cap)
+        assert got.value.nodes == ref.value.nodes == cap + 1
+        assert got.value.partial_minimum.hex() == float(ref.value.partial_minimum).hex()
+        assert f"{cap + 1} nodes" in str(got.value)
+        assert "partial minimum" in str(got.value)
+
+    def test_callers_pass_the_reference_its_inputs(self, gm, gm_measure, monkeypatch):
+        # every caller's words give the same bits in both kernels
+        kernel = _min_entropy_assignment
+        seen = []
+
+        def both(words, element_count, pvec, *, node_cap):
+            got = kernel(words, element_count, pvec, node_cap=node_cap)
+            expect = reference_min_entropy_assignment(
+                words, element_count, pvec, node_cap=node_cap
+            )
+            assert got.hex() == float(expect).hex()
+            free = sum(1 for _, cands in words if len(cands) > 1)
+            seen.append((len(pvec), free > 1))
+            return got
+
+        monkeypatch.setattr(entropy_module, "_min_entropy_assignment", both)
+        u = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
+        for mode in ("general", "product"):
+            h_minus_report(gm_measure, u, 2, mode)
+            block_power_system(gm, u, 2).h_value_sequence(gm_measure, 1, mode)
+        for seed in (5, 13):
+            inst = gen_instance(seed)
+            mu = inst.measures[sorted(inst.measures)[0]]
+            for name in sorted(inst.covers):
+                cov = inst.covers[name]
+                if not isinstance(cov, PositionedPartition):
+                    cover_conditional_entropy(mu, cov, "general")
+        assert (1, True) in seen and (2, True) in seen
