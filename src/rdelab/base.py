@@ -35,9 +35,13 @@ __all__ = [
     "ValidationReport",
     "validate",
     "admissible_words",
+    "plain_sum",
+    "theta_cycles",
+    "transfer_count",
     "word_count",
     "CycleRate",
     "CycleRates",
+    "cycle_product",
     "cycle_growth_rate",
     "spectral_radius",
 ]
@@ -97,19 +101,37 @@ class ProbBase:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of ``theta``, each starting at its smallest member."""
-        seen = [False] * self.omega_count
-        cycles = []
-        for start in range(self.omega_count):
-            if seen[start]:
-                continue
-            cyc = []
-            w = start
-            while not seen[w]:
-                seen[w] = True
-                cyc.append(w)
-                w = self.theta[w]
-            cycles.append(tuple(cyc))
-        return tuple(cycles)
+        return theta_cycles(self.theta)
+
+
+def theta_cycles(theta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the permutation ``theta`` (an image table), each starting at
+    its smallest member, in the order of those members."""
+    seen = [False] * len(theta)
+    cycles = []
+    for start in range(len(theta)):
+        if seen[start]:
+            continue
+        cyc = []
+        w = start
+        while not seen[w]:
+            seen[w] = True
+            cyc.append(w)
+            w = theta[w]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def plain_sum(values) -> float:
+    """Add floats one at a time from left to right, starting from ``0.0``.
+
+    Builtin ``sum`` compensates float rounding from Python 3.12 on, so sums
+    that reach a report use this to give the same bits on every interpreter.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,24 +344,28 @@ def admissible_words(
     return tuple(Word(w, s) for w in admissible_tuples(bundle, omega, s, e - s))
 
 
+def transfer_count(matrices, width: int) -> int:
+    """Exact total of all entries of the 0/1 matrix product ``M_0 ... M_{m-1}``
+    (``width`` columns; ``width`` itself when there is no matrix).  Multiplied
+    from the right, so the accumulator stays a vector of path counts.
+    """
+    vec = [1] * width
+    for mat in reversed(matrices):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in mat.tolist()]
+    return sum(vec)
+
+
 def word_count(bundle: SymbolicBundle, omega: int, n: int) -> int:
     """Exact number of admissible length-``n`` blocks starting at coordinate 0.
 
     Equals the total of all entries of the transfer product
     ``A(omega) A(theta omega) ... A(theta^{n-2} omega)``; for ``n == 1`` it is
-    the alphabet size.  Computed in exact integer arithmetic.
+    the alphabet size.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
-    d = bundle.alphabet_size
-    if n == 1:
-        return d
-    vec = [1] * d
-    # right-to-left products keep the accumulator a vector
-    for coordinate in range(n - 2, -1, -1):
-        mat = bundle.matrix_at(omega, coordinate)
-        vec = [sum(int(mat[a, b]) * vec[b] for b in range(d)) for a in range(d)]
-    return sum(vec)
+    mats = [bundle.matrix_at(omega, c) for c in range(n - 1)]
+    return transfer_count(mats, bundle.alphabet_size)
 
 
 def strongly_connected_components(support: np.ndarray) -> list[list[int]]:
@@ -488,6 +514,24 @@ class CycleRates:
 _RESCALE_ABOVE = 2.0**256
 
 
+def cycle_product(factors, size: int) -> tuple[np.ndarray, int]:
+    """Product ``F_0 F_1 ... F_{L-1}`` of square float matrices as ``(M, e)``
+    with the product equal to ``M * 2**e``: the running product is divided by
+    ``2**e`` (exact) whenever its largest entry passes ``2**256``, so long
+    cycles stay finite, and ``e == 0`` when that never happens.
+    """
+    prod = np.eye(size)
+    exponent = 0
+    for f in factors:
+        prod = prod @ f
+        top = float(prod.max())
+        if top > _RESCALE_ABOVE:
+            e = math.frexp(top)[1]
+            prod = np.ldexp(prod, -e)
+            exponent += e
+    return prod, exponent
+
+
 def cycle_growth_rate(
     bundle: SymbolicBundle, tol: float = 1e-12, max_iterations: int = 100_000
 ) -> CycleRates:
@@ -496,28 +540,21 @@ def cycle_growth_rate(
     For a cycle of length ``L`` through ``omega`` the rate is
     ``(1/L) * ln(spectral radius of A(omega) ... A(theta^{L-1} omega))``; the
     integrated rate weights each cycle by its total probability mass.  On long
-    cycles the running product is divided by a power of two ``2**e`` whenever
-    its largest entry passes ``2**256`` (exact in floating point), and
-    ``e * ln 2`` is added back to the log radius.
+    cycles the product is rescaled by :func:`cycle_product` and ``e * ln 2``
+    is added back to the log radius.
     """
     cycles = []
     integrated = 0.0
     for cyc in bundle.base.cycles():
-        prod = np.eye(bundle.alphabet_size)
-        exponent = 0
-        for w in cyc:
-            prod = prod @ bundle.adjacency[w].astype(float)
-            top = float(prod.max())
-            if top > _RESCALE_ABOVE:
-                e = math.frexp(top)[1]
-                prod = np.ldexp(prod, -e)
-                exponent += e
+        prod, exponent = cycle_product(
+            (bundle.adjacency[w].astype(float) for w in cyc), bundle.alphabet_size
+        )
         rho = spectral_radius(prod, tol=tol, max_iterations=max_iterations)
         # adding 0.0 when nothing was rescaled is exact, so short cycles keep
         # their bits
         log_rho = math.log(rho) + exponent * math.log(2) if rho > 0 else -math.inf
         rate = log_rho / len(cyc)
-        mass = float(sum(bundle.base.weights[w] for w in cyc))
+        mass = plain_sum(bundle.base.weights[w] for w in cyc)
         cycles.append(CycleRate(omegas=cyc, rate=rate, mass=mass))
         integrated += mass * rate
     return CycleRates(cycles=tuple(cycles), integrated=integrated)

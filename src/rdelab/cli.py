@@ -11,13 +11,10 @@ Exit codes:
 * 2  usage error or unknown cover/measure name
 * 3  instance file violates the schema
 * 4  a solver guard (size, enumeration, horizon, convergence) tripped
-
-``RDE_LAB_THREADS`` caps worker threads for ``verify`` (0 = one per CPU).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -294,15 +291,6 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
     """Run the mechanical property suite; nonzero exit iff a hard check fails."""
-    workers = 1
-    env = os.environ.get("RDE_LAB_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-            if workers < 0:
-                raise ValueError
-        except ValueError:
-            raise click.UsageError(f"RDE_LAB_THREADS must be a nonnegative integer, got {env!r}")
     from .harness import GenParams
 
     params = GenParams()
@@ -355,7 +343,7 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
                 measures=measures,
             )
         ]
-    report = _guarded(lambda: run_suite(config, instances=corpus, workers=workers))
+    report = _guarded(lambda: run_suite(config, instances=corpus))
     for r in report.results:
         status = "pass" if r.failures == 0 else "FAIL"
         skipped = f", skipped {r.skipped}" if r.skipped else ""

@@ -10,6 +10,10 @@ Product-form covers additionally carry one defining word set per element,
 shared by all fibers; the per-fiber sections are the defining sets cut down to
 the fiber's admissible words.
 
+Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
+incremental loop, :func:`join_sequence`, which checks its element cap before
+building anything.
+
 Covers are frozen dataclasses and every operation returns a new cover, with
 one exception: each cover memoizes its ``membership``/``cell_of`` maps in a
 per-object dict (``_mcache``, excluded from equality), which grows with every
@@ -38,6 +42,7 @@ __all__ = [
     "is_finer",
     "join",
     "pullback",
+    "join_sequence",
     "range_join",
     "PartitionEnumeration",
     "product_partitions_finer",
@@ -474,26 +479,40 @@ def pullback(u: PositionedCover, i: int) -> PositionedCover:
     )
 
 
+def join_sequence(
+    u: PositionedCover, steps: int, *, element_cap: int = 10**6
+) -> Iterator[PositionedCover]:
+    """Joins of the pullbacks of ``u`` through steps ``0..k-1`` for
+    ``k = 1..steps``, each the one before joined with one more pullback.
+
+    The cap guards the last join's ``len(u) ** steps`` index tuples (kept even
+    when empty), so :class:`JoinSizeError` comes before any join is built.
+    """
+    if u.element_count**steps > element_cap:
+        raise JoinSizeError(
+            f"join would create {u.element_count}^{steps} elements "
+            f"(cap {element_cap})"
+        )
+    out = u
+    for k in range(steps):
+        if k:
+            out = join(out, pullback(u, k))
+        yield out
+
+
 def range_join(
     u: PositionedCover, m: int, n: int, *, element_cap: int = 10**6
 ) -> PositionedCover:
     """Join of the pullbacks of ``u`` through steps ``m..n`` inclusive.
 
-    The element count is ``len(u) ** (n - m + 1)`` index tuples (kept even when
-    empty); the cap guards that number before any section is materialized.
+    The last join of :func:`join_sequence` over ``n - m + 1`` steps, pulled
+    back ``m`` steps (the pullback of a join is the join of the pullbacks).
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    steps = n - m + 1
-    if u.element_count**steps > element_cap:
-        raise JoinSizeError(
-            f"range join would create {u.element_count}^{steps} elements "
-            f"(cap {element_cap})"
-        )
-    out = pullback(u, m)
-    for k in range(m + 1, n + 1):
-        out = join(out, pullback(u, k))
-    return out
+    for out in join_sequence(u, n - m + 1, element_cap=element_cap):
+        pass
+    return pullback(out, m)
 
 
 @dataclass(frozen=True)

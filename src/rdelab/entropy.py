@@ -18,26 +18,35 @@ must be handed to one cover element containing it, and the objective (the
 P-weighted Shannon entropy of the induced cell masses) is concave in the
 assignment masses, so the minimum over all measurable refinements is attained
 at such an integral assignment.  The assignment minimum is computed exactly by
-component decomposition plus branch and bound.
+component decomposition plus branch and bound; its only caller is
+:func:`cover_conditional_entropy`, which the step-n reports and the block
+power system (on a wider hull) go through.  Sums that reach a report are
+added left to right by :func:`~rdelab.base.plain_sum`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import SymbolicBundle, admissible_tuples, cycle_growth_rate
+from .base import (
+    SymbolicBundle,
+    admissible_tuples,
+    cycle_growth_rate,
+    plain_sum,
+    transfer_count,
+)
 from .covercomb import SolverLimits, min_subcover_count
 from .covers import (
     CoverError,
     PositionedCover,
     PositionedPartition,
-    join,
+    join_sequence,
     product_partitions_finer,
-    pullback,
     range_join,
 )
 from .measures import (
@@ -212,6 +221,16 @@ def _report(sequence: list[tuple[int, float]], exact_rate, tags) -> EntropyRepor
     )
 
 
+def _log_count(
+    bundle: SymbolicBundle, joined: PositionedCover, limits: SolverLimits
+) -> float:
+    """P-average of the log minimal subcover count of a joined cover."""
+    return plain_sum(
+        bundle.base.weights[omega] * math.log(min_subcover_count(joined, omega, limits))
+        for omega in range(bundle.base.omega_count)
+    )
+
+
 def cover_complexity(
     bundle: SymbolicBundle,
     cover: PositionedCover,
@@ -222,10 +241,7 @@ def cover_complexity(
 ) -> float:
     """P-average of the log minimal subcover count of the n-step join."""
     joined = range_join(cover, 0, n - 1, element_cap=element_cap)
-    return sum(
-        bundle.base.weights[omega] * math.log(min_subcover_count(joined, omega, limits))
-        for omega in range(bundle.base.omega_count)
-    )
+    return _log_count(bundle, joined, limits)
 
 
 def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
@@ -252,19 +268,8 @@ def topological_cover_entropy(
     """
     if nmax < 1:
         raise ValueError("need nmax >= 1")
-    seq: list[tuple[int, float]] = []
-    joined = None
-    for n in range(1, nmax + 1):
-        piece = pullback(cover, n - 1)
-        joined = piece if joined is None else join(joined, piece)
-        if joined.element_count > element_cap:
-            raise CoverError(f"join exceeded element cap {element_cap}")
-        h = sum(
-            bundle.base.weights[omega]
-            * math.log(min_subcover_count(joined, omega, limits))
-            for omega in range(bundle.base.omega_count)
-        )
-        seq.append((n, h / n))
+    joins = join_sequence(cover, nmax, element_cap=element_cap)
+    seq = [(n, _log_count(bundle, j, limits) / n) for n, j in enumerate(joins, 1)]
     exact = None
     tags = ["fekete"]
     if _is_singleton_cell_partition(cover):
@@ -290,13 +295,16 @@ def _min_entropy_assignment(
 
     ``words`` holds ``(mass_vector, candidate_elements)`` pairs; mass vectors
     are tuples of floats indexed by fiber, and each fiber's masses add up to
-    one.  ``pvec`` holds the fiber weights.  Exact: forced words accumulate
+    at most one (the concentration bound below is no lower bound once a cell
+    can hold more than one, so a larger total raises ``ValueError``).
+    ``pvec`` holds the fiber weights.  Exact: forced words accumulate
     first, the rest decompose into components that share no reachable cell,
     and each component is searched with a concentration lower bound.
 
     All arithmetic is on plain Python floats.  Every sum is added term by
-    term from left to right: builtin ``sum`` is compensated for floats from
-    Python 3.12 on, so it would make the result depend on the interpreter.
+    term from left to right (:func:`~rdelab.base.plain_sum` or an explicit
+    loop): builtin ``sum`` is compensated for floats from Python 3.12 on, so
+    it would make the result depend on the interpreter.
     The two values that order the search, a word's weight ``pvec . mass``
     (words are searched heaviest first) and a cell's weight (the greedy
     incumbent's target), are numpy dot products when there are several
@@ -307,6 +315,10 @@ def _min_entropy_assignment(
     and the node count once more than ``node_cap`` search nodes are visited.
     """
     dim = len(pvec)
+    for f in range(dim):
+        held = math.fsum(mass[f] for mass, _ in words)
+        if held > 1.0 + NORM_TOL:
+            raise ValueError(f"fiber {f} holds mass {held!r} > 1")
     pv = [float(p) for p in pvec]
     log = math.log
     if words:
@@ -327,12 +339,6 @@ def _min_entropy_assignment(
         for p, x in zip(pv, vec):
             s += p * (x * log(x) if x > 0.0 else 0.0)
         return -s
-
-    def g_total(vecs) -> float:
-        s = 0.0
-        for v in vecs:
-            s += g(v)
-        return s
 
     if dim == 1:
         p0 = pv[0]
@@ -363,7 +369,7 @@ def _min_entropy_assignment(
     free = [(mass, cands) for cands, mass in grouped.items()]
 
     if not free:
-        return g_total(base.values())
+        return plain_sum(map(g, base.values()))
 
     # components over shared reachable cells
     parent: dict[int, int] = {}
@@ -390,7 +396,7 @@ def _min_entropy_assignment(
         comp_elems.setdefault(find(cands[0]), set()).update(cands)
 
     touched = set().union(*comp_elems.values())
-    total = g_total(v for e, v in base.items() if e not in touched)
+    total = plain_sum(g(v) for e, v in base.items() if e not in touched)
 
     nodes = 0
     zero = [0.0] * dim
@@ -445,7 +451,7 @@ def _min_entropy_assignment(
                     improved = True
             if not improved:
                 break
-        best = g_total(trial)
+        best = plain_sum(map(g, trial))
         # g of every cell's current mass, kept in step with ``ms``
         gs = [g(v) for v in ms]
 
@@ -537,7 +543,7 @@ def _min_entropy_assignment(
                 dfs(i + 1, cur + delta)
                 ms[k], gs[k] = old, g_old
 
-        dfs(0, g_total(ms))
+        dfs(0, plain_sum(map(g, ms)))
         total += best
     return total
 
@@ -554,17 +560,24 @@ def _measure_at(mu, horizon: int) -> WordMeasure:
     raise TypeError(f"unsupported measure type {type(mu)!r}")
 
 
-def partition_conditional_entropy(mu, partition: PositionedPartition) -> float:
-    """P-average over fibers of the Shannon entropy of the cell masses."""
+def partition_conditional_entropy(
+    mu, partition: PositionedPartition, *, hull: tuple[int, int] | None = None
+) -> float:
+    """P-average over fibers of the Shannon entropy of the cell masses.
+
+    The masses are read on ``hull`` (default: the partition's window), each
+    hull word counting for the cell of its restriction to the window.
+    """
     if not isinstance(partition, PositionedPartition):
         raise TypeError("need a partition; use cover_conditional_entropy for covers")
-    nu = _measure_at(mu, partition.stop)
+    hs, he = hull if hull is not None else partition.window
+    nu = _measure_at(mu, he)
     bundle = partition.bundle
     total = 0.0
     for omega in range(bundle.base.omega_count):
-        cell_of = partition.cell_of(omega)
+        cell_of = partition.cell_of(omega, (hs, he))
         masses: dict[int, float] = {}
-        for w, x in nu.window_masses(omega, partition.start, partition.length).items():
+        for w, x in nu.window_masses(omega, hs, he - hs).items():
             if x == 0.0:
                 continue
             c = cell_of[w]
@@ -578,22 +591,31 @@ def cover_conditional_entropy(
     cover: PositionedCover,
     mode: str = "general",
     *,
+    hull: tuple[int, int] | None = None,
     enum_cap: int = 10**5,
     node_cap: int = 10**6,
 ) -> float:
     """Infimum of the conditional partition entropy over refinements of the cover.
 
     ``mode="general"`` minimizes per fiber independently over assignments of
-    each window word to a containing element (the full refinement class);
+    each word to a containing element (the full refinement class);
     ``mode="product"`` shares one assignment across fibers (the product-form
-    class, enumerable by :func:`product_partitions_finer`).  The general value
-    never exceeds the product value.
+    class, enumerable by :func:`product_partitions_finer`, whose ``enum_cap``
+    guard applies).  The general value never exceeds the product value.
+
+    The words are those of ``hull`` (default: the cover's window), a window
+    containing the cover's; a hull word's candidates are the elements holding
+    its restriction to the cover window.  Partitions leave nothing to choose
+    and go to :func:`partition_conditional_entropy`.  This is the only caller
+    of the assignment search: general mode solves one problem per fiber,
+    product mode one problem over all fibers.
     """
     if mode not in ("general", "product"):
         raise ValueError(f"unknown mode {mode!r}")
-    bundle = cover.bundle
     if isinstance(cover, PositionedPartition):
-        return partition_conditional_entropy(mu, cover)
+        return partition_conditional_entropy(mu, cover, hull=hull)
+    bundle = cover.bundle
+    weights = bundle.base.weights
     omega_count = bundle.base.omega_count
     # an element containing every admissible word in every fiber is free
     window_words = [
@@ -606,45 +628,47 @@ def cover_conditional_entropy(
             for omega in range(omega_count)
         ):
             return 0.0
-    nu = _measure_at(mu, cover.stop)
+    hs, he = hull if hull is not None else cover.window
+    nu = _measure_at(mu, he)
     if mode == "general":
-        total = 0.0
-        for omega in range(omega_count):
-            member = cover.membership(omega)
-            words = []
-            for w, x in nu.window_masses(omega, cover.start, cover.length).items():
-                if x == 0.0:
-                    continue
-                words.append(((float(x),), member[w]))
-            total += bundle.base.weights[omega] * _min_entropy_assignment(
-                words,
-                cover.element_count,
-                (1.0,),
-                node_cap=node_cap,
-            )
-        return total
-    if not cover.product_form:
-        raise CoverError("product mode needs a product-form cover")
-    enum = product_partitions_finer(cover, enum_cap=enum_cap)
-    if enum.lazy:
-        raise EnumerationGuardError(
-            f"product refinement family has {enum.count} members (cap {enum_cap})"
+
+        def fiber_words(omega: int) -> list:
+            member = cover.membership(omega, (hs, he))
+            return [
+                ((float(x),), member[w])
+                for w, x in nu.window_masses(omega, hs, he - hs).items()
+                if x != 0.0
+            ]
+
+        # (weight, words, fiber weights) of each assignment problem
+        problems = (
+            (weights[omega], fiber_words(omega), (1.0,)) for omega in range(omega_count)
         )
-    marginals = [
-        nu.window_masses(omega, cover.start, cover.length)
-        for omega in range(omega_count)
-    ]
-    words = []
-    for i, w in enumerate(enum.words):
-        vec = tuple(float(marginals[omega].get(w, 0.0)) for omega in range(omega_count))
-        if any(vec):
-            words.append((vec, enum.choices[i]))
-    return _min_entropy_assignment(
-        words,
-        cover.element_count,
-        bundle.base.weights,
-        node_cap=node_cap,
-    )
+    else:
+        if not cover.product_form:
+            raise CoverError("product mode needs a product-form cover")
+        enum = product_partitions_finer(cover, enum_cap=enum_cap)
+        if enum.lazy:
+            raise EnumerationGuardError(
+                f"product refinement family has {enum.count} members (cap {enum_cap})"
+            )
+        choices = dict(zip(enum.words, enum.choices))
+        lo, hi = cover.start - hs, cover.stop - hs
+        marginals = [
+            nu.window_masses(omega, hs, he - hs) for omega in range(omega_count)
+        ]
+        words = []
+        for w in sorted(set().union(*marginals)):
+            vec = tuple(m.get(w, 0.0) for m in marginals)
+            if any(vec):
+                words.append((vec, choices[w[lo:hi]]))
+        problems = [(1.0, words, weights)]
+    total = 0.0
+    for weight, words, pvec in problems:
+        total += weight * _min_entropy_assignment(
+            words, cover.element_count, pvec, node_cap=node_cap
+        )
+    return total
 
 
 def _require_invariant(mu) -> MarkovMeasure:
@@ -675,13 +699,8 @@ def h_minus_report(
     if nmax < 1:
         raise ValueError("need nmax >= 1")
     nu = markov_to_word(mu, cover.stop + nmax - 1)
-    seq: list[tuple[int, float]] = []
-    joined = None
-    for n in range(1, nmax + 1):
-        piece = pullback(cover, n - 1)
-        joined = piece if joined is None else join(joined, piece)
-        if joined.element_count > element_cap:
-            raise CoverError(f"join exceeded element cap {element_cap}")
+    seq = []
+    for n, joined in enumerate(join_sequence(cover, nmax, element_cap=element_cap), 1):
         h = cover_conditional_entropy(
             nu, joined, mode, enum_cap=enum_cap, node_cap=node_cap
         )
@@ -695,31 +714,36 @@ def h_minus_report(
     return _report(seq, exact, tags)
 
 
-def _chain_rule_rate(mu: MarkovMeasure, partition: PositionedPartition) -> float | None:
-    """Exact word-process entropy rate when the partition pins a coordinate.
-
-    Eligibility: at some window offset, all words of each cell share one
-    symbol in every fiber.  Then the joined cells are sandwiched between the
-    single-coordinate process and the full word process, whose common rate is
-    the chain rule ``sum_w P(w) sum_a p(a) H(Q(w)[a, :])``.
-    """
-    pins = False
-    for c in range(partition.length):
-        if all(
+def _pins_coordinate(partition: PositionedPartition) -> bool:
+    """At some window offset, all words of each cell share one symbol in
+    every fiber."""
+    return any(
+        all(
             len({w[c] for w in sect}) <= 1
             for elem in partition.sections
             for sect in elem
-        ):
-            pins = True
-            break
-    if not pins:
+        )
+        for c in range(partition.length)
+    )
+
+
+def _chain_rule_rate(mu: MarkovMeasure, partition: PositionedPartition) -> float | None:
+    """Exact word-process entropy rate when the partition pins a coordinate.
+
+    Eligibility (:func:`_pins_coordinate`): at some window offset, all words
+    of each cell share one symbol in every fiber.  Then the joined cells are
+    sandwiched between the single-coordinate process and the full word
+    process, whose common rate is the chain rule
+    ``sum_w P(w) sum_a p(a) H(Q(w)[a, :])``.
+    """
+    if not _pins_coordinate(partition):
         return None
     bundle = mu.bundle
     rate = 0.0
     for omega in range(bundle.base.omega_count):
         q = mu.transitions[omega]
         p = mu.starts[omega]
-        rate += bundle.base.weights[omega] * sum(
+        rate += bundle.base.weights[omega] * plain_sum(
             float(p[a]) * shannon(q[a]) for a in range(bundle.alphabet_size)
         )
     return rate
@@ -832,17 +856,9 @@ class PowerSystem:
         if k < 1:
             raise ValueError("need k >= 1")
         base = self.bundle.base
-        if k == 1:
-            return len(self.block_vocab[omega])
-        point = base.apply_theta(omega, (k - 2) * self.steps)
-        vec = [1] * len(self.block_vocab[base.apply_theta(point, self.steps)])
-        for j in range(k - 2, -1, -1):
-            mat = self.junctions[base.apply_theta(omega, j * self.steps)]
-            vec = [
-                sum(int(mat[a, b]) * vec[b] for b in range(mat.shape[1]))
-                for a in range(mat.shape[0])
-            ]
-        return sum(vec)
+        points = [base.apply_theta(omega, j * self.steps) for j in range(k)]
+        mats = [self.junctions[point] for point in points[:-1]]
+        return transfer_count(mats, len(self.block_vocab[points[-1]]))
 
     def h_value_sequence(
         self,
@@ -859,62 +875,31 @@ class PowerSystem:
         Computed at block granularity: the universe at level k is the
         admissible block words of length ``k - 1 + block_window`` (equivalently
         base words of that length times M), each assigned to a containing
-        element of the k-step transported join.  The step-k value times
+        element of the k-step transported join, which is every M-th join of
+        one :func:`join_sequence` of the cover.  The step-k value times
         ``1/(kM)`` matches the base sequence at ``n = kM`` exactly.
         """
         mu = _require_invariant(mu)
-        bundle = self.bundle
-        base = bundle.base
+        joins = itertools.islice(
+            join_sequence(self.cover, kmax * self.steps, element_cap=element_cap),
+            self.steps - 1,
+            None,
+            self.steps,
+        )
         seq: list[tuple[int, float]] = []
-        for k in range(1, kmax + 1):
-            blocks = k - 1 + self.block_window
-            granularity = blocks * self.steps
-            joined = range_join(
-                self.cover, 0, k * self.steps - 1, element_cap=element_cap
+        for k, joined in enumerate(joins, 1):
+            granularity = (k - 1 + self.block_window) * self.steps
+            h = cover_conditional_entropy(
+                markov_to_word(mu, granularity),
+                joined,
+                mode,
+                hull=(0, granularity),
+                # the block sequence never capped the product refinement
+                # family (``enum_cap`` is accepted but unused); only the
+                # assignment search's node cap applies
+                enum_cap=math.inf,
+                node_cap=node_cap,
             )
-            nu = markov_to_word(mu, granularity)
-            if mode == "general":
-                h = 0.0
-                for omega in range(base.omega_count):
-                    member = joined.membership(omega, (0, granularity))
-                    words = [
-                        ((float(x),), member[w])
-                        for w, x in nu.weights[omega].items()
-                        if x > 0.0
-                    ]
-                    h += base.weights[omega] * _min_entropy_assignment(
-                        words,
-                        joined.element_count,
-                        (1.0,),
-                        node_cap=node_cap,
-                    )
-            elif mode == "product":
-                if not joined.product_form:
-                    raise CoverError("product mode needs a product-form cover")
-                lo, hi = joined.start, joined.stop
-                index: dict[WordTuple, list] = {}
-                for omega in range(base.omega_count):
-                    for w, x in nu.weights[omega].items():
-                        if x == 0.0:
-                            continue
-                        vec = index.setdefault(w, [0.0] * base.omega_count)
-                        vec[omega] += x
-                words = []
-                for w, vec in sorted(index.items()):
-                    cands = tuple(
-                        i
-                        for i, d in enumerate(joined.product_sections)
-                        if w[lo:hi] in d
-                    )
-                    words.append((tuple(vec), cands))
-                h = _min_entropy_assignment(
-                    words,
-                    joined.element_count,
-                    base.weights,
-                    node_cap=node_cap,
-                )
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
             seq.append((k, h / k))
         return _report(seq, None, [f"mode:{mode}", f"block:{self.steps}"])
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,9 @@ from .base import (
     ProbBase,
     admissible_tuples,
     cycle_growth_rate,
+    cycle_product,
+    strongly_connected_components,
+    theta_cycles,
     word_count,
 )
 from .covercomb import (
@@ -130,18 +131,7 @@ def gen_instance(seed: int, params: GenParams = GenParams()) -> Instance:
     rng = _rng_for(seed)
     omega_count = int(rng.integers(1, params.omega_max + 1))
     theta = tuple(int(x) for x in rng.permutation(omega_count))
-    seen = [False] * omega_count
-    cycles = []
-    for s in range(omega_count):
-        if seen[s]:
-            continue
-        cyc = []
-        w = s
-        while not seen[w]:
-            seen[w] = True
-            cyc.append(w)
-            w = theta[w]
-        cycles.append(tuple(cyc))
+    cycles = theta_cycles(theta)
     cycle_mass = rng.dirichlet(np.ones(len(cycles))) * 0.9 + 0.1 / len(cycles)
     cycle_mass = cycle_mass / cycle_mass.sum()
     weights = [0.0] * omega_count
@@ -518,19 +508,13 @@ def _check_count_monotone(config, corpus):
 def _check_fekete_tail(config, corpus):
     """On irreducible instances the step-averaged sequence bottoms out last."""
     t = _Tally("fekete-tail", "exact")
-    from .base import strongly_connected_components
-
     for inst in corpus:
         b = inst.bundle
-        irreducible = True
-        for cyc in b.base.cycles():
-            prod = np.eye(b.alphabet_size)
-            for w in cyc:
-                prod = prod @ b.adjacency[w].astype(float)
-            if len(strongly_connected_components(prod > 0)) != 1:
-                irreducible = False
-                break
-        if not irreducible:
+        products = (
+            cycle_product((b.adjacency[w].astype(float) for w in c), b.alphabet_size)[0]
+            for c in b.base.cycles()
+        )
+        if any(len(strongly_connected_components(p > 0)) != 1 for p in products):
             continue
         rep = topological_cover_entropy(b, inst.covers["zero"], 6)
         values = [v for _, v in rep.sequence]
@@ -907,34 +891,18 @@ _CHECKS = [
 CHECK_IDS = tuple(name for name, _ in _CHECKS)
 
 
-def run_suite(
-    config: SuiteConfig = SuiteConfig(),
-    instances=None,
-    workers: int = 1,
-) -> SuiteReport:
-    """Run the selected checks over a deterministic corpus.
+def run_suite(config: SuiteConfig = SuiteConfig(), instances=None) -> SuiteReport:
+    """Run the selected checks, in catalog order, over a deterministic corpus.
 
     ``instances`` replaces the generated corpus when given (for file-driven
-    verification).  ``workers`` > 1 runs checks in a thread pool; results are
-    merged in catalog order, so the report does not depend on scheduling.
-    ``workers == 0`` means one per CPU.
+    verification).
     """
     corpus = _corpus(config, instances)
-    selected = [
-        (name, fn)
-        for name, fn in _CHECKS
-        if not config.only or name in config.only
-    ]
-    if workers == 0:
-        workers = os.cpu_count() or 1
     results: list[CheckResult] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, config, corpus) for _, fn in selected]
-            outs = [f.result() for f in futures]
-    else:
-        outs = [fn(config, corpus) for _, fn in selected]
-    for out in outs:
+    for name, fn in _CHECKS:
+        if config.only and name not in config.only:
+            continue
+        out = fn(config, corpus)
         if isinstance(out, list):
             results.extend(out)
         else:

@@ -35,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import SymbolicBundle, ProbBase, validate
-from .covers import CoverError, PositionedCover, per_fiber_cover, product_cover
+from .covers import (
+    CoverError,
+    PositionedCover,
+    PositionedPartition,
+    per_fiber_cover,
+    product_cover,
+)
 from .measures import MarkovMeasure, stationary_starts
 
 __all__ = [
@@ -252,13 +258,7 @@ def _parse_cover(bundle, name, entry, symbol_index, omega_names) -> PositionedCo
 
 
 def _as_partition_if_disjoint(cover: PositionedCover) -> PositionedCover:
-    for omega in range(cover.bundle.base.omega_count):
-        seen = set()
-        for elem in cover.sections:
-            if seen & elem[omega]:
-                return cover
-            seen |= elem[omega]
-    kwargs = dict(
+    part = PositionedPartition(
         bundle=cover.bundle,
         start=cover.start,
         length=cover.length,
@@ -266,9 +266,11 @@ def _as_partition_if_disjoint(cover: PositionedCover) -> PositionedCover:
         product_sections=cover.product_sections,
         check=False,
     )
-    from .covers import PositionedPartition
-
-    return PositionedPartition(**kwargs)
+    try:
+        part._validate_extra()
+    except CoverError:
+        return cover
+    return part
 
 
 def _parse_measure(bundle, name, entry, omega_names) -> MarkovMeasure:

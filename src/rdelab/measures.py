@@ -23,6 +23,7 @@ from .base import (
     PowerIterationError,
     SymbolicBundle,
     admissible_tuples,
+    cycle_product,
     strongly_connected_components,
 )
 
@@ -288,9 +289,7 @@ def stationary_starts(
             for w in cyc:
                 starts[w] = previous.starts[w]
             continue
-        prod = np.eye(bundle.alphabet_size)
-        for w in cyc:
-            prod = prod @ qs[w]
+        prod = cycle_product((qs[w] for w in cyc), bundle.alphabet_size)[0]
         p, unique = _stationary_of(prod, tol, max_iterations)
         if not unique:
             flags.append(flag)

@@ -32,15 +32,16 @@ from .covers import (
     CoverError,
     PositionedCover,
     PositionedPartition,
+    join_sequence,
     product_partitions_finer,
     pullback,
-    range_join,
 )
 from .entropy import (
     cover_conditional_entropy,
     partition_conditional_entropy,
     topological_cover_entropy,
     _chain_rule_rate,
+    _pins_coordinate,
     shannon,
 )
 from .measures import (
@@ -236,14 +237,15 @@ def witness_measures(
     nu = WordMeasure(bundle=bundle, horizon=horizon, weights=tuple(tables))
 
     separation_checks: list[SeparationCheck] = []
-    base_joins = [
-        range_join(refinement, 0, span - 1, element_cap=element_cap)
+    # per refinement, its joins over 1..span steps
+    join_seqs = [
+        list(join_sequence(refinement, span, element_cap=element_cap))
         for refinement in refinements
     ]
     for shift in range(n + 1):
-        for l, refinement in enumerate(refinements):
+        for l, joins in enumerate(join_seqs):
             # the shifted range join is exactly the pullback of the base join
-            joined = pullback(base_joins[l], shift)
+            joined = pullback(joins[-1], shift)
             for omega in range(base.omega_count):
                 cell_of = joined.cell_of(omega)
                 masses: dict[int, float] = {}
@@ -283,10 +285,9 @@ def witness_measures(
         term, vac = _log_floor(full_counts[omega] // (n * d**n))
         vac_int = vac_int or vac
         logdet += base.weights[omega] * term
-    for l, refinement in enumerate(refinements):
+    for l, joins in enumerate(join_seqs):
         for m in range(1, n + 1):
-            joined = range_join(refinement, 0, m - 1, element_cap=element_cap)
-            lhs = partition_conditional_entropy(mu, joined)
+            lhs = partition_conditional_entropy(mu, joins[m - 1])
             rhs = (m / span) * (logdet - m * math.log(d))
             ok = vac_int or lhs >= rhs - tol
             averaged_checks.append(
@@ -379,11 +380,8 @@ def maximize_invariant_entropy(
 
     is_partition = isinstance(target, PositionedPartition)
     joined_targets = None
-    if not (is_partition and _singleton_chain(target)):
-        joined_targets = [
-            range_join(target, 0, k - 1, element_cap=element_cap)
-            for k in range(1, nmax + 1)
-        ]
+    if not (is_partition and _pins_coordinate(target)):
+        joined_targets = list(join_sequence(target, nmax, element_cap=element_cap))
 
     def build(qrows: list[np.ndarray], previous: MarkovMeasure | None) -> MarkovMeasure:
         qs = []
@@ -465,14 +463,3 @@ def maximize_invariant_entropy(
         gap=reference - best_value,
         evaluations=evaluations,
     )
-
-
-def _singleton_chain(partition: PositionedPartition) -> bool:
-    for c in range(partition.length):
-        if all(
-            len({w[c] for w in sect}) <= 1
-            for elem in partition.sections
-            for sect in elem
-        ):
-            return True
-    return False

@@ -14,7 +14,7 @@ from rdelab import (
     validate,
     word_count,
 )
-from rdelab.base import BundleError, Word
+from rdelab.base import BundleError, Word, plain_sum
 
 from conftest import enumerate_words
 
@@ -196,3 +196,10 @@ class TestGrowthRates:
         assert cycle_growth_rate(swapped).integrated == pytest.approx(
             cycle_growth_rate(gm).integrated, abs=1e-12
         )
+
+
+def test_plain_sum_adds_left_to_right():
+    # a compensated sum (builtin sum from Python 3.12, math.fsum) gives 1.0
+    assert plain_sum([0.1] * 10).hex() == "0x1.fffffffffffffp-1"
+    assert math.fsum([0.1] * 10) == 1.0
+    assert plain_sum([]) == 0.0

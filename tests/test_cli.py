@@ -1,16 +1,24 @@
+import builtins
 import json
+import math
 
+import pytest
+import numpy as np
 from click.testing import CliRunner
 
+from rdelab import ProbBase, SymbolicBundle, stationary_starts, zero_cylinders
 from rdelab.cli import main
+from rdelab.covers import PositionedPartition
+from rdelab.harness import gen_instance
+from rdelab.instances import dump_instance, load_instance
 
 GOLDEN = "demos/instances/alternating_golden_mean.json"
 FULL = "demos/instances/full_shift_2.json"
 BROKEN = "demos/instances/broken_dead_row.json"
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
+def run(*args):
+    return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
 class TestValidate:
@@ -127,13 +135,90 @@ class TestVerify:
         )
         assert res.exit_code == 0
 
-    def test_bad_thread_env_is_usage_error(self):
-        res = run("verify", "--seed", "1", "--instances", "1", env={"RDE_LAB_THREADS": "x"})
-        assert res.exit_code == 2
-
     def test_schema_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"alphabet": ["a"], "omega": ["w"], "theta": [0], "P": [1.0], "adjacency": {"w": [[1]]}, "extra": 1}')
         res = run("topent", str(bad), "--cover", "x", "--nmax", "1")
         assert res.exit_code == 3
         assert "schema error" in res.output
+
+
+PLAIN_SUM = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """Builtin ``sum`` as Python 3.12 and later add floats: compensated
+    (``math.fsum`` rounds the exact total once).  Integer sums stay exact."""
+    values = list(values)
+    if any(isinstance(x, float) for x in values):
+        return math.fsum([start, *values])
+    return PLAIN_SUM(values, start)
+
+
+def report_jobs(path):
+    """topent and measent (general and product minus, partition) runs on
+    every cover and measure of an instance file."""
+    inst = load_instance(path)
+    jobs = []
+    for c, cover in sorted(inst.covers.items()):
+        jobs.append(["topent", path, "--cover", c, "--nmax", "3"])
+        for m in sorted(inst.measures):
+            jobs.append(["measent", path, "--measure", m, "--cover", c, "--nmax", "3"])
+            if cover.product_form:
+                jobs.append(
+                    ["measent", path, "--measure", m, "--cover", c, "--nmax", "2",
+                     "--mode", "product", "--enum-max", "4096"]
+                )
+            if isinstance(cover, PositionedPartition):
+                jobs.append(
+                    ["measent", path, "--measure", m, "--partition", c, "--nmax", "3"]
+                )
+    return jobs
+
+
+def generated_file(tmp_path, seed):
+    if seed == "six-cycle":
+        # one theta-cycle of six points of weight 1/6: added left to right
+        # the cycle's mass is 0x1.fffffffffffffp-1, compensated it is 1.0
+        full, golden = [[1, 1], [1, 1]], [[1, 1], [1, 0]]
+        bundle = SymbolicBundle(
+            base=ProbBase(weights=(1 / 6,) * 6, theta=(1, 2, 3, 4, 5, 0)),
+            alphabet=("a", "b"),
+            adjacency=(full, golden) * 3,
+        )
+        rows = [np.array(a) / np.sum(a, axis=1, keepdims=True) for a in (full, golden)]
+        covers = {"zero": zero_cylinders(bundle)}
+        measures = {"m": stationary_starts(bundle, rows * 3)}
+    else:
+        inst = gen_instance(seed)
+        bundle, covers, measures = inst.bundle, inst.covers, inst.measures
+    path = tmp_path / f"gen{seed}.json"
+    path.write_text(json.dumps(dump_instance(bundle, covers, measures)))
+    return str(path)
+
+
+class TestReportsDoNotDependOnSum:
+    """Reports keep their bytes when builtin ``sum`` compensates, as it does
+    from Python 3.12 on.  Generated instances 4, 5 and 10 have three or four
+    fibers or three symbols, so their sums have three or more terms, where
+    compensation can change the last bit; the six-cycle instance changes
+    a cycle's mass."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [GOLDEN, FULL, "demos/instances/two_fixed_points.json", 4, 5, 10, "six-cycle"],
+    )
+    def test_same_bytes_with_a_compensated_sum(self, source, tmp_path, monkeypatch):
+        path = str(source)
+        if not path.endswith(".json"):
+            path = generated_file(tmp_path, source)
+        out = tmp_path / "report.json"
+        for job in report_jobs(path):
+            reports = []
+            for summation in (PLAIN_SUM, compensated_sum):
+                monkeypatch.setattr(builtins, "sum", summation)
+                res = run(*job, "--json", str(out))
+                monkeypatch.setattr(builtins, "sum", PLAIN_SUM)
+                written = out.read_bytes() if res.exit_code == 0 else None
+                reports.append((res.exit_code, written))
+            assert reports[0] == reports[1], job

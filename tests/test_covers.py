@@ -23,6 +23,7 @@ from rdelab.covers import (
     JoinSizeError,
     PositionedCover,
     PositionedPartition,
+    join_sequence,
 )
 from rdelab.harness import gen_instance
 
@@ -139,6 +140,30 @@ class TestRangeJoin:
     def test_element_cap_guard(self, gm):
         with pytest.raises(JoinSizeError):
             range_join(zero_cylinders(gm), 0, 9, element_cap=100)
+
+    @pytest.mark.parametrize("partition", [True, False])
+    def test_shifted_range_is_the_join_of_shifted_pullbacks(self, gm, partition):
+        overlap = product_cover(gm, [[(0,), (1,)], [(1,)]])
+        u = zero_cylinders(gm) if partition else overlap
+        got = range_join(u, 2, 4)
+        expect = join(join(pullback(u, 2), pullback(u, 3)), pullback(u, 4))
+        assert type(got) is type(expect)
+        assert got.window == expect.window
+        assert got.sections == expect.sections
+        assert got.product_sections == expect.product_sections
+
+    def test_join_sequence_yields_every_range_join(self, gm):
+        u = product_cover(gm, [[(0,), (1,)], [(1,)]])
+        joins = list(join_sequence(u, 4))
+        assert len(joins) == 4 and joins[0] is u
+        for k, joined in enumerate(joins, 1):
+            expect = range_join(u, 0, k - 1)
+            assert joined.window == expect.window and joined.sections == expect.sections
+
+    def test_join_sequence_cap_raises_before_any_join(self, gm):
+        joins = join_sequence(zero_cylinders(gm), 4, element_cap=15)
+        with pytest.raises(JoinSizeError):
+            next(joins)
 
     def test_split_identity(self, gm):
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])

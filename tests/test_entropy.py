@@ -32,7 +32,7 @@ from rdelab import (
     zero_cylinders,
 )
 from rdelab.covercomb import global_min_subcover_count
-from rdelab.covers import CoverError, PositionedPartition
+from rdelab.covers import CoverError, JoinSizeError, PositionedPartition, range_join
 from rdelab.entropy import EnumerationGuardError, _min_entropy_assignment
 from rdelab.harness import gen_instance, random_word_measure
 from rdelab.measures import WordMeasure, pushforward
@@ -812,3 +812,122 @@ class TestMinEntropyAssignment:
                 if not isinstance(cov, PositionedPartition):
                     cover_conditional_entropy(mu, cov, "general")
         assert (1, True) in seen and (2, True) in seen
+
+
+def test_kernel_rejects_fibers_holding_more_than_one():
+    # six words whose mass vectors are the permutations of (1/4, 1/3, 1/5):
+    # each fiber holds 2 * 47/60 > 1, where the concentration bound is no
+    # lower bound and the search's answer depended on the order of its words
+    words = [
+        (mass, (i % 5, (i + 1) % 5))
+        for i, mass in enumerate(itertools.permutations((0.25, 1 / 3, 0.2)))
+    ]
+    with pytest.raises(ValueError, match="holds mass"):
+        _min_entropy_assignment(words, 5, (1 / 3, 1 / 3, 1 / 3))
+    scaled = [(tuple(x * 30 / 47 for x in mass), cands) for mass, cands in words]
+    assert _min_entropy_assignment(scaled, 5, (1 / 3, 1 / 3, 1 / 3)) > 0.0
+
+
+class TestJoinCap:
+    """The join-sequence cap stops the rate reports before any join is built."""
+
+    @pytest.fixture
+    def no_joins(self, monkeypatch):
+        import rdelab.covers as covers_module
+
+        def refuse(u, v):
+            raise AssertionError("a join was built")
+
+        monkeypatch.setattr(covers_module, "join", refuse)
+
+    def test_topological_cover_entropy(self, gm, no_joins):
+        with pytest.raises(JoinSizeError):
+            topological_cover_entropy(gm, zero_cylinders(gm), 5, element_cap=8)
+
+    def test_h_minus_report(self, gm, gm_measure, no_joins):
+        with pytest.raises(JoinSizeError):
+            h_minus_report(gm_measure, zero_cylinders(gm), 5, element_cap=8)
+
+    def test_at_the_cap_the_reports_run(self, gm, gm_measure):
+        zero = zero_cylinders(gm)
+        top = topological_cover_entropy(gm, zero, 3, element_cap=8)
+        minus = h_minus_report(gm_measure, zero, 3, element_cap=8)
+        assert len(top.sequence) == len(minus.sequence) == 3
+
+
+def reference_h_value_sequence(ps, mu, kmax, mode):
+    """The block-power values as computed before ``h_value_sequence`` went
+    through :func:`cover_conditional_entropy`: a fresh range join per step and
+    the assignment problems built inline from the block-granular measure."""
+    base = ps.bundle.base
+    seq = []
+    for k in range(1, kmax + 1):
+        granularity = (k - 1 + ps.block_window) * ps.steps
+        joined = range_join(ps.cover, 0, k * ps.steps - 1)
+        nu = markov_to_word(mu, granularity)
+        if mode == "general":
+            h = 0.0
+            for omega in range(base.omega_count):
+                member = joined.membership(omega, (0, granularity))
+                words = [
+                    ((x,), member[w]) for w, x in nu.weights[omega].items() if x > 0.0
+                ]
+                h += base.weights[omega] * _min_entropy_assignment(
+                    words, joined.element_count, (1.0,)
+                )
+        else:
+            lo, hi = joined.start, joined.stop
+            index = {}
+            for omega in range(base.omega_count):
+                for w, x in nu.weights[omega].items():
+                    vec = index.setdefault(w, [0.0] * base.omega_count)
+                    vec[omega] += x
+            sections = joined.product_sections
+            words = [
+                (tuple(vec), tuple(i for i, d in enumerate(sections) if w[lo:hi] in d))
+                for w, vec in sorted(index.items())
+            ]
+            h = _min_entropy_assignment(words, joined.element_count, base.weights)
+        seq.append(h / k)
+    return seq
+
+
+class TestPowerSystemKernel:
+    """``h_value_sequence`` is ``cover_conditional_entropy`` on the block hull."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_bits_as_the_inline_kernels(self, seed):
+        inst = gen_instance(seed)
+        mu = inst.measures["m0"]
+        for name, cover in sorted(inst.covers.items()):
+            if isinstance(cover, PositionedPartition):
+                continue
+            for steps in (1, 2):
+                ps = block_power_system(inst.bundle, cover, steps)
+                modes = ("general", "product") if cover.product_form else ("general",)
+                for mode in modes:
+                    got = ps.h_value_sequence(mu, 2, mode).sequence
+                    expect = reference_h_value_sequence(ps, mu, 2, mode)
+                    got, expect = [v.hex() for _, v in got], [v.hex() for v in expect]
+                    assert got == expect, (name, steps, mode)
+
+    def test_zero_cylinders_general_mode(self, gm, gm_measure):
+        for steps in (1, 2, 3):
+            ps = block_power_system(gm, zero_cylinders(gm), steps)
+            got = [v.hex() for _, v in ps.h_value_sequence(gm_measure, 3).sequence]
+            expect = reference_h_value_sequence(ps, gm_measure, 3, "general")
+            assert got == [v.hex() for v in expect]
+
+    @pytest.mark.parametrize("seed", [0, 5, 6])
+    def test_general_mode_is_the_hull_entropy(self, seed):
+        inst = gen_instance(seed)
+        mu = inst.measures["m0"]
+        for name, cover in sorted(inst.covers.items()):
+            ps = block_power_system(inst.bundle, cover, 2)
+            values = ps.h_value_sequence(mu, 2).sequence
+            for k, value in values:
+                g = (k - 1 + ps.block_window) * ps.steps
+                joined = range_join(cover, 0, k * ps.steps - 1)
+                nu = markov_to_word(mu, g)
+                h = cover_conditional_entropy(nu, joined, hull=(0, g))
+                assert value.hex() == (h / k).hex(), (name, k)

@@ -100,12 +100,6 @@ class TestSuite:
         assert res.failure_bundles[0]["measure"] == name
         assert res.failure_bundles[0]["residual"] > 1e-12
 
-    def test_workers_do_not_change_the_report(self):
-        cfg = SuiteConfig(seed=11, instances=3, draws=20)
-        a = run_suite(cfg, workers=1)
-        b = run_suite(cfg, workers=4)
-        assert a.to_dict() == b.to_dict()
-
     @pytest.mark.parametrize(
         "error, failed",
         [
