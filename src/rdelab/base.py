@@ -370,7 +370,8 @@ def word_count(bundle: SymbolicBundle, omega: int, n: int) -> int:
 
 def strongly_connected_components(support: np.ndarray) -> list[list[int]]:
     """Strongly connected components of a boolean adjacency matrix (Tarjan)."""
-    d = support.shape[0]
+    rows = support.tolist()
+    d = len(rows)
     index = [0] * d
     low = [0] * d
     onstack = [False] * d
@@ -389,8 +390,9 @@ def strongly_connected_components(support: np.ndarray) -> list[list[int]]:
                 stack.append(v)
                 onstack[v] = True
             advanced = False
+            row = rows[v]
             for w in range(pi, d):
-                if not support[v, w]:
+                if not row[w]:
                     continue
                 if index[w] == 0:
                     work.append((v, w + 1))

@@ -866,7 +866,6 @@ class PowerSystem:
         kmax: int,
         mode: str = "general",
         *,
-        enum_cap: int = 10**5,
         node_cap: int = 10**6,
         element_cap: int = 10**6,
     ) -> EntropyReport:
@@ -878,6 +877,11 @@ class PowerSystem:
         element of the k-step transported join, which is every M-th join of
         one :func:`join_sequence` of the cover.  The step-k value times
         ``1/(kM)`` matches the base sequence at ``n = kM`` exactly.
+
+        The product refinement family of product mode is enumerated without
+        a cap, unlike :func:`h_minus_report`'s ``enum_cap``; only
+        ``node_cap`` (the assignment search) and ``element_cap`` (the joins)
+        bound the work.
         """
         mu = _require_invariant(mu)
         joins = itertools.islice(
@@ -895,8 +899,7 @@ class PowerSystem:
                 mode,
                 hull=(0, granularity),
                 # the block sequence never capped the product refinement
-                # family (``enum_cap`` is accepted but unused); only the
-                # assignment search's node cap applies
+                # family; only the assignment search's node cap applies
                 enum_cap=math.inf,
                 node_cap=node_cap,
             )

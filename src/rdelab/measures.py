@@ -102,6 +102,12 @@ class MarkovMeasure:
                 )
             if np.abs(q.sum(axis=1) - 1.0).max() > NORM_TOL:
                 raise MeasureError(f"fiber {base.labels[omega]}: rows must sum to 1")
+        self._validate_starts()
+
+    def _validate_starts(self):
+        """The start-vector checks and the orbit-consistency residual."""
+        d = self.bundle.alphabet_size
+        base = self.bundle.base
         for omega, p in enumerate(self.starts):
             if p.shape != (d,) or (p < 0).any() or abs(p.sum() - 1.0) > NORM_TOL:
                 raise MeasureError(f"fiber {base.labels[omega]}: bad start vector")
@@ -187,6 +193,17 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     eight entries.  Builtin ``sum`` (compensated from Python 3.12 on) and
     ``math.fsum`` would round differently.
 
+    The residual is screened before it is computed.  Each iteration forms
+    ``raw = p (M + I)/2`` for the next iterate anyway, and ``2 |raw - p|_1``
+    equals ``|p M - p|_1`` up to rounding: for ``d`` states, a normalised
+    ``p`` and a stochastic ``M``, the two computed values differ by at most
+    about ``(3d + 2) 2**-53``, well inside ``16 d**2 2**-52``.  So the
+    residual itself (one more product) is computed only when
+    ``2 |raw - p|_1 <= tol + 16 d**2 2**-52``; every other iteration has a
+    residual above ``tol`` and would not have stopped.  Iterates, stopping
+    iteration and result are bit for bit those of computing the residual
+    every time.
+
     A transient state that drains slowly (second eigenvalue 0.9998, say)
     can exhaust ``max_iterations`` before the residual reaches ``tol``; only
     then the lazy matrix is squared 64 times (``2**64`` steps), with rows
@@ -196,18 +213,25 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     """
     d = product.shape[0]
     lazy = 0.5 * (product + np.eye(d))
-    p = np.full(d, 1.0 / d)
+    screen = tol + 16 * d * d * 2.0**-52
+    raw = np.full(d, 1.0 / d) @ lazy
+    total = 0.0
+    for x in raw.tolist():
+        total += x
     for _ in range(max_iterations):
+        p = raw / total
         raw = p @ lazy
         total = 0.0
-        for x in raw.tolist():
+        gap = 0.0
+        for x, y in zip(raw.tolist(), p.tolist()):
             total += x
-        p = raw / total
-        residual = 0.0
-        for x, y in zip((p @ product).tolist(), p.tolist()):
-            residual += abs(x - y)
-        if residual <= tol:
-            break
+            gap += abs(x - y)
+        if gap + gap <= screen:
+            residual = 0.0
+            for x, y in zip((p @ product).tolist(), p.tolist()):
+                residual += abs(x - y)
+            if residual <= tol:
+                break
     else:
         limit = lazy
         for _ in range(64):
@@ -223,16 +247,16 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
 
 def _closed_classes(support: np.ndarray) -> int:
     """Number of strongly connected components with no outgoing edge."""
+    rows = support.tolist()
     comps = strongly_connected_components(support)
-    comp_of = {}
+    comp_of = [0] * len(rows)
     for c, members in enumerate(comps):
         for v in members:
             comp_of[v] = c
     closed = 0
-    d = support.shape[0]
     for c, members in enumerate(comps):
         if not any(
-            support[v, w] and comp_of[w] != c for v in members for w in range(d)
+            x and comp_of[w] != c for v in members for w, x in enumerate(rows[v])
         ):
             closed += 1
     return closed
@@ -261,6 +285,14 @@ def stationary_starts(
     ``previous`` instead of being solved again; the result is bit-for-bit
     what a fresh solve gives.  A search that edits one fiber at a time thus
     solves only the cycle it changed.
+
+    Every fiber's transition matrix is checked on entry (shape, sign,
+    support, row sums), ``previous`` or not.  The result is then built with
+    ``check=False``, which is safe because the only constructor checks left
+    are run on it explicitly: the start-vector checks and the orbit
+    consistency residual over all fibers, with the constructor's messages.
+    The constructor's transition checks would only repeat the entry checks
+    on copies of the same arrays.
     """
     base = bundle.base
     qs = [np.array(q, dtype=float) for q in transitions]
@@ -297,12 +329,15 @@ def stationary_starts(
         for w in cyc[:-1]:
             p = p @ qs[w]
             starts[base.theta[w]] = p
-    return MarkovMeasure(
+    mu = MarkovMeasure(
         bundle=bundle,
         transitions=tuple(qs),
         starts=tuple(starts),
         flags=tuple(flags),
+        check=False,
     )
+    mu._validate_starts()
+    return mu
 
 
 def invariance_residual(mu: MarkovMeasure) -> float:

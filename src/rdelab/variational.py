@@ -383,15 +383,24 @@ def maximize_invariant_entropy(
     if not (is_partition and _pins_coordinate(target)):
         joined_targets = list(join_sequence(target, nmax, element_cap=element_cap))
 
-    def build(qrows: list[np.ndarray], previous: MarkovMeasure | None) -> MarkovMeasure:
-        qs = []
-        for w in range(base.omega_count):
-            m = np.zeros((d, d))
-            for a in range(d):
-                m[a, supports[w * d + a]] = qrows[w * d + a]
-            qs.append(m)
-        # previous: the accepted measure; cycles the proposal left alone
-        # keep its starts instead of being solved again
+    def fiber_matrix(qrows: list[np.ndarray], w: int) -> np.ndarray:
+        m = np.zeros((d, d))
+        for a in range(d):
+            m[a, supports[w * d + a]] = qrows[w * d + a]
+        return m
+
+    def build(
+        qrows: list[np.ndarray], previous: MarkovMeasure | None, row: int | None = None
+    ) -> MarkovMeasure:
+        if row is None:
+            qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
+        else:
+            # only row ``row`` differs from the accepted measure ``previous``:
+            # the other fibers' matrices are its arrays, byte for byte
+            qs = list(previous.transitions)
+            qs[row // d] = fiber_matrix(qrows, row // d)
+        # cycles the proposal left alone keep previous's starts instead of
+        # being solved again
         return stationary_starts(bundle, qs, previous=previous)
 
     def score(mu: MarkovMeasure) -> float:
@@ -438,7 +447,7 @@ def maximize_invariant_entropy(
             old = qrows[i]
             proposal = _project_simplex(old + rng.normal(0.0, sigma, len(old)))
             qrows[i] = proposal
-            mu_new = build(qrows, mu)
+            mu_new = build(qrows, mu, i)
             val = score(mu_new)
             evaluations += 1
             if val > cur:

@@ -895,6 +895,13 @@ def reference_h_value_sequence(ps, mu, kmax, mode):
 class TestPowerSystemKernel:
     """``h_value_sequence`` is ``cover_conditional_entropy`` on the block hull."""
 
+    def test_no_refinement_cap_is_offered(self, gm, gm_measure):
+        # the product refinement family is never capped here, so no cap
+        # argument is accepted that would be ignored
+        u = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
+        with pytest.raises(TypeError, match="enum_cap"):
+            block_power_system(gm, u, 2).h_value_sequence(gm_measure, 1, enum_cap=1)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_same_bits_as_the_inline_kernels(self, seed):
         inst = gen_instance(seed)

@@ -126,6 +126,39 @@ class TestSuite:
             assert res.failures == 0 and res.skipped >= 1 and report.ok
             assert res.to_dict()["skipped"] == res.skipped
 
+    def test_join_count_bound_builds_one_join_sequence_per_cover(self, monkeypatch):
+        import rdelab.covers as covers
+        from rdelab.entropy import cover_complexity, h_minus_report
+
+        config = SuiteConfig(seed=7, only=("join-count-bound",))
+        corpus = [gen_instance(seed) for seed in (1, 2)]
+        calls = []
+        real_join = covers.join
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_join(*args, **kwargs)
+
+        monkeypatch.setattr(covers, "join", counting)
+        (res,) = run_suite(config, instances=corpus).results
+        monkeypatch.undo()
+        n = config.nmax
+        pairs = sum(len(inst.measures) * len(inst.covers) for inst in corpus)
+        cover_total = sum(len(inst.covers) for inst in corpus)
+        # N-1 joins per h_minus_report and N-1 per cover for the complexities,
+        # where one range_join per step would take N(N-1)/2 per pair
+        assert len(calls) == (pairs + cover_total) * (n - 1)
+        # the margins are those of one fresh range_join per step
+        worst = min(
+            cover_complexity(inst.bundle, cov, k) + config.tolerance - val * k
+            for inst in corpus
+            for mu in inst.measures.values()
+            for cov in inst.covers.values()
+            for k, val in h_minus_report(mu, cov, n).sequence
+        )
+        assert res.passes == pairs * n and res.failures == 0
+        assert res.worst_margin == worst
+
     def test_config_caps_validated(self):
         with pytest.raises(ValueError, match="caps"):
             SuiteConfig(params=GenParams(omega_max=9))

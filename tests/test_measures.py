@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rdelab import (
     MarkovMeasure,
@@ -42,12 +42,12 @@ def reference_stationary_of(product, tol, max_iterations):
 
 @st.composite
 def stochastic_matrices(draw):
-    """Row-stochastic d x d matrices, d in 2..4, with zero patterns.
+    """Row-stochastic d x d matrices, d in 2..7, with zero patterns.
 
     Zero entries make reducible, periodic and transient-state products
     common; an all-zero row becomes a fixed point.
     """
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 7))
     entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     m = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
     for a in range(d):
@@ -79,6 +79,22 @@ SLOW_DRAIN = [
 ]
 
 
+# products whose reference iterate at the residual 1e-9 has a screen value
+# 2|p (M + I)/2 - p|_1 above its residual |p M - p|_1 by 1.75 and 2.0 units
+# of 2**-52 (numpy 2.4 on x86-64); with tol set to that residual, a screen
+# margin below those amounts skips the stopping iteration, so they run as
+# explicit examples of the tol-at-a-residual test
+SCREEN_EDGE = [
+    [[0.8011695906432749, 0.19883040935672514], [0.5657894736842106, 0.4342105263157895]],
+    [
+        [0.0, 0.0, 1.0, 0.0],
+        [0.09505703422053231, 0.2889733840304182, 0.5880861850443599, 0.027883396704689478],
+        [0.6005830903790088, 0.0, 0.3994169096209913, 0.0],
+        [0.3952033368091762, 0.12617309697601667, 0.16058394160583941, 0.3180396246089676],
+    ],
+]
+
+
 class TestStationaryStarts:
     def test_worked_example(self, gm, gm_measure):
         assert gm_measure.starts[0] == pytest.approx([0.75, 0.25], abs=1e-12)
@@ -106,13 +122,31 @@ class TestStationaryStarts:
             stationary_starts(gm, bad)
 
     @settings(max_examples=150)
-    @given(stochastic_matrices())
-    def test_loop_matches_the_numpy_reference_bit_for_bit(self, m):
+    @given(stochastic_matrices(), st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_loop_matches_the_numpy_reference_bit_for_bit(self, m, tol):
         try:
-            expected, unique = reference_stationary_of(m, 1e-12, 100_000)
+            expected, unique = reference_stationary_of(m, tol, 100_000)
         except PowerIterationError:
             assume(False)
-        got, got_unique = _stationary_of(m, 1e-12, 100_000)
+        got, got_unique = _stationary_of(m, tol, 100_000)
+        assert got.tobytes() == expected.tobytes()
+        assert got_unique == unique
+
+    @settings(max_examples=150)
+    @given(stochastic_matrices(), st.sampled_from([1e-6, 1e-9]))
+    @example(np.array(SCREEN_EDGE[0]), 1e-9)
+    @example(np.array(SCREEN_EDGE[1]), 1e-9)
+    def test_tol_equal_to_a_residual_the_reference_reaches(self, m, coarse):
+        # the residual screen's hardest input: the reference stops on a
+        # residual exactly equal to tol, so a screen that rounds the other
+        # way runs one iteration too many
+        try:
+            p, _ = reference_stationary_of(m, coarse, 100_000)
+        except PowerIterationError:
+            assume(False)
+        tol = float(np.abs(p @ m - p).sum())
+        expected, unique = reference_stationary_of(m, tol, 100_000)
+        got, got_unique = _stationary_of(m, tol, 100_000)
         assert got.tobytes() == expected.tobytes()
         assert got_unique == unique
 
@@ -178,6 +212,29 @@ class TestPreviousReuse:
         with pytest.raises(MeasureError, match="another bundle"):
             stationary_starts(full2, [np.full((2, 2), 0.5)], previous=gm_measure)
 
+    @pytest.mark.parametrize(
+        "changed, message",
+        [
+            ([[0.6, 0.4], [0.5, 0.5]], "fiber w1: transition mass on a forbidden edge"),
+            ([[0.6, 0.5], [1.0, 0.0]], "fiber w1: rows must sum to 1"),
+        ],
+    )
+    def test_changed_fiber_is_checked(self, gm, gm_measure, changed, message):
+        qs = [gm_measure.transitions[0], np.array(changed)]
+        with pytest.raises(MeasureError, match=f"^{message}$"):
+            stationary_starts(gm, qs, previous=gm_measure)
+
+    def test_unchanged_fiber_of_an_unchecked_previous_is_checked(self, gm, gm_measure):
+        forbidden = np.full((2, 2), 0.5)  # mass on b->b in fiber w1
+        unchecked = MarkovMeasure(
+            bundle=gm,
+            transitions=(gm_measure.transitions[0], forbidden),
+            starts=gm_measure.starts,
+            check=False,
+        )
+        with pytest.raises(MeasureError, match="forbidden edge"):
+            stationary_starts(gm, list(unchecked.transitions), previous=unchecked)
+
 
 class TestInvarianceResidual:
     def test_constructed_measures_are_invariant(self, gm_measure):
@@ -191,6 +248,18 @@ class TestInvarianceResidual:
             check=False,
         )
         assert invariance_residual(lopsided) == pytest.approx(0.5, abs=1e-12)
+
+    def test_loose_tol_result_fails_the_residual_check(self, gm):
+        # stationary_starts builds its result unchecked, then runs the
+        # constructor's start and residual checks itself, same message
+        qs = [[[0.3, 0.7], [1.0, 0.0]], [[0.6, 0.4], [1.0, 0.0]]]
+        message = (
+            "starts are not orbit consistent (residual 7.356e-07); "
+            "use stationary_starts or check=False"
+        )
+        with pytest.raises(MeasureError) as err:
+            stationary_starts(gm, qs, tol=1e-6)
+        assert str(err.value) == message
 
     def test_constructor_rejects_inconsistent_starts(self, gm, gm_measure):
         with pytest.raises(MeasureError, match="orbit consistent"):
