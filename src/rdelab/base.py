@@ -521,16 +521,22 @@ def cycle_product(factors, size: int) -> tuple[np.ndarray, int]:
     with the product equal to ``M * 2**e``: the running product is divided by
     ``2**e`` (exact) whenever its largest entry passes ``2**256``, so long
     cycles stay finite, and ``e == 0`` when that never happens.
+
+    The running product starts as a C-ordered float copy of ``F_0``, equal
+    to ``I F_0`` when ``F_0`` is finite (save that ``I F_0`` turns a ``-0.0``
+    entry into ``0.0``); ``size`` gives the identity an empty product returns.
     """
-    prod = np.eye(size)
+    prod = None
     exponent = 0
     for f in factors:
-        prod = prod @ f
+        prod = np.array(f, dtype=float, order="C") if prod is None else prod @ f
         top = float(prod.max())
         if top > _RESCALE_ABOVE:
             e = math.frexp(top)[1]
             prod = np.ldexp(prod, -e)
             exponent += e
+    if prod is None:
+        return np.eye(size), 0
     return prod, exponent
 
 

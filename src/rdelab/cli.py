@@ -248,7 +248,7 @@ def witness_cmd(
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--partition", "partition_name", default=None)
 @click.option("--cover", "cover_name", default=None)
-@click.option("--budget", type=int, default=2000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
@@ -279,7 +279,7 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 @main.command("verify")
 @click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--instances", type=int, default=12, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--draws", type=int, default=200, show_default=True)
 @click.option("--nmax", type=int, default=4, show_default=True)
 @click.option(

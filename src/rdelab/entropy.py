@@ -707,10 +707,9 @@ def h_minus_report(
         seq.append((n, h / n))
     exact = None
     tags = [f"mode:{mode}"]
-    if isinstance(cover, PositionedPartition):
-        exact = _chain_rule_rate(mu, cover)
-        if exact is not None:
-            tags.append("chain-rule")
+    if isinstance(cover, PositionedPartition) and _pins_coordinate(cover):
+        exact = _chain_rule_rate(mu)
+        tags.append("chain-rule")
     return _report(seq, exact, tags)
 
 
@@ -727,25 +726,23 @@ def _pins_coordinate(partition: PositionedPartition) -> bool:
     )
 
 
-def _chain_rule_rate(mu: MarkovMeasure, partition: PositionedPartition) -> float | None:
-    """Exact word-process entropy rate when the partition pins a coordinate.
+def _chain_rule_rate(mu: MarkovMeasure) -> float:
+    """Exact word-process entropy rate of a partition that pins a coordinate.
 
-    Eligibility (:func:`_pins_coordinate`): at some window offset, all words
-    of each cell share one symbol in every fiber.  Then the joined cells are
-    sandwiched between the single-coordinate process and the full word
-    process, whose common rate is the chain rule
-    ``sum_w P(w) sum_a p(a) H(Q(w)[a, :])``.
+    Eligibility is the caller's test (:func:`_pins_coordinate`): at some
+    window offset, all words of each cell share one symbol in every fiber.
+    Then the joined cells are sandwiched between the single-coordinate
+    process and the full word process, whose common rate is the chain rule
+    ``sum_w P(w) sum_a p(a) H(Q(w)[a, :])``, added from left to right in
+    Python floats.
     """
-    if not _pins_coordinate(partition):
-        return None
-    bundle = mu.bundle
+    base = mu.bundle.base
     rate = 0.0
-    for omega in range(bundle.base.omega_count):
-        q = mu.transitions[omega]
-        p = mu.starts[omega]
-        rate += bundle.base.weights[omega] * plain_sum(
-            float(p[a]) * shannon(q[a]) for a in range(bundle.alphabet_size)
-        )
+    for omega in range(base.omega_count):
+        inner = 0.0
+        for pa, row in zip(mu.starts[omega].tolist(), mu.transitions[omega].tolist()):
+            inner += pa * shannon(row)
+        rate += base.weights[omega] * inner
     return rate
 
 

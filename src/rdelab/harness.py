@@ -253,6 +253,13 @@ class SuiteConfig:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
         if self.nmax > 12 or self.horizon_cap > 14:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
+        unknown = [c for c in self.only if c not in CHECK_IDS]
+        if unknown:
+            raise ValueError(
+                f"unknown check id{'s' if len(unknown) > 1 else ''} "
+                f"{', '.join(map(repr, unknown))} "
+                f"(valid: {', '.join(CHECK_IDS)})"
+            )
 
 
 @dataclass(frozen=True)

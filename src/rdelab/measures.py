@@ -13,6 +13,7 @@ Everything is a pure value; nothing here mutates shared state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
@@ -56,9 +57,17 @@ class MarkovMeasure:
 
     Invariants enforced at construction (disable with ``check=False``):
 
+    * every entry of every ``Q[w]`` is a nonnegative number (NaN fails the
+      row-sum check);
     * ``Q[w][a, b] > 0`` only where the bundle allows the transition;
     * every row of every ``Q[w]`` sums to one within ``NORM_TOL``;
     * ``p[theta w] == p[w] @ Q[w]`` within ``NORM_TOL`` per entry sum.
+
+    A measure built with ``check=True``, like every result of
+    :func:`stationary_starts`, has checked transitions: passed to
+    :func:`stationary_starts` as ``previous``, its fibers are not checked
+    again where the new matrices are byte-equal to its own.  Those of a
+    measure built with ``check=False`` are.
 
     ``flags`` carries construction notes such as ``"non-unique stationary
     start"``; it never affects computation.
@@ -85,6 +94,23 @@ class MarkovMeasure:
         object.__setattr__(self, "starts", tuple(ps))
         if check:
             self._validate()
+        object.__setattr__(self, "_checked", check)
+
+    @classmethod
+    def _adopt(cls, bundle, transitions, starts, flags) -> MarkovMeasure:
+        """A measure on read-only float arrays that nobody else can write,
+        taken as they are: no copy and no check.  Its transitions count as
+        checked, so the caller must have checked them."""
+        mu = cls.__new__(cls)
+        for name, value in (
+            ("bundle", bundle),
+            ("transitions", transitions),
+            ("starts", starts),
+            ("flags", flags),
+            ("_checked", True),
+        ):
+            object.__setattr__(mu, name, value)
+        return mu
 
     def _validate(self):
         d = self.bundle.alphabet_size
@@ -92,15 +118,16 @@ class MarkovMeasure:
         if len(self.transitions) != base.omega_count or len(self.starts) != base.omega_count:
             raise MeasureError("need one transition matrix and one start per fiber")
         for omega, q in enumerate(self.transitions):
-            if q.shape != (d, d):
+            fault = _transition_fault(q, self.bundle.adjacency[omega], d)
+            if fault == "shape":
                 raise MeasureError(f"transition matrix of fiber {omega} has wrong shape")
-            if (q < 0).any():
+            if fault == "sign":
                 raise MeasureError("transition probabilities must be nonnegative")
-            if ((q > 0) & (self.bundle.adjacency[omega] == 0)).any():
+            if fault == "support":
                 raise MeasureError(
                     f"fiber {base.labels[omega]}: transition mass on a forbidden edge"
                 )
-            if np.abs(q.sum(axis=1) - 1.0).max() > NORM_TOL:
+            if fault == "rows":
                 raise MeasureError(f"fiber {base.labels[omega]}: rows must sum to 1")
         self._validate_starts()
 
@@ -109,7 +136,12 @@ class MarkovMeasure:
         d = self.bundle.alphabet_size
         base = self.bundle.base
         for omega, p in enumerate(self.starts):
-            if p.shape != (d,) or (p < 0).any() or abs(p.sum() - 1.0) > NORM_TOL:
+            xs = p.tolist()
+            if (
+                p.shape != (d,)
+                or _any_negative(xs)
+                or not abs(_numpy_sum(xs) - 1.0) <= NORM_TOL
+            ):
                 raise MeasureError(f"fiber {base.labels[omega]}: bad start vector")
         res = invariance_residual(self)
         if res > NORM_TOL:
@@ -117,6 +149,54 @@ class MarkovMeasure:
                 f"starts are not orbit consistent (residual {res:.3e}); "
                 "use stationary_starts or check=False"
             )
+
+
+def _numpy_sum(xs: list[float]) -> float:
+    """The sum numpy's ``sum`` gives for an array of ``xs``, in Python floats.
+
+    Below eight entries numpy adds one at a time from left to right, which is
+    done here; from eight on it sums pairwise, and numpy is called.
+    """
+    if len(xs) >= 8:
+        return float(np.add.reduce(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _any_negative(xs: list[float]) -> bool:
+    for x in xs:
+        if x < 0:
+            return True
+    return False
+
+
+def _transition_fault(q: np.ndarray, adjacency: np.ndarray, d: int) -> str | None:
+    """The first transition check that ``q`` fails, or ``None``.
+
+    In order, each over the whole matrix: ``"shape"`` (not ``d x d``),
+    ``"sign"`` (a negative entry), ``"support"`` (mass on a forbidden edge)
+    and ``"rows"`` (a row sum off one by more than ``NORM_TOL``; a NaN entry
+    fails here).  The matrix is read once with ``tolist`` and summed with
+    :func:`_numpy_sum`, so the outcome is that of numpy's ``(q < 0).any()``,
+    ``((q > 0) & (adjacency == 0)).any()`` and
+    ``np.abs(q.sum(axis=1) - 1.0).max() > NORM_TOL``, except that NaN fails.
+    """
+    if q.shape != (d, d):
+        return "shape"
+    rows = q.tolist()
+    for row in rows:
+        if _any_negative(row):
+            return "sign"
+    for row, allowed in zip(rows, adjacency.tolist()):
+        for x, a in zip(row, allowed):
+            if x > 0 and not a:
+                return "support"
+    for row in rows:
+        if not abs(_numpy_sum(row) - 1.0) <= NORM_TOL:
+            return "rows"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +292,7 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     ``tol``.  Inputs that converge within the cap never reach this branch.
     """
     d = product.shape[0]
-    lazy = 0.5 * (product + np.eye(d))
+    lazy = 0.5 * (product + _identity(d))
     screen = tol + 16 * d * d * 2.0**-52
     raw = np.full(d, 1.0 / d) @ lazy
     total = 0.0
@@ -245,10 +325,26 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     return p, _closed_classes(product > 0) == 1
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(d: int) -> np.ndarray:
+    """The read-only ``d x d`` identity, built once per size."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _closed_classes(support: np.ndarray) -> int:
     """Number of strongly connected components with no outgoing edge."""
-    rows = support.tolist()
-    comps = strongly_connected_components(support)
+    return _closed_classes_of(support.shape[0], support.tobytes())
+
+
+@functools.lru_cache(maxsize=1024)
+def _closed_classes_of(d: int, support: bytes) -> int:
+    """:func:`_closed_classes` of the ``d x d`` boolean matrix with these
+    bytes; a search meets the same few support patterns again and again."""
+    matrix = np.frombuffer(support, dtype=bool).reshape(d, d)
+    rows = matrix.tolist()
+    comps = strongly_connected_components(matrix)
     comp_of = [0] * len(rows)
     for c, members in enumerate(comps):
         for v in members:
@@ -287,28 +383,40 @@ def stationary_starts(
     solves only the cycle it changed.
 
     Every fiber's transition matrix is checked on entry (shape, sign,
-    support, row sums), ``previous`` or not.  The result is then built with
-    ``check=False``, which is safe because the only constructor checks left
-    are run on it explicitly: the start-vector checks and the orbit
-    consistency residual over all fibers, with the constructor's messages.
-    The constructor's transition checks would only repeat the entry checks
-    on copies of the same arrays.
+    support, row sums; a NaN entry fails the row sums), except a fiber whose
+    matrix has the shape and bytes of ``previous``'s when ``previous`` has
+    checked transitions: any result of this function, or a measure built
+    with ``MarkovMeasure(check=True)``.  Such a fiber passed the same checks
+    before; an unchecked ``previous``'s fibers are all checked again.  The
+    result is then built without copying the arrays made here and without
+    the constructor's checks, except those left to run: the start-vector
+    checks and the orbit consistency residual over all fibers, with the
+    constructor's messages.
     """
     base = bundle.base
+    d = bundle.alphabet_size
     qs = [np.array(q, dtype=float) for q in transitions]
     if len(qs) != base.omega_count:
         raise MeasureError("need one transition matrix per fiber")
     if previous is not None and previous.bundle is not bundle:
         raise MeasureError("previous measure belongs to another bundle")
+    trusted = previous is not None and previous._checked
     for omega, q in enumerate(qs):
-        if q.shape != (bundle.alphabet_size,) * 2 or (q < 0).any():
+        if trusted:
+            old = previous.transitions[omega]
+            if q.shape == old.shape and q.tobytes() == old.tobytes():
+                qs[omega] = old
+                continue
+        fault = _transition_fault(q, bundle.adjacency[omega], d)
+        if fault in ("shape", "sign"):
             raise MeasureError(f"fiber {base.labels[omega]}: bad transition matrix")
-        if ((q > 0) & (bundle.adjacency[omega] == 0)).any():
+        if fault == "support":
             raise MeasureError(
                 f"fiber {base.labels[omega]}: transition mass on a forbidden edge"
             )
-        if np.abs(q.sum(axis=1) - 1.0).max() > NORM_TOL:
+        if fault == "rows":
             raise MeasureError(f"fiber {base.labels[omega]}: rows must sum to 1")
+        q.setflags(write=False)
     starts: list[np.ndarray | None] = [None] * base.omega_count
     flags: list[str] = []
     for cyc in base.cycles():
@@ -321,32 +429,33 @@ def stationary_starts(
             for w in cyc:
                 starts[w] = previous.starts[w]
             continue
-        prod = cycle_product((qs[w] for w in cyc), bundle.alphabet_size)[0]
+        prod = cycle_product((qs[w] for w in cyc), d)[0]
         p, unique = _stationary_of(prod, tol, max_iterations)
         if not unique:
             flags.append(flag)
+        p.setflags(write=False)
         starts[cyc[0]] = p
         for w in cyc[:-1]:
             p = p @ qs[w]
+            p.setflags(write=False)
             starts[base.theta[w]] = p
-    mu = MarkovMeasure(
-        bundle=bundle,
-        transitions=tuple(qs),
-        starts=tuple(starts),
-        flags=tuple(flags),
-        check=False,
-    )
+    mu = MarkovMeasure._adopt(bundle, tuple(qs), tuple(starts), tuple(flags))
     mu._validate_starts()
     return mu
 
 
 def invariance_residual(mu: MarkovMeasure) -> float:
-    """Largest L1 gap ``max_w |p(theta w) - p(w) Q(w)|_1``; zero means invariant."""
+    """Largest L1 gap ``max_w |p(theta w) - p(w) Q(w)|_1``; zero means invariant.
+
+    The push ``p(w) Q(w)`` is a numpy product; the gap is added in Python
+    floats in numpy's order (:func:`_numpy_sum`).
+    """
     base = mu.bundle.base
     worst = 0.0
     for omega in range(base.omega_count):
-        pushed = mu.starts[omega] @ mu.transitions[omega]
-        gap = float(np.abs(mu.starts[base.theta[omega]] - pushed).sum())
+        pushed = (mu.starts[omega] @ mu.transitions[omega]).tolist()
+        target = mu.starts[base.theta[omega]].tolist()
+        gap = _numpy_sum([abs(t - x) for t, x in zip(target, pushed)])
         worst = max(worst, gap)
     return worst
 

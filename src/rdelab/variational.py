@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SymbolicBundle, admissible_tuples
+from .base import SymbolicBundle, admissible_tuples, cycle_growth_rate
 from .covercomb import SolverLimits, cover_count, maximal_multi_separated
 from .covers import (
     CoverError,
@@ -41,6 +41,7 @@ from .entropy import (
     partition_conditional_entropy,
     topological_cover_entropy,
     _chain_rule_rate,
+    _is_singleton_cell_partition,
     _pins_coordinate,
     shannon,
 )
@@ -316,16 +317,26 @@ def witness_measures(
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
+def _project_simplex(v: list[float]) -> list[float]:
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    Python floats throughout, with numpy's operations in numpy's order:
+    sort descending, a left-to-right running sum (``np.cumsum``) and
+    ``max(0.0, x + lam)`` (``np.maximum(v + lam, 0.0)``), so the result has
+    the bits of the array version.
+    """
+    u = sorted(v, reverse=True)
+    css = []
+    total = 0.0
+    for x in u:
+        total += x
+        css.append(total)
     rho = 0
     for j in range(len(u)):
         if u[j] + (1.0 - css[j]) / (j + 1) > 0:
             rho = j
     lam = (1.0 - css[rho]) / (rho + 1)
-    return np.maximum(v + lam, 0.0)
+    return [max(0.0, x + lam) for x in v]
 
 
 @dataclass(frozen=True)
@@ -378,19 +389,19 @@ def maximize_invariant_entropy(
     ]
     free_rows = [i for i, s in enumerate(supports) if len(s) > 1]
 
-    is_partition = isinstance(target, PositionedPartition)
+    chain_rule = isinstance(target, PositionedPartition) and _pins_coordinate(target)
     joined_targets = None
-    if not (is_partition and _pins_coordinate(target)):
+    if not chain_rule:
         joined_targets = list(join_sequence(target, nmax, element_cap=element_cap))
 
-    def fiber_matrix(qrows: list[np.ndarray], w: int) -> np.ndarray:
+    def fiber_matrix(qrows: list[list[float]], w: int) -> np.ndarray:
         m = np.zeros((d, d))
         for a in range(d):
             m[a, supports[w * d + a]] = qrows[w * d + a]
         return m
 
     def build(
-        qrows: list[np.ndarray], previous: MarkovMeasure | None, row: int | None = None
+        qrows: list[list[float]], previous: MarkovMeasure | None, row: int | None = None
     ) -> MarkovMeasure:
         if row is None:
             qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
@@ -404,10 +415,8 @@ def maximize_invariant_entropy(
         return stationary_starts(bundle, qs, previous=previous)
 
     def score(mu: MarkovMeasure) -> float:
-        if is_partition:
-            exact = _chain_rule_rate(mu, target)
-            if exact is not None:
-                return exact
+        if chain_rule:
+            return _chain_rule_rate(mu)
         horizon = target.stop + nmax - 1
         nu = markov_to_word(mu, horizon)
         best = math.inf
@@ -416,8 +425,8 @@ def maximize_invariant_entropy(
             best = min(best, h / k)
         return best
 
-    def uniform_rows() -> list[np.ndarray]:
-        return [np.full(len(s), 1.0 / len(s)) for s in supports]
+    def uniform_rows() -> list[list[float]]:
+        return [[1.0 / len(s)] * len(s) for s in supports]
 
     evaluations = 0
     best_value = -math.inf
@@ -430,7 +439,7 @@ def maximize_invariant_entropy(
         if r == 0:
             qrows = uniform_rows()
         else:
-            qrows = [rng.dirichlet(np.ones(len(s))) for s in supports]
+            qrows = [rng.dirichlet(np.ones(len(s))).tolist() for s in supports]
         mu = build(qrows, mu)
         cur = score(mu)
         evaluations += 1
@@ -445,7 +454,8 @@ def maximize_invariant_entropy(
             sigma = 0.4 * (0.05 / 0.4) ** (t / max(1, steps - 1))
             i = free_rows[int(rng.integers(len(free_rows)))]
             old = qrows[i]
-            proposal = _project_simplex(old + rng.normal(0.0, sigma, len(old)))
+            noise = rng.normal(0.0, sigma, len(old)).tolist()
+            proposal = _project_simplex([x + y for x, y in zip(old, noise)])
             qrows[i] = proposal
             mu_new = build(qrows, mu, i)
             val = score(mu_new)
@@ -459,12 +469,23 @@ def maximize_invariant_entropy(
         if evaluations >= budget:
             break
 
-    ref_report = topological_cover_entropy(
-        bundle, target, reference_nmax, limits=limits, element_cap=element_cap
-    )
-    reference = (
-        ref_report.exact_rate if ref_report.exact_rate is not None else ref_report.certified_upper
-    )
+    if _is_singleton_cell_partition(target):
+        # topological_cover_entropy's exact_rate, without building its joins.
+        # Its errors still come first: join_sequence checks the join size
+        # before it yields the target itself, its first "join".
+        if reference_nmax < 1:
+            raise ValueError("need nmax >= 1")
+        next(join_sequence(target, reference_nmax, element_cap=element_cap))
+        reference = cycle_growth_rate(bundle).integrated
+    else:
+        ref_report = topological_cover_entropy(
+            bundle, target, reference_nmax, limits=limits, element_cap=element_cap
+        )
+        reference = (
+            ref_report.exact_rate
+            if ref_report.exact_rate is not None
+            else ref_report.certified_upper
+        )
     return MaximizeResult(
         measure=best_measure,
         value=best_value,

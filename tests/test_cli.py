@@ -105,6 +105,36 @@ class TestMaximize:
         assert res.exit_code == 0
         assert "best value 0.69" in res.output
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_a_usage_error(self, budget):
+        res = run("maximize", FULL, "--partition", "zero_cyl", "--budget", budget)
+        assert res.exit_code == 2
+        assert "Invalid value for '--budget'" in res.output
+
+
+class TestNaNMeasure:
+    """``json`` reads ``NaN``; a measure holding one is a schema error."""
+
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        doc = json.loads(open(GOLDEN).read())
+        doc["measures"]["balanced"]["Q"]["w1"][0][1] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate"],
+            ["measent", "--measure", "balanced", "--partition", "zero_cyl", "--nmax", "2"],
+        ],
+    )
+    def test_exits_3(self, nan_file, args):
+        res = run(args[0], nan_file, *args[1:])
+        assert res.exit_code == 3
+        assert "schema error: measures['balanced']: fiber w1: rows must sum to 1" in res.output
+
 
 class TestVerify:
     def test_small_seeded_suite(self, tmp_path):
@@ -127,6 +157,21 @@ class TestVerify:
             )
             assert res.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, bad",
+        [
+            (["--only", "nonexistent"], "unknown check id 'nonexistent' (valid: "),
+            (["--only", "mass-shift,nope"], "unknown check id 'nope' (valid: "),
+            (["--instances", "0"], "Invalid value for '--instances'"),
+        ],
+    )
+    def test_vacuous_selections_are_usage_errors(self, args, bad, tmp_path):
+        out = tmp_path / "report.json"
+        res = run("verify", *args, "--json", str(out))
+        assert res.exit_code == 2
+        assert bad in res.output
+        assert not out.exists()
 
     def test_file_driven_corpus(self):
         res = run(

@@ -166,3 +166,11 @@ class TestSuite:
     def test_check_catalog_exposed(self):
         assert "separated-bound" in CHECK_IDS
         assert "witness-certificates" in CHECK_IDS
+
+    def test_unknown_check_ids_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SuiteConfig(only=("mass-shift", "nonexistent", "also-not"))
+        text = str(err.value)
+        assert text.startswith("unknown check ids 'nonexistent', 'also-not' (valid: ")
+        assert all(c in text for c in CHECK_IDS)
+        assert "'mass-shift'" not in text
