@@ -139,7 +139,7 @@ class MarkovMeasure:
             xs = p.tolist()
             if (
                 p.shape != (d,)
-                or _any_negative(xs)
+                or any(x < 0 for x in xs)
                 or not abs(_numpy_sum(xs) - 1.0) <= NORM_TOL
             ):
                 raise MeasureError(f"fiber {base.labels[omega]}: bad start vector")
@@ -165,13 +165,6 @@ def _numpy_sum(xs: list[float]) -> float:
     return total
 
 
-def _any_negative(xs: list[float]) -> bool:
-    for x in xs:
-        if x < 0:
-            return True
-    return False
-
-
 def _transition_fault(q: np.ndarray, adjacency: np.ndarray, d: int) -> str | None:
     """The first transition check that ``q`` fails, or ``None``.
 
@@ -186,16 +179,16 @@ def _transition_fault(q: np.ndarray, adjacency: np.ndarray, d: int) -> str | Non
     if q.shape != (d, d):
         return "shape"
     rows = q.tolist()
-    for row in rows:
-        if _any_negative(row):
-            return "sign"
-    for row, allowed in zip(rows, adjacency.tolist()):
-        for x, a in zip(row, allowed):
-            if x > 0 and not a:
-                return "support"
-    for row in rows:
-        if not abs(_numpy_sum(row) - 1.0) <= NORM_TOL:
-            return "rows"
+    if any(x < 0 for row in rows for x in row):
+        return "sign"
+    if any(
+        x > 0 and not a
+        for row, allowed in zip(rows, adjacency.tolist())
+        for x, a in zip(row, allowed)
+    ):
+        return "support"
+    if any(not abs(_numpy_sum(row) - 1.0) <= NORM_TOL for row in rows):
+        return "rows"
     return None
 
 

@@ -28,7 +28,7 @@ from rdelab import (
 )
 from rdelab.base import cycle_product, plain_sum
 from rdelab.covers import JoinSizeError
-from rdelab.entropy import shannon
+from rdelab.entropy import _chain_rule_rate, shannon
 from rdelab.instances import canonical_json
 from rdelab.measures import NORM_TOL, MeasureError, invariance_residual
 
@@ -307,6 +307,20 @@ class TestConstructorChecks:
         assert outcome(invariance_residual) == outcome(reference_invariance_residual)
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_chain_rule_rate_bits(data):
+    bundle = data.draw(bundles(d_max=5))
+    d = bundle.alphabet_size
+    qs = stochastic_family(data.draw, bundle)
+    ps = [
+        np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+        for _ in qs
+    ]
+    mu = MarkovMeasure(bundle=bundle, transitions=qs, starts=ps, check=False)
+    assert _chain_rule_rate(mu).hex() == reference_chain_rule_rate(mu).hex()
+
+
 @given(st.lists(st.floats(-1e6, 1e6), max_size=40))
 def test_numpy_sum_order(xs):
     assert measures._numpy_sum(xs).hex() == float(np.sum(np.array(xs, dtype=float))).hex()
@@ -482,6 +496,7 @@ FULL = [[1, 1], [1, 1]]
 SEARCHES = {
     "golden-mean": alphabet2_bundle((0,), [GM]),
     "full-2-shift": presets.full_shift(2),
+    "full-3-shift": presets.full_shift(3),
     "alternating-golden-mean": presets.alternating_golden_mean(),
     "three-fiber-cycle": alphabet2_bundle((1, 2, 0), [GM, FULL, GM]),
 }
