@@ -8,10 +8,11 @@ shift, which carries the fiber over ``omega`` bijectively onto the fiber over
 ``theta(omega)``.  All computations touch only finitely many coordinates.
 
 Every type here is frozen after construction and every operation returns
-the same value for the same inputs.  The one mutable part is each bundle's
+the same value for the same inputs.  The mutable parts are each bundle's
 memo of admissible word lists (``_word_cache``), filled on first use and
-never evicted; entries are only ever added, whole, so concurrent readers see
-either no entry or a complete one.
+never evicted, and each base's theta-cycles, found on the first
+``cycles()`` call; entries are only ever added, whole, so concurrent readers
+see either no entry or a complete one.
 """
 
 from __future__ import annotations
@@ -100,8 +101,13 @@ class ProbBase:
         return omega
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of ``theta``, each starting at its smallest member."""
-        return theta_cycles(self.theta)
+        """Orbits of ``theta``, each starting at its smallest member; found on
+        the first call and kept, since a frozen base's orbits never change."""
+        hit = self.__dict__.get("_cycles")
+        if hit is None:
+            hit = theta_cycles(self.theta)
+            object.__setattr__(self, "_cycles", hit)
+        return hit
 
 
 def theta_cycles(theta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -226,6 +232,8 @@ def _base_violations(base: ProbBase) -> list[Violation]:
     if sorted(base.theta) != list(range(n)):
         out.append(Violation("theta-not-bijective", "theta is not a permutation"))
         return out
+    if not all(math.isfinite(w) for w in base.weights):
+        out.append(Violation("weight-not-finite", "weights must be finite numbers"))
     if any(w <= 0 for w in base.weights):
         out.append(Violation("weight-not-positive", "weights must be strictly positive"))
     if abs(sum(base.weights) - 1.0) > WEIGHT_TOL:

@@ -19,7 +19,7 @@ import sys
 
 import click
 
-from .base import validate
+from .base import BundleError, validate
 from .covercomb import SolverLimits
 from .covers import CoverError, PositionedPartition
 from .entropy import (
@@ -49,10 +49,7 @@ def _write_json(path, payload):
 def _load(path, check=True):
     try:
         return load_instance(path, check=check)
-    except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    except (CoverError, MeasureError) as exc:
+    except (SchemaError, BundleError, CoverError, MeasureError) as exc:
         click.echo(f"schema error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
 

@@ -1,4 +1,5 @@
-"""Exact combinatorial kernels: minimal subcovers and multi-separated word sets.
+"""Exact combinatorial kernels: minimal subcovers, partition join counts and
+multi-separated word sets.
 
 The subcover count is an exact set-cover minimum computed by branch and bound:
 forced picks and dominated sets are eliminated up front, a greedy pass seeds
@@ -6,6 +7,10 @@ the incumbent, branching runs over the covering sets of the most constrained
 uncovered item in decreasing coverage order, and solved subproblem states are
 memoized by their uncovered-universe bitmask.  Disjoint families of any size
 resolve through forced picks alone, without branching.
+
+The nonempty-cell counts of a partition's joins come from a subset
+construction over the cell labels of admissible words, without building the
+joins.
 
 Calls are independently parallelizable; every memo table is per-invocation.
 """
@@ -16,7 +21,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .base import SymbolicBundle, admissible_tuples
-from .covers import PositionedCover, PositionedPartition, is_finer, range_join
+from .covers import (
+    PositionedCover,
+    PositionedPartition,
+    check_join_size,
+    is_finer,
+    range_join,
+)
 
 __all__ = [
     "UncoveredUniverseError",
@@ -25,6 +36,7 @@ __all__ = [
     "SolverLimits",
     "exact_min_cover",
     "min_subcover_count",
+    "partition_join_counts",
     "cover_count",
     "maximal_multi_separated",
 ]
@@ -205,6 +217,71 @@ def global_min_subcover_count(
     return exact_min_cover(offset, masks, limits)
 
 
+def _successors(p: PositionedPartition, omega: int, k: int) -> dict:
+    """Map the window word read at step ``k - 1`` of fiber ``omega`` (keyed by
+    its last ``length - 1`` symbols, or by itself for a window of one) to the
+    ``(word, cell)`` pairs of ``p.cell_of(theta^k omega)`` that can follow it.
+
+    A window of two or more overlaps the one before it, and a word of the
+    cell map is admissible, so a matching overlap is all it takes.  A window
+    of one shares no coordinate with the one before, so the pair is checked
+    against the transition matrix between the two coordinates.
+    """
+    cells = p.cell_of(p.bundle.base.apply_theta(omega, k))
+    out: dict = {}
+    if p.length > 1:
+        for w, c in cells.items():
+            out.setdefault(w[:-1], []).append((w, c))
+        return out
+    mat = p.bundle.matrix_at(omega, p.start + k - 1).tolist()
+    for a in range(p.bundle.alphabet_size):
+        out[(a,)] = [((b,), cells[(b,)]) for b, ok in enumerate(mat[a]) if ok]
+    return out
+
+
+def partition_join_counts(
+    p: PositionedPartition, omega: int, steps: int, *, element_cap: int = 10**6
+) -> list[int]:
+    """Nonempty-cell counts of the ``1..steps``-step joins of ``p`` in fiber
+    ``omega``, without building the joins.
+
+    A cell of the k-step join is a sequence of cell labels that some
+    admissible word over the joined window reads through the pulled-back
+    windows, so the count is the number of distinct label sequences.  One
+    subset-construction pass finds them: a state is the set of window words
+    that can end a word with a given label prefix, and label prefixes that
+    reach the same state are merged, their numbers added as Python ints.
+    So there are never more states than nonempty cells.
+
+    The cap check is that of :func:`~rdelab.covers.join_sequence`, made
+    first, so an over-cap count raises :class:`~rdelab.covers.JoinSizeError`
+    exactly where the join would.
+    """
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    check_join_size(p, steps, element_cap)
+    first: dict[int, set] = {}
+    for w, c in p.cell_of(omega).items():
+        first.setdefault(c, set()).add(w)
+    states = {frozenset(words): 1 for words in first.values()}
+    counts = [len(states)]
+    tail = slice(1, None) if p.length > 1 else slice(None)
+    for k in range(1, steps):
+        succ = _successors(p, omega, k)
+        nxt: dict[frozenset, int] = {}
+        for state, paths in states.items():
+            by_cell: dict[int, set] = {}
+            for v in state:
+                for w, c in succ.get(v[tail], ()):
+                    by_cell.setdefault(c, set()).add(w)
+            for words in by_cell.values():
+                key = frozenset(words)
+                nxt[key] = nxt.get(key, 0) + paths
+        states = nxt
+        counts.append(sum(states.values()))
+    return counts
+
+
 def cover_count(
     bundle: SymbolicBundle,
     omega: int,
@@ -219,10 +296,13 @@ def cover_count(
 
     For partitions this equals the number of nonempty joined cells, which for
     singleton-cell partitions equals the admissible word count over the joined
-    window.
+    window; it is counted by :func:`partition_join_counts`, without building
+    the join.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if isinstance(cover, PositionedPartition):
+        return partition_join_counts(cover, omega, n, element_cap=element_cap)[-1]
     joined = range_join(cover, 0, n - 1, element_cap=element_cap)
     return min_subcover_count(joined, omega, limits)
 

@@ -11,8 +11,11 @@ shared by all fibers; the per-fiber sections are the defining sets cut down to
 the fiber's admissible words.
 
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
-incremental loop, :func:`join_sequence`, which checks its element cap before
-building anything.
+incremental loop, :func:`join_sequence`, which checks its element cap
+(:func:`check_join_size`) before building anything.  The nonempty-cell counts
+of a partition's joins need no join at all:
+:func:`rdelab.covercomb.partition_join_counts` counts them from the cell
+labels of admissible words, under the same cap check.
 
 Covers are frozen dataclasses and every operation returns a new cover, with
 one exception: each cover memoizes its ``membership``/``cell_of`` maps in a
@@ -42,6 +45,7 @@ __all__ = [
     "is_finer",
     "join",
     "pullback",
+    "check_join_size",
     "join_sequence",
     "range_join",
     "PartitionEnumeration",
@@ -479,6 +483,16 @@ def pullback(u: PositionedCover, i: int) -> PositionedCover:
     )
 
 
+def check_join_size(u: PositionedCover, steps: int, element_cap: int) -> None:
+    """Raise :class:`JoinSizeError` when the ``steps``-step join of ``u`` would
+    hold more than ``element_cap`` index tuples."""
+    if u.element_count**steps > element_cap:
+        raise JoinSizeError(
+            f"join would create {u.element_count}^{steps} elements "
+            f"(cap {element_cap})"
+        )
+
+
 def join_sequence(
     u: PositionedCover, steps: int, *, element_cap: int = 10**6
 ) -> Iterator[PositionedCover]:
@@ -488,11 +502,7 @@ def join_sequence(
     The cap guards the last join's ``len(u) ** steps`` index tuples (kept even
     when empty), so :class:`JoinSizeError` comes before any join is built.
     """
-    if u.element_count**steps > element_cap:
-        raise JoinSizeError(
-            f"join would create {u.element_count}^{steps} elements "
-            f"(cap {element_cap})"
-        )
+    check_join_size(u, steps, element_cap)
     out = u
     for k in range(steps):
         if k:

@@ -40,14 +40,13 @@ from .base import (
     plain_sum,
     transfer_count,
 )
-from .covercomb import SolverLimits, min_subcover_count
+from .covercomb import SolverLimits, min_subcover_count, partition_join_counts
 from .covers import (
     CoverError,
     PositionedCover,
     PositionedPartition,
     join_sequence,
     product_partitions_finer,
-    range_join,
 )
 from .measures import (
     NORM_TOL,
@@ -221,14 +220,37 @@ def _report(sequence: list[tuple[int, float]], exact_rate, tags) -> EntropyRepor
     )
 
 
-def _log_count(
-    bundle: SymbolicBundle, joined: PositionedCover, limits: SolverLimits
-) -> float:
-    """P-average of the log minimal subcover count of a joined cover."""
-    return plain_sum(
-        bundle.base.weights[omega] * math.log(min_subcover_count(joined, omega, limits))
-        for omega in range(bundle.base.omega_count)
-    )
+def _log_counts(
+    bundle: SymbolicBundle,
+    cover: PositionedCover,
+    nmax: int,
+    limits: SolverLimits = SolverLimits(),
+    element_cap: int = 10**6,
+) -> list[float]:
+    """P-averages of the log minimal subcover counts of the 1..nmax-step joins.
+
+    A partition's counts come from :func:`partition_join_counts`, which builds
+    no join; a cover's from :func:`join_sequence` and
+    :func:`min_subcover_count`.  Both check the join size first.
+    """
+    weights = bundle.base.weights
+    fibers = range(bundle.base.omega_count)
+    if isinstance(cover, PositionedPartition):
+        per_step = zip(
+            *(
+                partition_join_counts(cover, omega, nmax, element_cap=element_cap)
+                for omega in fibers
+            )
+        )
+    else:
+        per_step = [
+            [min_subcover_count(joined, omega, limits) for omega in fibers]
+            for joined in join_sequence(cover, nmax, element_cap=element_cap)
+        ]
+    return [
+        plain_sum(weights[omega] * math.log(row[omega]) for omega in fibers)
+        for row in per_step
+    ]
 
 
 def cover_complexity(
@@ -240,8 +262,9 @@ def cover_complexity(
     element_cap: int = 10**6,
 ) -> float:
     """P-average of the log minimal subcover count of the n-step join."""
-    joined = range_join(cover, 0, n - 1, element_cap=element_cap)
-    return _log_count(bundle, joined, limits)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _log_counts(bundle, cover, n, limits, element_cap)[-1]
 
 
 def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
@@ -268,8 +291,8 @@ def topological_cover_entropy(
     """
     if nmax < 1:
         raise ValueError("need nmax >= 1")
-    joins = join_sequence(cover, nmax, element_cap=element_cap)
-    seq = [(n, _log_count(bundle, j, limits) / n) for n, j in enumerate(joins, 1)]
+    logs = _log_counts(bundle, cover, nmax, limits, element_cap)
+    seq = [(n, v / n) for n, v in enumerate(logs, 1)]
     exact = None
     tags = ["fekete"]
     if _is_singleton_cell_partition(cover):

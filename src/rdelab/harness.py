@@ -31,7 +31,6 @@ from .base import (
     word_count,
 )
 from .covercomb import (
-    SolverLimits,
     cover_count,
     exact_min_cover,
     global_min_subcover_count,
@@ -42,7 +41,6 @@ from .covers import (
     PositionedPartition,
     is_finer,
     join,
-    join_sequence,
     per_fiber_cover,
     product_cover,
     product_partitions_finer,
@@ -52,7 +50,7 @@ from .covers import (
 )
 from .entropy import (
     block_power_system,
-    _log_count,
+    _log_counts,
     cover_conditional_entropy,
     h_minus_report,
     h_plus_value,
@@ -651,11 +649,8 @@ def _check_join_count_bound(config, corpus):
                 rep = h_minus_report(mu, cov, config.nmax)
                 if cname not in tops:
                     # the step-n complexities do not depend on the measure:
-                    # one join sequence per cover serves every measure
-                    tops[cname] = [
-                        _log_count(b, joined, SolverLimits())
-                        for joined in join_sequence(cov, config.nmax)
-                    ]
+                    # one pass per cover serves every measure
+                    tops[cname] = _log_counts(b, cov, config.nmax)
                 for n, val in rep.sequence:
                     top = tops[cname][n - 1]
                     t.record(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SymbolicBundle, admissible_tuples, cycle_growth_rate
+from .base import SymbolicBundle, admissible_tuples
 from .covercomb import SolverLimits, cover_count, maximal_multi_separated
 from .covers import (
     CoverError,
@@ -41,7 +41,6 @@ from .entropy import (
     partition_conditional_entropy,
     topological_cover_entropy,
     _chain_rule_rate,
-    _is_singleton_cell_partition,
     _pins_coordinate,
     shannon,
 )
@@ -469,23 +468,14 @@ def maximize_invariant_entropy(
         if evaluations >= budget:
             break
 
-    if _is_singleton_cell_partition(target):
-        # topological_cover_entropy's exact_rate, without building its joins.
-        # Its errors still come first: join_sequence checks the join size
-        # before it yields the target itself, its first "join".
-        if reference_nmax < 1:
-            raise ValueError("need nmax >= 1")
-        next(join_sequence(target, reference_nmax, element_cap=element_cap))
-        reference = cycle_growth_rate(bundle).integrated
-    else:
-        ref_report = topological_cover_entropy(
-            bundle, target, reference_nmax, limits=limits, element_cap=element_cap
-        )
-        reference = (
-            ref_report.exact_rate
-            if ref_report.exact_rate is not None
-            else ref_report.certified_upper
-        )
+    ref_report = topological_cover_entropy(
+        bundle, target, reference_nmax, limits=limits, element_cap=element_cap
+    )
+    reference = (
+        ref_report.exact_rate
+        if ref_report.exact_rate is not None
+        else ref_report.certified_upper
+    )
     return MaximizeResult(
         measure=best_measure,
         value=best_value,

@@ -14,7 +14,7 @@ from rdelab import (
     validate,
     word_count,
 )
-from rdelab.base import BundleError, Word, plain_sum
+from rdelab.base import BundleError, Word, plain_sum, theta_cycles
 
 from conftest import enumerate_words
 
@@ -39,6 +39,20 @@ class TestProbBase:
     def test_rejects_unnormalized(self):
         with pytest.raises(BundleError):
             ProbBase(weights=(0.5, 0.6), theta=(0, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(BundleError, match="weights must be finite"):
+            ProbBase(weights=(bad, 1.0), theta=(0, 1))
+
+    @pytest.mark.parametrize(
+        "theta", [(0,), (1, 0, 3, 2), (2, 0, 1, 4, 3), (3, 4, 0, 1, 2, 5)]
+    )
+    def test_cycles_found_once(self, theta):
+        base = ProbBase(weights=(1 / len(theta),) * len(theta), theta=theta)
+        first = base.cycles()
+        assert first == theta_cycles(theta)
+        assert base.cycles() is first
 
 
 class TestValidate:
@@ -67,6 +81,15 @@ class TestValidate:
         )
         report = validate(bundle)
         assert any(p.code == "not-theta-invariant" for p in report.problems)
+
+    def test_nan_weight_reported(self, gm):
+        base = ProbBase(weights=(math.nan, 1.0), theta=gm.base.theta, check=False)
+        bundle = SymbolicBundle(
+            base=base, alphabet=gm.alphabet, adjacency=gm.adjacency, check=False
+        )
+        report = validate(bundle)
+        assert not report.ok
+        assert [p.code for p in report.problems] == ["weight-not-finite"]
 
 
 class TestAdmissibleWords:

@@ -136,6 +136,61 @@ class TestNaNMeasure:
         assert "schema error: measures['balanced']: fiber w1: rows must sum to 1" in res.output
 
 
+class TestNaNWeight:
+    """A NaN base weight is named by ``validate`` and refused on load."""
+
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        doc = json.loads(open(GOLDEN).read())
+        doc["P"][0] = math.nan
+        path = tmp_path / "nan_weight.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_validate_names_it(self, nan_file):
+        res = run("validate", nan_file)
+        assert res.exit_code == 1
+        assert "violation [weight-not-finite]: weights must be finite numbers" in res.output
+
+    def test_topent_exits_3(self, nan_file, tmp_path):
+        out = tmp_path / "report.json"
+        res = run(
+            "topent", nan_file, "--cover", "zero_cyl", "--nmax", "2", "--json", str(out)
+        )
+        assert res.exit_code == 3
+        assert "schema error: weights must be finite numbers" in res.output
+        assert not out.exists()
+
+
+ANALYSES = {
+    "topent": ["--cover", "zero_cyl"],
+    "measent": ["--measure", "m", "--partition", "zero_cyl"],
+    "witness": ["--cover", "zero_cyl", "--n", "2"],
+    "maximize": ["--partition", "zero_cyl"],
+}
+
+
+class TestBrokenBundle:
+    """A bundle that breaks an invariant is a schema error for every analysis;
+    ``validate`` lists its violations instead."""
+
+    @pytest.mark.parametrize("command", sorted(ANALYSES))
+    def test_analysis_exits_3(self, command):
+        res = run(command, BROKEN, *ANALYSES[command])
+        assert res.exit_code == 3
+        assert "schema error: fiber w1: row 1 (symbol b) has no outgoing edge" in res.output
+
+    def test_verify_file_exits_3(self):
+        res = run("verify", "--file", BROKEN)
+        assert res.exit_code == 3
+        assert "schema error: fiber w1: row 1 (symbol b)" in res.output
+
+    def test_validate_keeps_its_violations(self):
+        res = run("validate", BROKEN)
+        assert res.exit_code == 1
+        assert "violation [dead-row]" in res.output
+
+
 class TestVerify:
     def test_small_seeded_suite(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rdelab import (
     cover_count,
@@ -17,14 +18,23 @@ from rdelab import (
     zero_cylinders,
 )
 from rdelab.base import admissible_tuples
+from rdelab.base import plain_sum
 from rdelab.covercomb import (
     SeparationError,
     SetCoverSizeError,
     SolverLimits,
     UncoveredUniverseError,
+    partition_join_counts,
 )
-from rdelab.covers import per_fiber_cover
+from rdelab.covers import (
+    JoinSizeError,
+    PositionedPartition,
+    join_sequence,
+    per_fiber_cover,
+)
+from rdelab.entropy import topological_cover_entropy
 from rdelab.harness import gen_instance
+from rdelab.instances import load_instance
 
 from conftest import brute_min_cover
 
@@ -180,3 +190,110 @@ class TestMaximalMultiSeparated:
                 for omega in range(b.base.omega_count):
                     chosen = maximal_multi_separated(b, omega, parts, cov, n)
                     assert len(chosen) >= cover_count(b, omega, cov, n) // len(parts)
+
+
+DEMOS = [
+    f"demos/instances/{name}.json"
+    for name in ("alternating_golden_mean", "full_shift_2", "two_fixed_points")
+]
+
+
+def _bundles():
+    """The demo bundles and the first 40 generated ones."""
+    out = [load_instance(path).bundle for path in DEMOS]
+    return out + [gen_instance(seed).bundle for seed in range(40)]
+
+
+BUNDLES = _bundles()
+
+
+@st.composite
+def fiber_partitions(draw):
+    """A random fiber-dependent partition of window 1 or 2 starting at 0 or
+    1, on a demo or generated bundle."""
+    bundle = draw(st.sampled_from(BUNDLES))
+    start = draw(st.integers(0, 1))
+    length = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    cells = [[[] for _ in range(bundle.base.omega_count)] for _ in range(k)]
+    for omega in range(bundle.base.omega_count):
+        for w in admissible_tuples(bundle, omega, start, length):
+            cells[draw(st.integers(0, k - 1))][omega].append(w)
+    return per_fiber_cover(bundle, cells, start=start, partition=True)
+
+
+def join_counts(cover, omega, steps):
+    """Reference: minimal subcover counts of the built joins."""
+    return [min_subcover_count(j, omega) for j in join_sequence(cover, steps)]
+
+
+def join_log_counts(bundle, cover, nmax):
+    """Reference: P-averaged log counts of the built joins."""
+    return [
+        plain_sum(
+            bundle.base.weights[omega] * math.log(min_subcover_count(j, omega))
+            for omega in range(bundle.base.omega_count)
+        )
+        for j in join_sequence(cover, nmax)
+    ]
+
+
+def instance_covers():
+    for path in DEMOS:
+        inst = load_instance(path)
+        for name in sorted(inst.covers):
+            yield pytest.param(inst.bundle, inst.covers[name], id=f"{path[15:-5]}-{name}")
+    for seed in (0, 3, 8, 21):
+        inst = gen_instance(seed)
+        for name in sorted(inst.covers):
+            yield pytest.param(inst.bundle, inst.covers[name], id=f"gen{seed}-{name}")
+
+
+class TestPartitionJoinCounts:
+    @given(fiber_partitions(), st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_matches_the_built_joins(self, part, steps):
+        for omega in range(part.bundle.base.omega_count):
+            assert partition_join_counts(part, omega, steps) == join_counts(
+                part, omega, steps
+            )
+
+    def test_singleton_cells_count_words(self, gm):
+        counts = partition_join_counts(zero_cylinders(gm), 1, 18)
+        assert counts == [len(admissible_tuples(gm, 1, 0, n)) for n in range(1, 19)]
+
+    @pytest.mark.parametrize("bundle, cover", list(instance_covers()))
+    def test_reports_keep_their_bits(self, bundle, cover):
+        nmax = 5 if cover.element_count <= 4 else 3
+        ref = join_log_counts(bundle, cover, nmax)
+        rep = topological_cover_entropy(bundle, cover, nmax)
+        assert [(n, v.hex()) for n, v in rep.sequence] == [
+            (n, (x / n).hex()) for n, x in enumerate(ref, 1)
+        ]
+        assert rep.certified_upper.hex() == min(x / n for n, x in enumerate(ref, 1)).hex()
+        for omega in range(bundle.base.omega_count):
+            assert cover_count(bundle, omega, cover, nmax) == join_counts(
+                cover, omega, nmax
+            )[-1]
+
+    def test_size_guard_comes_before_any_work(self, gm, monkeypatch):
+        import rdelab.covers as covers
+
+        u = zero_cylinders(gm)
+        with pytest.raises(JoinSizeError) as want:
+            next(join_sequence(u, 10, element_cap=100))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work done before the size check")
+
+        monkeypatch.setattr(covers, "join", fail)
+        monkeypatch.setattr(PositionedPartition, "cell_of", fail)
+        calls = [
+            lambda: partition_join_counts(u, 0, 10, element_cap=100),
+            lambda: cover_count(gm, 0, u, 10, element_cap=100),
+            lambda: topological_cover_entropy(gm, u, 10, element_cap=100),
+        ]
+        for call in calls:
+            with pytest.raises(JoinSizeError) as got:
+                call()
+            assert str(got.value) == str(want.value) == "join would create 2^10 elements (cap 100)"

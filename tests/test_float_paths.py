@@ -514,8 +514,6 @@ def reference_search(bundle, target, budget, seed, **kw):
     with mock.patch.object(variational, "_project_simplex", project), mock.patch.object(
         variational, "_chain_rule_rate", reference_chain_rule_rate
     ), mock.patch.object(
-        variational, "_is_singleton_cell_partition", lambda cover: False
-    ), mock.patch.object(
         measures, "cycle_product", reference_cycle_product
     ), mock.patch.object(measures, "_closed_classes", closed):
         return maximize_invariant_entropy(bundle, target, budget, seed, **kw)
