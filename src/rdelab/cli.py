@@ -109,7 +109,7 @@ def validate_cmd(file, json_path):
 @main.command("topent")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cover", "cover_name", required=True)
-@click.option("--nmax", type=int, default=8, show_default=True)
+@click.option("--nmax", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--cover-universe-max", type=int, default=4096, show_default=True)
 @click.option("--cover-elems-max", type=int, default=64, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
@@ -143,7 +143,7 @@ def topent_cmd(file, cover_name, nmax, cover_universe_max, cover_elems_max, json
     default="minus",
     show_default=True,
 )
-@click.option("--nmax", type=int, default=6, show_default=True)
+@click.option("--nmax", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--enum-max", type=int, default=10**5, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def measent_cmd(
@@ -192,7 +192,7 @@ def measent_cmd(
 @main.command("witness")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cover", "cover_name", required=True)
-@click.option("--n", "steps", type=int, required=True)
+@click.option("--n", "steps", type=click.IntRange(min=1), required=True)
 @click.option("--horizon-cap", type=int, default=24, show_default=True)
 @click.option("--cover-universe-max", type=int, default=4096, show_default=True)
 @click.option("--cover-elems-max", type=int, default=64, show_default=True)
@@ -277,8 +277,8 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 @click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=12, show_default=True)
-@click.option("--draws", type=int, default=200, show_default=True)
-@click.option("--nmax", type=int, default=4, show_default=True)
+@click.option("--draws", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--nmax", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option(
     "--caps",
     default=None,

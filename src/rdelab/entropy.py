@@ -334,6 +334,22 @@ def _min_entropy_assignment(
     fibers: BLAS may fuse or reorder those products, which a Python loop
     would not reproduce, and a changed order changes the result's last bits.
 
+    The search's lower bound is incremental, with the same bits as one built
+    from scratch at every node:
+
+    * a cell's terms (its cap ``U``, ``U ln U``, ``-ln U`` and the linear
+      terms of the mass it holds) are a function of the lists ``ms[k]`` and
+      ``pending[i][k]``, which are never mutated once built, so the terms are
+      keyed by the identities of those two lists: between a node and its
+      parent only the previous word's candidates hold other lists, and only
+      those cells and the words that can reach them are recomputed;
+    * each fiber's heaviest cell mass is carried down the search as a running
+      maximum, which is exact because ``max`` does no rounding;
+    * every sum of the bound is still added term by term in its from-scratch
+      order (cells in slot order, then words by depth), so each node prunes
+      exactly when a from-scratch bound would, and the search visits the same
+      nodes.
+
     Raises :class:`EnumerationGuardError` with the best value found so far
     and the node count once more than ``node_cap`` search nodes are visited.
     """
@@ -477,67 +493,61 @@ def _min_entropy_assignment(
         best = plain_sum(map(g, trial))
         # g of every cell's current mass, kept in step with ``ms``
         gs = [g(v) for v in ms]
+        # the words that can reach each cell
+        users: list[list[int]] = [[] for _ in elems]
+        for j, (_, cands) in enumerate(wl):
+            for k in cands:
+                users[k].append(j)
 
-        def lower_bound(i: int, cur: float) -> float:
-            """Cheapest-possible completion cost from depth ``i``.
+        # per depth, the words at or after it that reach the previous word's
+        # candidates, found on the first visit
+        dirty_at: list = [None] * n_words
 
-            Three valid relaxations, the largest prunes.  Linearization: every
-            final cell mass M_e is at most its reachability cap U_e, so
-            ``-M ln M >= -M ln U_e`` bounds the objective by a per-word
-            minimum.  Increments: each remaining word pays at least its
-            entropy increment evaluated at the cap (the increment decreases
-            in the base mass and increments telescope per cell).  Dump: all
-            remaining mass of a fiber lands on its heaviest cell.
-            """
-            # per cell: its cap U, U ln U and -ln U (0 unless 0 < U < 1), and
-            # the linear term of the mass it already holds
-            cells = []
-            linear = 0.0
-            for held, ahead in zip(ms, pending[i]):
-                cap = [x + y for x, y in zip(held, ahead)]
-                xl = []
-                nl = []
-                for f, c in enumerate(cap):
-                    if c > 0.0:
-                        lc = log(c)
-                        xl.append(c * lc)
-                        nl.append(-lc if c < 1.0 else 0.0)
-                        if held[f] > 0.0:
-                            linear += pv[f] * held[f] * nl[f]
-                    else:
-                        xl.append(0.0)
-                        nl.append(0.0)
-                cells.append((cap, xl, nl))
-            by_word = 0.0
-            for j in range(i, n_words):
-                cheapest = math.inf
-                cheapest_lin = math.inf
-                word_terms = terms[j]
-                for k in wl[j][1]:
-                    cap, xl, nl = cells[k]
-                    inc = 0.0
-                    lin = 0.0
-                    for f, p, m, pm in word_terms:
-                        # the cap holds this word, so U >= m > 0
-                        r = cap[f] - m
-                        inc -= p * (xl[f] - (r * log(r) if r > 0.0 else 0.0))
-                        lin += pm * nl[f]
-                    if inc < cheapest:
-                        cheapest = inc
-                    if lin < cheapest_lin:
-                        cheapest_lin = lin
-                by_word += cheapest
-                linear += cheapest_lin
-            dump = 0.0
-            for f in range(dim):
-                r = suffix[i][f]
-                if r <= 0.0:
-                    continue
-                mx = max(v[f] for v in ms)
-                dump += pv[f] * (_xlnx(mx) - _xlnx(mx + r))
-            return max(cur + by_word, cur + dump, linear)
+        def cell_terms(k: int, i: int):
+            """Cell k at depth i: its cap U, U ln U and -ln U per fiber (0
+            unless 0 < U < 1), and the linear terms of the mass it holds."""
+            held = ms[k]
+            cap = [x + y for x, y in zip(held, pending[i][k])]
+            xl = []
+            nl = []
+            held_terms = []
+            for f, c in enumerate(cap):
+                if c > 0.0:
+                    lc = log(c)
+                    xl.append(c * lc)
+                    nl.append(-lc if c < 1.0 else 0.0)
+                    if held[f] > 0.0:
+                        held_terms.append(pv[f] * held[f] * nl[f])
+                else:
+                    xl.append(0.0)
+                    nl.append(0.0)
+            return cap, xl, nl, held_terms
 
-        def dfs(i: int, cur: float):
+        def word_cost(j: int, cells):
+            """Word j's cheapest increment at the cap and its cheapest
+            linear term over its candidate cells."""
+            cheapest = math.inf
+            cheapest_lin = math.inf
+            word_terms = terms[j]
+            for k in wl[j][1]:
+                cap, xl, nl, _ = cells[k]
+                inc = 0.0
+                lin = 0.0
+                for f, p, m, pm in word_terms:
+                    # the cap holds this word, so U >= m > 0
+                    r = cap[f] - m
+                    inc -= p * (xl[f] - (r * log(r) if r > 0.0 else 0.0))
+                    lin += pm * nl[f]
+                if inc < cheapest:
+                    cheapest = inc
+                if lin < cheapest_lin:
+                    cheapest_lin = lin
+            return cheapest, cheapest_lin
+
+        def dfs(i: int, cur: float, cells, incs, lins, top):
+            """Search from depth ``i``.  ``cells`` holds the parent node's
+            :func:`cell_terms`, ``incs`` and ``lins`` its :func:`word_cost`
+            pairs, and ``top`` each fiber's heaviest cell mass at this node."""
             nonlocal nodes, best
             nodes += 1
             if nodes > node_cap:
@@ -550,8 +560,55 @@ def _min_entropy_assignment(
                 if cur < best:
                     best = cur
                 return
-            # the margin sits at float resolution, far below value tolerances
-            if lower_bound(i, cur) >= best - 1e-13:
+            # Prune on the cheapest-possible completion cost.  Three valid
+            # relaxations; the node is pruned when any one reaches the
+            # threshold (the margin sits at float resolution, far below value
+            # tolerances).  Dump: all remaining mass of a fiber lands on its
+            # heaviest cell.
+            threshold = best - 1e-13
+            dump = 0.0
+            for f in range(dim):
+                r = suffix[i][f]
+                if r <= 0.0:
+                    continue
+                mx = top[f]
+                dump += pv[f] * (_xlnx(mx) - _xlnx(mx + r))
+            if cur + dump >= threshold:
+                return
+            # Only the previous word's candidates hold other lists than at the
+            # parent node, so only they and the words reaching them change.
+            if i:
+                cells = list(cells)
+                incs = list(incs)
+                lins = list(lins)
+                touched = wl[i - 1][1]
+                for k in touched:
+                    cells[k] = cell_terms(k, i)
+                dirty = dirty_at[i]
+                if dirty is None:
+                    dirty = dirty_at[i] = sorted(
+                        {j for k in touched for j in users[k] if j >= i}
+                    )
+                for j in dirty:
+                    incs[j], lins[j] = word_cost(j, cells)
+            # Increments: each remaining word pays at least its entropy
+            # increment evaluated at the cap (the increment decreases in the
+            # base mass and increments telescope per cell).
+            by_word = 0.0
+            for x in incs[i:]:
+                by_word += x
+            if cur + by_word >= threshold:
+                return
+            # Linearization: every final cell mass M_e is at most its cap U_e,
+            # so ``-M ln M >= -M ln U_e`` bounds the objective by a per-word
+            # minimum.
+            linear = 0.0
+            for cell in cells:
+                for x in cell[3]:
+                    linear += x
+            for x in lins[i:]:
+                linear += x
+            if linear >= threshold:
                 return
             mass = wl[i][0]
             scored = []
@@ -563,10 +620,27 @@ def _min_entropy_assignment(
             for delta, k, new, g_new in scored:
                 old, g_old = ms[k], gs[k]
                 ms[k], gs[k] = new, g_new
-                dfs(i + 1, cur + delta)
+                # cell masses only grow, so the heaviest is the old one or k
+                dfs(
+                    i + 1,
+                    cur + delta,
+                    cells,
+                    incs,
+                    lins,
+                    [y if y > x else x for x, y in zip(top, new)],
+                )
                 ms[k], gs[k] = old, g_old
 
-        dfs(0, plain_sum(map(g, ms)))
+        cells = [cell_terms(k, 0) for k in range(len(elems))]
+        costs = [word_cost(j, cells) for j in range(n_words)]
+        dfs(
+            0,
+            plain_sum(map(g, ms)),
+            cells,
+            [inc for inc, _ in costs],
+            [lin for _, lin in costs],
+            [max(v[f] for v in ms) for f in range(dim)],
+        )
         total += best
     return total
 

@@ -259,11 +259,14 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     Returns the vector and whether the stationary vector is unique, decided
     by counting closed communicating classes of the support graph.
 
-    Both vector-matrix products are numpy ``@`` calls (BLAS may round them
-    with fused multiply-adds, which a Python product would not reproduce);
-    the normalising sum and the residual are added term by term from left
-    to right in Python floats, which is exactly how numpy sums fewer than
-    eight entries.  Builtin ``sum`` (compensated from Python 3.12 on) and
+    Both vector-matrix products are numpy calls (BLAS may round them with
+    fused multiply-adds, which a Python product would not reproduce): the
+    step is ``ndarray.dot``, the same BLAS call as ``@`` for a vector times
+    a matrix but with less dispatch, and the residual is ``@``.  The
+    normalising division is one IEEE division per entry on Python floats,
+    as numpy's is; the normalising sum and the residual are added term by
+    term from left to right in Python floats, which is exactly how numpy
+    sums fewer than eight entries.  Builtin ``sum`` (compensated from Python 3.12 on) and
     ``math.fsum`` would round differently.
 
     The residual is screened before it is computed.  Each iteration forms
@@ -287,21 +290,22 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     d = product.shape[0]
     lazy = 0.5 * (product + _identity(d))
     screen = tol + 16 * d * d * 2.0**-52
-    raw = np.full(d, 1.0 / d) @ lazy
+    xs = (np.full(d, 1.0 / d) @ lazy).tolist()
     total = 0.0
-    for x in raw.tolist():
+    for x in xs:
         total += x
     for _ in range(max_iterations):
-        p = raw / total
-        raw = p @ lazy
+        ps = [x / total for x in xs]
+        p = np.array(ps)
+        xs = p.dot(lazy).tolist()
         total = 0.0
         gap = 0.0
-        for x, y in zip(raw.tolist(), p.tolist()):
+        for x, y in zip(xs, ps):
             total += x
             gap += abs(x - y)
         if gap + gap <= screen:
             residual = 0.0
-            for x, y in zip((p @ product).tolist(), p.tolist()):
+            for x, y in zip((p @ product).tolist(), ps):
                 residual += abs(x - y)
             if residual <= tol:
                 break

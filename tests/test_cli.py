@@ -112,6 +112,28 @@ class TestMaximize:
         assert "Invalid value for '--budget'" in res.output
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["topent", GOLDEN, "--cover", "zero_cyl", "--nmax", "0"], "--nmax"),
+        (["topent", GOLDEN, "--cover", "zero_cyl", "--nmax", "-2"], "--nmax"),
+        (
+            ["measent", GOLDEN, "--measure", "balanced", "--partition", "zero_cyl",
+             "--nmax", "0"],
+            "--nmax",
+        ),
+        (["witness", GOLDEN, "--cover", "zero_cyl", "--n", "0"], "--n"),
+    ],
+)
+def test_horizon_below_one_is_a_usage_error(args, option, tmp_path):
+    # exit 1 means a failed check; a horizon of no steps is a usage error
+    out = tmp_path / "report.json"
+    res = run(*args, "--json", str(out))
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert not out.exists()
+
+
 class TestNaNMeasure:
     """``json`` reads ``NaN``; a measure holding one is a schema error."""
 
@@ -219,6 +241,9 @@ class TestVerify:
             (["--only", "nonexistent"], "unknown check id 'nonexistent' (valid: "),
             (["--only", "mass-shift,nope"], "unknown check id 'nope' (valid: "),
             (["--instances", "0"], "Invalid value for '--instances'"),
+            (["--draws", "0"], "Invalid value for '--draws'"),
+            (["--draws", "-3"], "Invalid value for '--draws'"),
+            (["--nmax", "0"], "Invalid value for '--nmax'"),
         ],
     )
     def test_vacuous_selections_are_usage_errors(self, args, bad, tmp_path):

@@ -430,13 +430,17 @@ class TestPowerSystem:
 # ---------------------------------------------------------------------------
 
 
-def reference_min_entropy_assignment(words, element_count, pvec, *, node_cap=10**6):
+def reference_min_entropy_assignment(
+    words, element_count, pvec, *, node_cap=10**6, visited=None
+):
     """The numpy assignment search that the plain-float kernel replaced.
 
-    Mass vectors and per-cell masses are numpy arrays.  Two changes from the
-    replaced code: sums of Python floats are written as left-to-right loops
-    (what builtin ``sum`` does for them before Python 3.12), and a tripped
-    node cap also reports the node count.
+    Mass vectors and per-cell masses are numpy arrays, and the lower bound
+    is built from scratch at every node.  Two changes from the replaced
+    code: sums of Python floats are written as left-to-right loops (what
+    builtin ``sum`` does for them before Python 3.12), and a tripped node
+    cap also reports the node count.  A finished search appends its node
+    count to ``visited`` when one is given.
     """
     words = [(np.array(m, dtype=float), tuple(c)) for m, c in words]
     pvec = np.array(pvec, dtype=float)
@@ -455,6 +459,8 @@ def reference_min_entropy_assignment(words, element_count, pvec, *, node_cap=10*
                 break
             common &= set(cands)
         if common:
+            if visited is not None:
+                visited.append(0)
             return 0.0
     base = {}
     grouped = {}
@@ -481,6 +487,8 @@ def reference_min_entropy_assignment(words, element_count, pvec, *, node_cap=10*
         return -float(sum(pvec[f] * xlnx(float(vec[f])) for f in range(dim)))
 
     if not free:
+        if visited is not None:
+            visited.append(0)
         return plain_sum(g(v) for v in base.values())
 
     parent = {}
@@ -622,6 +630,8 @@ def reference_min_entropy_assignment(words, element_count, pvec, *, node_cap=10*
 
         dfs(0, masses, comp_value(masses))
         total += best[0]
+    if visited is not None:
+        visited.append(nodes[0])
     return total
 
 
@@ -672,6 +682,21 @@ def fifteen_bit_instance():
     return [((m[0] / scale,), c) for m, c in words], 8, (1.0,)
 
 
+def refine_shaped_instance():
+    """A fixed one-fiber search shaped like the ``refine`` benchmark's widest:
+    13 free words with two candidates each over 14 elements (a random tree,
+    so one component), plus 5 forced words."""
+    rng = random.Random(0)
+    order = list(range(14))
+    rng.shuffle(order)
+    pairs = [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, 14)]
+    words = [([0.5 + rng.random()], p) for p in pairs]
+    for e in rng.sample(range(14), 5):
+        words.append(([0.5 + rng.random()], (e,)))
+    scale = sum(m[0] for m, _ in words)
+    return [((m[0] / scale,), c) for m, c in words], 14, (1.0,)
+
+
 # branch-and-bound nodes the search visits on that instance (of 2**16 - 1 in
 # the full binary tree); without any one of the three relaxations in the
 # lower bound it visits more
@@ -700,6 +725,7 @@ class TestMinEntropyAssignment:
     @given(assignment_inputs())
     @settings(max_examples=300)
     @example(TIED_WEIGHT_WORDS)
+    @example(refine_shaped_instance())
     @example(([((0.25,), (0,)), ((0.25,), (1,)), ((0.5,), (0,))], 2, (1.0,)))
     @example(
         (
@@ -713,6 +739,28 @@ class TestMinEntropyAssignment:
         got = _min_entropy_assignment(words, element_count, pvec)
         expect = reference_min_entropy_assignment(words, element_count, pvec)
         assert got.hex() == float(expect).hex()
+
+    @given(assignment_inputs())
+    @settings(max_examples=200)
+    @example(TIED_WEIGHT_WORDS)
+    @example(fifteen_bit_instance())
+    @example(refine_shaped_instance())
+    def test_visits_the_reference_nodes(self, inputs):
+        # the kernel's incremental bound prunes where the reference's
+        # from-scratch bound does: a cap at the reference's node count is
+        # enough, one less trips the guard at exactly that count
+        words, element_count, pvec = inputs
+        visited = []
+        expect = reference_min_entropy_assignment(
+            words, element_count, pvec, visited=visited
+        )
+        (nodes,) = visited
+        got = _min_entropy_assignment(words, element_count, pvec, node_cap=nodes)
+        assert got.hex() == float(expect).hex()
+        if nodes:
+            with pytest.raises(EnumerationGuardError) as tripped:
+                _min_entropy_assignment(words, element_count, pvec, node_cap=nodes - 1)
+            assert tripped.value.nodes == nodes
 
     @given(assignment_inputs())
     @settings(max_examples=100)

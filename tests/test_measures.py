@@ -40,14 +40,53 @@ def reference_stationary_of(product, tol, max_iterations):
     return p, _closed_classes(product > 0) == 1
 
 
+def previous_stationary_of(product, tol, max_iterations):
+    """``_stationary_of`` with its step as it was written before: the
+    normalising division ``raw / total`` on the numpy array and the step
+    ``p @ lazy``.  The screen, the residual and the squaring fallback are
+    the same."""
+    d = product.shape[0]
+    lazy = 0.5 * (product + np.eye(d))
+    screen = tol + 16 * d * d * 2.0**-52
+    raw = np.full(d, 1.0 / d) @ lazy
+    total = 0.0
+    for x in raw.tolist():
+        total += x
+    for _ in range(max_iterations):
+        p = raw / total
+        raw = p @ lazy
+        total = 0.0
+        gap = 0.0
+        for x, y in zip(raw.tolist(), p.tolist()):
+            total += x
+            gap += abs(x - y)
+        if gap + gap <= screen:
+            residual = 0.0
+            for x, y in zip((p @ product).tolist(), p.tolist()):
+                residual += abs(x - y)
+            if residual <= tol:
+                break
+    else:
+        limit = lazy
+        for _ in range(64):
+            limit = limit @ limit
+            limit /= limit.sum(axis=1, keepdims=True)
+        p = np.full(d, 1.0 / d) @ limit
+        p /= p.sum()
+        residual = float(np.abs(p @ product - p).sum())
+        if residual > tol:
+            raise PowerIterationError("stationary vector iteration stalled", residual)
+    return p, _closed_classes(product > 0) == 1
+
+
 @st.composite
-def stochastic_matrices(draw):
-    """Row-stochastic d x d matrices, d in 2..7, with zero patterns.
+def stochastic_matrices(draw, max_d=7):
+    """Row-stochastic d x d matrices, d in 2..max_d, with zero patterns.
 
     Zero entries make reducible, periodic and transient-state products
     common; an all-zero row becomes a fixed point.
     """
-    d = draw(st.integers(2, 7))
+    d = draw(st.integers(2, max_d))
     entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     m = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
     for a in range(d):
@@ -92,6 +131,21 @@ SCREEN_EDGE = [
         [0.6005830903790088, 0.0, 0.3994169096209913, 0.0],
         [0.3952033368091762, 0.12617309697601667, 0.16058394160583941, 0.3180396246089676],
     ],
+]
+
+
+# two closed classes ({0, 1, 2} and {3, 4}, one periodic) and four transient
+# states feeding both, nine states in all: numpy sums this width pairwise
+REDUCIBLE_NINE = [
+    [0.2, 0.5, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.6, 0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.1, 0.1, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.1, 0.0, 0.0, 0.2, 0.0, 0.3, 0.4, 0.0, 0.0],
+    [0.0, 0.0, 0.3, 0.0, 0.1, 0.2, 0.1, 0.3, 0.0],
+    [0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.3, 0.1, 0.4],
+    [0.05, 0.0, 0.0, 0.0, 0.05, 0.3, 0.3, 0.2, 0.1],
 ]
 
 
@@ -147,6 +201,30 @@ class TestStationaryStarts:
         tol = float(np.abs(p @ m - p).sum())
         expected, unique = reference_stationary_of(m, tol, 100_000)
         got, got_unique = _stationary_of(m, tol, 100_000)
+        assert got.tobytes() == expected.tobytes()
+        assert got_unique == unique
+
+    @settings(max_examples=300)
+    @given(
+        stochastic_matrices(max_d=9),
+        st.sampled_from([1e-6, 1e-9, 1e-12]),
+        st.sampled_from([3, 100_000]),
+    )
+    @example(np.array(REDUCIBLE_NINE), 1e-12, 100_000)
+    @example(np.array(SLOW_DRAIN[0][0]), 1e-12, 1000)
+    @example(np.array(SLOW_DRAIN[1][0]), 1e-12, 1000)
+    def test_step_matches_the_previous_loop_bit_for_bit(self, m, tol, cap):
+        # the Python-float division and ndarray.dot step give the bits of the
+        # numpy division and ``@`` step, on the iteration and (at cap 3 and
+        # on the slow drains) on the squaring fallback
+        try:
+            expected, unique = previous_stationary_of(m, tol, cap)
+        except PowerIterationError as exc:
+            with pytest.raises(PowerIterationError) as got:
+                _stationary_of(m, tol, cap)
+            assert got.value.residual.hex() == exc.residual.hex()
+            return
+        got, got_unique = _stationary_of(m, tol, cap)
         assert got.tobytes() == expected.tobytes()
         assert got_unique == unique
 
