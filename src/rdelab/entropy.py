@@ -493,12 +493,6 @@ def _min_entropy_assignment(
         best = plain_sum(map(g, trial))
         # g of every cell's current mass, kept in step with ``ms``
         gs = [g(v) for v in ms]
-        # the words that can reach each cell
-        users: list[list[int]] = [[] for _ in elems]
-        for j, (_, cands) in enumerate(wl):
-            for k in cands:
-                users[k].append(j)
-
         # per depth, the words at or after it that reach the previous word's
         # candidates, found on the first visit
         dirty_at: list = [None] * n_words
@@ -586,9 +580,11 @@ def _min_entropy_assignment(
                     cells[k] = cell_terms(k, i)
                 dirty = dirty_at[i]
                 if dirty is None:
-                    dirty = dirty_at[i] = sorted(
-                        {j for k in touched for j in users[k] if j >= i}
-                    )
+                    dirty = dirty_at[i] = [
+                        j
+                        for j in range(i, n_words)
+                        if any(k in touched for k in wl[j][1])
+                    ]
                 for j in dirty:
                     incs[j], lins[j] = word_cost(j, cells)
             # Increments: each remaining word pays at least its entropy
