@@ -16,12 +16,14 @@ Exit codes:
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
+import numpy as np
 
 from .base import BundleError, validate
 from .covercomb import SolverLimits
-from .covers import CoverError, PositionedPartition
+from .covers import CoverError, PositionedPartition, zero_cylinders
 from .entropy import (
     h_minus_report,
     h_plus_value,
@@ -29,9 +31,9 @@ from .entropy import (
     topological_cover_entropy,
 )
 from .guards import GUARDS
-from .harness import SuiteConfig, run_suite
+from .harness import GenParams, Instance, SuiteConfig, run_suite
 from .instances import SchemaError, canonical_json, load_instance
-from .measures import MeasureError
+from .measures import MeasureError, stationary_starts
 from .variational import maximize_invariant_entropy, witness_measures
 
 EXIT_CHECK_FAILED = 1
@@ -288,8 +290,6 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
     """Run the mechanical property suite; nonzero exit iff a hard check fails."""
-    from .harness import GenParams
-
     params = GenParams()
     if caps:
         fields = {
@@ -309,9 +309,7 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
                 updates[fields[key.strip()]] = int(value)
             except ValueError:
                 raise click.UsageError(f"cap {key.strip()!r} needs an integer")
-        from dataclasses import replace as _replace
-
-        params = _replace(params, **updates)
+        params = replace(params, **updates)
     try:
         config = SuiteConfig(
             seed=seed,
@@ -326,10 +324,8 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
     corpus = None
     if file_path:
         loaded = _load(file_path)
-        from .harness import Instance, GenParams
-
         covers = dict(loaded.covers)
-        covers.setdefault("zero", _zero(loaded.bundle))
+        covers.setdefault("zero", zero_cylinders(loaded.bundle))
         measures = dict(loaded.measures) or _default_measures(loaded.bundle)
         corpus = [
             Instance(
@@ -354,17 +350,7 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
         sys.exit(EXIT_CHECK_FAILED)
 
 
-def _zero(bundle):
-    from .covers import zero_cylinders
-
-    return zero_cylinders(bundle)
-
-
 def _default_measures(bundle):
-    import numpy as np
-
-    from .measures import stationary_starts
-
     qs = []
     for omega in range(bundle.base.omega_count):
         a = bundle.adjacency[omega].astype(float)

@@ -167,6 +167,24 @@ def exact_min_cover(
     return picked + solve(uncovered, greedy(uncovered) + 1)
 
 
+def _section_masks(cover: PositionedCover, fibers: Sequence[int]) -> tuple[int, list]:
+    """Universe size and one bitmask per cover element over the universe of
+    ``(fiber, word)`` pairs, the admissible window words of each of ``fibers``
+    in turn, in enumeration order."""
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    for omega in fibers:
+        for w in admissible_tuples(cover.bundle, omega, cover.start, cover.length):
+            index[(omega, w)] = len(index)
+    masks = []
+    for elem in cover.sections:
+        m = 0
+        for omega in fibers:
+            for w in elem[omega]:
+                m |= 1 << index[(omega, w)]
+        masks.append(m)
+    return len(index), masks
+
+
 def min_subcover_count(
     cover: PositionedCover,
     omega: int,
@@ -180,15 +198,7 @@ def min_subcover_count(
     """
     if isinstance(cover, PositionedPartition):
         return sum(1 for elem in cover.sections if elem[omega])
-    words = admissible_tuples(cover.bundle, omega, cover.start, cover.length)
-    index = {w: i for i, w in enumerate(words)}
-    masks = []
-    for elem in range(cover.element_count):
-        m = 0
-        for w in cover.sections[elem][omega]:
-            m |= 1 << index[w]
-        masks.append(m)
-    return exact_min_cover(len(words), masks, limits)
+    return exact_min_cover(*_section_masks(cover, (omega,)), limits)
 
 
 def global_min_subcover_count(
@@ -200,21 +210,8 @@ def global_min_subcover_count(
     The universe is the disjoint union of the per-fiber admissible word sets;
     one element contributes its section in each fiber.
     """
-    bundle = cover.bundle
-    offset = 0
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    for omega in range(bundle.base.omega_count):
-        for w in admissible_tuples(bundle, omega, cover.start, cover.length):
-            index[(omega, w)] = offset
-            offset += 1
-    masks = []
-    for elem in range(cover.element_count):
-        m = 0
-        for omega in range(bundle.base.omega_count):
-            for w in cover.sections[elem][omega]:
-                m |= 1 << index[(omega, w)]
-        masks.append(m)
-    return exact_min_cover(offset, masks, limits)
+    fibers = range(cover.bundle.base.omega_count)
+    return exact_min_cover(*_section_masks(cover, fibers), limits)
 
 
 def _successors(p: PositionedPartition, omega: int, k: int) -> dict:

@@ -8,7 +8,10 @@ may be nonempty in another, and index arithmetic must line up across fibers.
 
 Product-form covers additionally carry one defining word set per element,
 shared by all fibers; the per-fiber sections are the defining sets cut down to
-the fiber's admissible words.
+the fiber's admissible words.  So each element's defining set is the union of
+its fiber sections, and that union is the one place defining sets come from
+(every constructor and :func:`join` derive them so; :func:`pullback` permutes
+the fibers, which keeps the union).
 
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
 incremental loop, :func:`join_sequence`, which checks its element cap
@@ -73,8 +76,11 @@ def _normalize_word(w) -> WordTuple:
 class PositionedCover:
     """Indexed family of per-fiber word sets on the window [start, start+length).
 
-    Fields are frozen; ``_mcache`` is the one mutable part, a memo of the
-    membership maps keyed by fiber and hull.
+    ``product_sections``, set on product-form covers only, holds each
+    element's defining set: the union of its fiber sections, with an empty
+    one stored as the shared empty frozenset.  Fields are frozen;
+    ``_mcache`` is the one mutable part, a memo of the membership maps keyed
+    by fiber and hull.
     """
 
     bundle: SymbolicBundle
@@ -235,6 +241,12 @@ def _invert(sets: Iterable[frozenset]) -> dict[WordTuple, list[int]]:
     return out
 
 
+def _defining_sets(sections: Sequence[Sequence[frozenset]]) -> tuple[frozenset, ...]:
+    """Each element's defining set, the union of its fiber sections; an empty
+    one is the shared ``_EMPTY``."""
+    return tuple(frozenset().union(*elem) or _EMPTY for elem in sections)
+
+
 def _canonical_sections(
     bundle: SymbolicBundle,
     start: int,
@@ -274,16 +286,15 @@ def product_cover(
     if len(lengths) != 1:
         raise CoverError("all cover words must share one window length")
     length = lengths.pop()
-    vocab = _somewhere_admissible(bundle, start, length)
-    defs = tuple(d & vocab for d in defs)
-    raw = [[d for _ in range(bundle.base.omega_count)] for d in defs]
+    raw = [[d] * bundle.base.omega_count for d in defs]
+    sections = _canonical_sections(bundle, start, length, raw)
     cls = PositionedPartition if partition else PositionedCover
     return cls(
         bundle=bundle,
         start=start,
         length=length,
-        sections=_canonical_sections(bundle, start, length, raw),
-        product_sections=defs,
+        sections=sections,
+        product_sections=_defining_sets(sections),
     )
 
 
@@ -308,17 +319,15 @@ def per_fiber_cover(
     if len(lengths) != 1:
         raise CoverError("all cover words must share one window length")
     length = lengths.pop()
-    product_sections = None
-    if all(len(set(elem)) == 1 for elem in norm):
-        vocab = _somewhere_admissible(bundle, start, length)
-        product_sections = tuple(elem[0] & vocab for elem in norm)
+    sections = _canonical_sections(bundle, start, length, norm)
+    product = all(len(set(elem)) == 1 for elem in norm)
     cls = PositionedPartition if partition else PositionedCover
     return cls(
         bundle=bundle,
         start=start,
         length=length,
-        sections=_canonical_sections(bundle, start, length, norm),
-        product_sections=product_sections,
+        sections=sections,
+        product_sections=_defining_sets(sections) if product else None,
     )
 
 
@@ -352,42 +361,25 @@ def _hull(u: PositionedCover, v: PositionedCover) -> tuple[int, int]:
     return (min(u.start, v.start), max(u.stop, v.stop))
 
 
-def _expanded_section(
-    cover: PositionedCover, element: int, omega: int, hull: tuple[int, int]
-) -> frozenset:
-    hs, he = hull
-    lo = cover.start - hs
-    hi = lo + cover.length
-    sect = cover.sections[element][omega]
-    return frozenset(
-        w
-        for w in admissible_tuples(cover.bundle, omega, hs, he - hs)
-        if w[lo:hi] in sect
-    )
-
-
 def is_finer(u: PositionedCover, v: PositionedCover) -> bool:
     """True when every element of ``u`` sits inside a single element of ``v``.
 
-    Windows may differ; both covers are first lifted to the common window hull
-    by intersecting with admissibility, and the containing element must be the
-    same one in every fiber.
+    Windows may differ; both covers are read on the common window hull through
+    their membership maps, and the containing element must be the same one in
+    every fiber: for each element of ``u`` the ``v``-memberships of every hull
+    word it holds, in every fiber, must share an index.
     """
     if u.bundle is not v.bundle:
         raise ValueError("covers must live on the same bundle")
     hull = _hull(u, v)
-    omega_count = u.bundle.base.omega_count
-    exp_v = [
-        [_expanded_section(v, j, omega, hull) for omega in range(omega_count)]
-        for j in range(v.element_count)
-    ]
-    for i in range(u.element_count):
-        exp_u = [_expanded_section(u, i, omega, hull) for omega in range(omega_count)]
-        if not any(
-            all(exp_u[omega] <= exp_v[j][omega] for omega in range(omega_count))
-            for j in range(v.element_count)
-        ):
-            return False
+    fits = [set(range(v.element_count)) for _ in range(u.element_count)]
+    for omega in range(u.bundle.base.omega_count):
+        mv = v.membership(omega, hull)
+        for w, ids in u.membership(omega, hull).items():
+            for i in ids:
+                fits[i].intersection_update(mv[w])
+                if not fits[i]:
+                    return False
     return True
 
 
@@ -396,9 +388,11 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
 
     Element ``(i, j)`` of the result is stored at flat index ``i * len(v) + j``;
     all index pairs are kept even when empty in every fiber.  The result is a
-    partition whenever both inputs are.  Each hull word is added only to the
-    cells of the element pairs containing it, found from the inverted
-    sections of ``u`` and ``v``, so the cost is the total section size plus the
+    partition whenever both inputs are, and product-form whenever both inputs
+    are.  One pass over each fiber's hull words adds every word to the cells of
+    the element pairs containing it, found from the membership maps of ``u``
+    and ``v``; the defining sets are the unions of the joined sections.  So the
+    cost is the total section size of the inputs and of the result plus the
     number of hull words plus the ``len(u) * len(v)`` stored elements.
     """
     if u.bundle is not v.bundle:
@@ -427,21 +421,7 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
         else empty
         for f in range(ku * kv)
     )
-    product_sections = None
-    if u.product_form and v.product_form:
-        inv_u = _invert(u.product_sections)
-        inv_v = _invert(v.product_sections)
-        lou, hiu = u.start - hs, u.start - hs + u.length
-        lov, hiv = v.start - hs, v.start - hs + v.length
-        cells: dict[int, set] = {}
-        for w in _somewhere_admissible(bundle, hs, he - hs):
-            for i in inv_u.get(w[lou:hiu], ()):
-                row = i * kv
-                for j in inv_v.get(w[lov:hiv], ()):
-                    cells.setdefault(row + j, set()).add(w)
-        product_sections = tuple(
-            frozenset(cells[f]) if f in cells else _EMPTY for f in range(ku * kv)
-        )
+    product = u.product_form and v.product_form
     cls = (
         PositionedPartition
         if isinstance(u, PositionedPartition) and isinstance(v, PositionedPartition)
@@ -452,7 +432,7 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
         start=hs,
         length=he - hs,
         sections=sections,
-        product_sections=product_sections,
+        product_sections=_defining_sets(sections) if product else None,
     )
 
 

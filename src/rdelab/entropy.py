@@ -356,8 +356,8 @@ def _min_entropy_assignment(
     dim = len(pvec)
     for f in range(dim):
         held = math.fsum(mass[f] for mass, _ in words)
-        if held > 1.0 + NORM_TOL:
-            raise ValueError(f"fiber {f} holds mass {held!r} > 1")
+        if not held <= 1.0 + NORM_TOL:  # NaN fails too
+            raise ValueError(f"fiber {f} holds mass {held!r}, not at most 1")
     pv = [float(p) for p in pvec]
     log = math.log
     if words:

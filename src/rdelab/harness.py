@@ -233,7 +233,12 @@ def random_word_measure(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run, at what sizes, and with what tolerances."""
+    """Which checks to run, at what sizes, and with what tolerances.
+
+    The size caps of ``params`` must allow one fiber, one symbol, a window of
+    one and two cover elements.  An alphabet cap of 1 is valid:
+    :func:`gen_instance` then draws one-symbol bundles.
+    """
 
     seed: int = 7
     instances: int = 12
@@ -247,7 +252,13 @@ class SuiteConfig:
     only: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.params.omega_max > 6 or self.params.alphabet_max > 4:
+        p = self.params
+        if min(p.omega_max, p.alphabet_max, p.window_max) < 1 or p.cover_elements_max < 2:
+            raise ValueError(
+                "caps need omega_max, alphabet_max and window_max >= 1 "
+                "and cover_elements_max >= 2"
+            )
+        if p.omega_max > 6 or p.alphabet_max > 4:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
         if self.nmax > 12 or self.horizon_cap > 14:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
@@ -847,9 +858,6 @@ def _check_hplus_trend(config, corpus):
     values = []
     for m_steps in (1, 2, 3):
         blocked = range_join(zero, 0, m_steps - 1)
-        blocked = product_cover(
-            bundle, [sorted(s) for s in blocked.product_sections], start=0
-        )
         outer = min(
             stride_rate(part, m_steps, max(1, 6 // m_steps))
             for part in product_partitions_finer(blocked, enum_cap=10**5)

@@ -219,15 +219,15 @@ class WordMeasure:
         for omega, per in enumerate(self.weights):
             adm = set(admissible_tuples(self.bundle, omega, 0, self.horizon))
             for w, x in per.items():
-                if x < 0:
-                    raise MeasureError("weights must be nonnegative")
+                if not x >= 0:  # NaN fails too
+                    raise MeasureError(f"weights must be nonnegative, got {x!r}")
                 if w not in adm:
                     raise MeasureError(
                         f"fiber {base.labels[omega]}: weight on inadmissible word {w}"
                     )
             # exact accumulation: long horizons hold many tiny weights
             total = math.fsum(per.values())
-            if abs(total - 1.0) > NORM_TOL:
+            if not abs(total - 1.0) <= NORM_TOL:
                 raise MeasureError(
                     f"fiber {base.labels[omega]}: weights sum to {total!r}"
                 )

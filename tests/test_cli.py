@@ -253,6 +253,33 @@ class TestVerify:
         assert bad in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            "omega=0",
+            "omega=-1",
+            "window=0",
+            "elements=0",
+            "elements=1",
+            "alphabet=0",
+            "alphabet=-1",
+        ],
+    )
+    def test_caps_below_their_floor_are_usage_errors(self, caps, tmp_path):
+        out = tmp_path / "report.json"
+        res = run("verify", "--caps", caps, "--json", str(out))
+        assert res.exit_code == 2
+        assert "caps need omega_max, alphabet_max and window_max >= 1" in res.output
+        assert not out.exists()
+
+    def test_one_symbol_alphabet_cap_runs(self):
+        res = run(
+            "verify", "--caps", "alphabet=1", "--seed", "3", "--instances", "2",
+            "--draws", "10", "--only", "mass-shift,cover-algebra",
+        )
+        assert res.exit_code == 0
+        assert "suite ok" in res.output
+
     def test_file_driven_corpus(self):
         res = run(
             "verify", "--file", GOLDEN, "--only",

@@ -36,7 +36,7 @@ from rdelab.entropy import topological_cover_entropy
 from rdelab.harness import gen_instance
 from rdelab.instances import load_instance
 
-from conftest import brute_min_cover
+from conftest import brute_min_cover, small_cover
 
 
 class TestExactMinCover:
@@ -205,6 +205,26 @@ def _bundles():
 
 
 BUNDLES = _bundles()
+
+
+@st.composite
+def demo_or_generated_covers(draw):
+    return draw(small_cover(draw(st.sampled_from(BUNDLES))))
+
+
+class TestSubcoverCountsMatchBruteForce:
+    @given(demo_or_generated_covers())
+    @settings(max_examples=100)
+    def test_per_fiber_and_global(self, cover):
+        bundle = cover.bundle
+        fibers = range(bundle.base.omega_count)
+        words = [admissible_tuples(bundle, om, cover.start, cover.length) for om in fibers]
+        for om in fibers:
+            sets = [elem[om] for elem in cover.sections]
+            assert min_subcover_count(cover, om) == brute_min_cover(words[om], sets)
+        universe = [(om, w) for om in fibers for w in words[om]]
+        sets = [{(om, w) for om in fibers for w in elem[om]} for elem in cover.sections]
+        assert global_min_subcover_count(cover) == brute_min_cover(universe, sets)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from rdelab import (
 )
 from rdelab.base import admissible_tuples
 from rdelab.covers import (
+    _EMPTY,
     CoverError,
     JoinSizeError,
     PositionedCover,
@@ -381,3 +382,115 @@ class TestJoinMatchesReferenceOnRandomCovers:
         u, v = pair
         assert_join_matches_reference(u, v)
         assert_join_matches_reference(v, u)
+
+
+# ---------------------------------------------------------------------------
+# product form: each defining set is the union of the element's fiber sections
+# ---------------------------------------------------------------------------
+
+
+def derived_covers(covers):
+    """The covers with their joins, pullbacks, range joins and enumerated
+    product partitions."""
+    out = list(covers)
+    for u, v in itertools.product(covers, repeat=2):
+        out.append(join(u, pullback(v, 1)))
+    for u in covers:
+        out += [pullback(u, 2), range_join(u, 1, 3)]
+        if u.product_form:
+            out += itertools.islice(product_partitions_finer(u), 3)
+    return out
+
+
+def defining_set_counts(cover):
+    """Assert the product-form invariant on ``cover``; returns the numbers of
+    defining sets seen and of empty ones."""
+    if not cover.product_form:
+        return 0, 0
+    assert len(cover.product_sections) == cover.element_count
+    empty = 0
+    for elem, defining in zip(cover.sections, cover.product_sections):
+        assert defining == frozenset().union(*elem)
+        if not defining:
+            assert defining is _EMPTY
+            empty += 1
+    return cover.element_count, empty
+
+
+class TestDefiningSets:
+    def test_unions_of_fiber_sections_on_generated_covers(self):
+        seen = empty = 0
+        for seed in range(12):
+            inst = gen_instance(seed)
+            for cover in derived_covers([inst.covers[n] for n in sorted(inst.covers)]):
+                a, b = defining_set_counts(cover)
+                seen, empty = seen + a, empty + b
+        assert seen > empty > 0
+
+    @pytest.mark.parametrize("name", ["gm", "full2", "id2"])
+    def test_unions_of_fiber_sections_on_conftest_bundles(self, name, request):
+        bundle = request.getfixturevalue(name)
+        covers = [zero_cylinders(bundle), overlap_cover(bundle), split_cover(bundle)]
+        for cover in derived_covers(covers):
+            defining_set_counts(cover)
+
+    def test_empty_element_of_a_product_cover_is_shared(self, gm):
+        cover = product_cover(gm, [[(0,), (1,)], [], [(1,)]])
+        assert cover.product_sections[1] is _EMPTY
+
+
+# ---------------------------------------------------------------------------
+# is_finer against the lifted-section containment test it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_is_finer(u, v):
+    """Every element of ``u``, its sections lifted to the window hull, sits
+    inside one element of ``v`` in every fiber."""
+    hs, he = min(u.start, v.start), max(u.stop, v.stop)
+    omega_count = u.bundle.base.omega_count
+
+    def lifted(cover, e, omega):
+        lo = cover.start - hs
+        hi = lo + cover.length
+        return frozenset(
+            w
+            for w in admissible_tuples(cover.bundle, omega, hs, he - hs)
+            if w[lo:hi] in cover.sections[e][omega]
+        )
+
+    return all(
+        any(
+            all(lifted(u, i, om) <= lifted(v, j, om) for om in range(omega_count))
+            for j in range(v.element_count)
+        )
+        for i in range(u.element_count)
+    )
+
+
+def finer_pairs(u, v):
+    """Ordered pairs of ``u``, ``v``, shifted pullbacks and joins, so that
+    windows differ and both outcomes are common."""
+    w = join(u, pullback(v, 1))
+    return [(u, v), (v, u), (w, u), (u, w), (pullback(u, 1), v), (w, pullback(v, 1))]
+
+
+class TestIsFinerMatchesReference:
+    def test_generated_covers(self):
+        outcomes = set()
+        for seed in range(12):
+            inst = gen_instance(seed)
+            covers = [inst.covers[n] for n in sorted(inst.covers)]
+            for u, v in itertools.product(covers, repeat=2):
+                for a, b in finer_pairs(u, v):
+                    got = is_finer(a, b)
+                    assert got == reference_is_finer(a, b)
+                    outcomes.add((got, a.window != b.window))
+        assert outcomes == {
+            (True, True), (True, False), (False, True), (False, False)
+        }
+
+    @given(cover_pairs())
+    def test_random_covers(self, pair):
+        for a, b in finer_pairs(*pair):
+            assert is_finer(a, b) == reference_is_finer(a, b)

@@ -876,6 +876,14 @@ def test_kernel_rejects_fibers_holding_more_than_one():
     assert _min_entropy_assignment(scaled, 5, (1 / 3, 1 / 3, 1 / 3)) > 0.0
 
 
+def test_kernel_rejects_a_nan_fiber_mass():
+    # a NaN mass made the fiber's sum NaN, which passed the "> 1" check, and
+    # the search then returned 0.0
+    words = [((math.nan,), (0, 1)), ((0.5,), (1, 2)), ((0.25,), (0,))]
+    with pytest.raises(ValueError, match="holds mass nan"):
+        _min_entropy_assignment(words, 3, (1.0,))
+
+
 class TestJoinCap:
     """The join-sequence cap stops the rate reports before any join is built."""
 

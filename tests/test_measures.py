@@ -11,6 +11,7 @@ from rdelab import (
     invariance_residual,
     markov_to_word,
     mix,
+    presets,
     pushforward,
     pushforward_markov,
     restrict,
@@ -379,6 +380,10 @@ class TestWordMeasures:
             WordMeasure(
                 bundle=gm, horizon=1, weights=({(0,): 0.9}, {(0,): 1.0})
             )
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(MeasureError, match="got nan"):
+            WordMeasure(presets.full_shift(2), 1, ({(0,): 0.5, (1,): math.nan},))
 
 
 class TestPushforward:
