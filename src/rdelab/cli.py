@@ -22,7 +22,6 @@ import click
 import numpy as np
 
 from .base import BundleError, validate
-from .covercomb import SolverLimits
 from .covers import CoverError, PositionedPartition, zero_cylinders
 from .entropy import (
     h_minus_report,
@@ -62,10 +61,6 @@ def _pick(mapping, name, kind):
         click.echo(f"unknown {kind} {name!r} (available: {known})", err=True)
         sys.exit(EXIT_NAME)
     return mapping[name]
-
-
-def _limits(universe_max, elems_max) -> SolverLimits:
-    return SolverLimits(universe_max=universe_max, elems_max=elems_max)
 
 
 def _guarded(fn):
@@ -112,18 +107,12 @@ def validate_cmd(file, json_path):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cover", "cover_name", required=True)
 @click.option("--nmax", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--cover-universe-max", type=int, default=4096, show_default=True)
-@click.option("--cover-elems-max", type=int, default=64, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def topent_cmd(file, cover_name, nmax, cover_universe_max, cover_elems_max, json_path):
+def topent_cmd(file, cover_name, nmax, json_path):
     """Step-averaged cover complexities and their certified upper bound."""
     inst = _load(file)
     cover = _pick(inst.covers, cover_name, "cover")
-    rep = _guarded(
-        lambda: topological_cover_entropy(
-            inst.bundle, cover, nmax, limits=_limits(cover_universe_max, cover_elems_max)
-        )
-    )
+    rep = _guarded(lambda: topological_cover_entropy(inst.bundle, cover, nmax))
     _print_report(rep)
     _write_json(json_path, {"cover": cover_name, "report": rep.to_dict()})
 
@@ -196,23 +185,13 @@ def measent_cmd(
 @click.option("--cover", "cover_name", required=True)
 @click.option("--n", "steps", type=click.IntRange(min=1), required=True)
 @click.option("--horizon-cap", type=int, default=24, show_default=True)
-@click.option("--cover-universe-max", type=int, default=4096, show_default=True)
-@click.option("--cover-elems-max", type=int, default=64, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def witness_cmd(
-    file, cover_name, steps, horizon_cap, cover_universe_max, cover_elems_max, json_path
-):
+def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
     """Separated-set witness measures and their counting certificates."""
     inst = _load(file)
     cover = _pick(inst.covers, cover_name, "cover")
     separated, nu, mu, rep = _guarded(
-        lambda: witness_measures(
-            inst.bundle,
-            cover,
-            steps,
-            horizon_cap=horizon_cap,
-            limits=_limits(cover_universe_max, cover_elems_max),
-        )
+        lambda: witness_measures(inst.bundle, cover, steps, horizon_cap=horizon_cap)
     )
     labels = inst.bundle.base.labels
     for omega, size in enumerate(rep.separated_sizes):
@@ -276,7 +255,13 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 
 
 @main.command("verify")
-@click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False))
+@click.option(
+    "--file",
+    "file_path",
+    type=click.Path(exists=True, dir_okay=False),
+    help="check this instance in place of generated ones (hplus-power-trend "
+    "and variational-gap always use the built-in alternating golden mean)",
+)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--draws", type=click.IntRange(min=1), default=200, show_default=True)

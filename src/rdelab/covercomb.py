@@ -12,7 +12,12 @@ The nonempty-cell counts of a partition's joins come from a subset
 construction over the cell labels of admissible words, without building the
 joins.
 
-Calls are independently parallelizable; every memo table is per-invocation.
+The branch-and-bound memo is per call.  Two tables outlive a call, both on
+objects the caller passes in: :func:`partition_join_counts` memoizes through
+:meth:`~rdelab.covers.PositionedPartition.cell_of` into the partition's
+``_mcache``, and :func:`_section_masks` enumerates words through
+:func:`~rdelab.base.admissible_tuples`, which memoizes them in the bundle's
+``_word_cache``.
 """
 
 from __future__ import annotations
@@ -185,11 +190,7 @@ def _section_masks(cover: PositionedCover, fibers: Sequence[int]) -> tuple[int, 
     return len(index), masks
 
 
-def min_subcover_count(
-    cover: PositionedCover,
-    omega: int,
-    limits: SolverLimits = SolverLimits(),
-) -> int:
+def min_subcover_count(cover: PositionedCover, omega: int) -> int:
     """Exact minimum number of cover elements whose sections cover the fiber.
 
     The universe is the admissible word set of fiber ``omega`` over the cover
@@ -198,20 +199,17 @@ def min_subcover_count(
     """
     if isinstance(cover, PositionedPartition):
         return sum(1 for elem in cover.sections if elem[omega])
-    return exact_min_cover(*_section_masks(cover, (omega,)), limits)
+    return exact_min_cover(*_section_masks(cover, (omega,)))
 
 
-def global_min_subcover_count(
-    cover: PositionedCover,
-    limits: SolverLimits = SolverLimits(),
-) -> int:
+def global_min_subcover_count(cover: PositionedCover) -> int:
     """Minimum number of cover elements covering every fiber simultaneously.
 
     The universe is the disjoint union of the per-fiber admissible word sets;
     one element contributes its section in each fiber.
     """
     fibers = range(cover.bundle.base.omega_count)
-    return exact_min_cover(*_section_masks(cover, fibers), limits)
+    return exact_min_cover(*_section_masks(cover, fibers))
 
 
 def _successors(p: PositionedPartition, omega: int, k: int) -> dict:
@@ -236,9 +234,7 @@ def _successors(p: PositionedPartition, omega: int, k: int) -> dict:
     return out
 
 
-def partition_join_counts(
-    p: PositionedPartition, omega: int, steps: int, *, element_cap: int = 10**6
-) -> list[int]:
+def partition_join_counts(p: PositionedPartition, omega: int, steps: int) -> list[int]:
     """Nonempty-cell counts of the ``1..steps``-step joins of ``p`` in fiber
     ``omega``, without building the joins.
 
@@ -256,7 +252,7 @@ def partition_join_counts(
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
-    check_join_size(p, steps, element_cap)
+    check_join_size(p, steps)
     first: dict[int, set] = {}
     for w, c in p.cell_of(omega).items():
         first.setdefault(c, set()).add(w)
@@ -280,13 +276,7 @@ def partition_join_counts(
 
 
 def cover_count(
-    bundle: SymbolicBundle,
-    omega: int,
-    cover: PositionedCover,
-    n: int,
-    *,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
+    bundle: SymbolicBundle, omega: int, cover: PositionedCover, n: int
 ) -> int:
     """Minimal subcover cardinality of the ``n``-step joined pullbacks of the
     cover over fiber ``omega``.
@@ -299,9 +289,9 @@ def cover_count(
     if n < 1:
         raise ValueError("need n >= 1")
     if isinstance(cover, PositionedPartition):
-        return partition_join_counts(cover, omega, n, element_cap=element_cap)[-1]
-    joined = range_join(cover, 0, n - 1, element_cap=element_cap)
-    return min_subcover_count(joined, omega, limits)
+        return partition_join_counts(cover, omega, n)[-1]
+    joined = range_join(cover, 0, n - 1)
+    return min_subcover_count(joined, omega)
 
 
 def maximal_multi_separated(
@@ -310,9 +300,6 @@ def maximal_multi_separated(
     partitions: Sequence[PositionedPartition],
     cover: PositionedCover,
     n: int,
-    *,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
 ) -> tuple[tuple[int, ...], ...]:
     """Greedy-maximal word set meeting each joined-partition atom at most once.
 
@@ -331,8 +318,8 @@ def maximal_multi_separated(
             raise SeparationError(f"entry {l} is not a partition")
         if not is_finer(part, cover):
             raise SeparationError(f"partition {l} is not finer than the cover")
-    joined_parts = [range_join(p, 0, n - 1, element_cap=element_cap) for p in partitions]
-    joined_cover = range_join(cover, 0, n - 1, element_cap=element_cap)
+    joined_parts = [range_join(p, 0, n - 1) for p in partitions]
+    joined_cover = range_join(cover, 0, n - 1)
     hs = min(j.start for j in joined_parts + [joined_cover])
     he = max(j.stop for j in joined_parts + [joined_cover])
     universe = admissible_tuples(bundle, omega, hs, he - hs)
@@ -346,7 +333,7 @@ def maximal_multi_separated(
         chosen.append(w)
         for l, a in enumerate(atoms):
             used[l].add(a)
-    n_count = min_subcover_count(joined_cover, omega, limits)
+    n_count = min_subcover_count(joined_cover, omega)
     bound = n_count // len(partitions)
     if len(chosen) < bound:
         raise AssertionError(

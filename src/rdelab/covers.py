@@ -14,9 +14,9 @@ its fiber sections, and that union is the one place defining sets come from
 the fibers, which keeps the union).
 
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
-incremental loop, :func:`join_sequence`, which checks its element cap
-(:func:`check_join_size`) before building anything.  The nonempty-cell counts
-of a partition's joins need no join at all:
+incremental loop, :func:`join_sequence`, which checks the element cap
+:data:`ELEMENT_CAP` (:func:`check_join_size`) before building anything.  The
+nonempty-cell counts of a partition's joins need no join at all:
 :func:`rdelab.covercomb.partition_join_counts` counts them from the cell
 labels of admissible words, under the same cap check.
 
@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .base import SymbolicBundle, admissible_tuples
 
 __all__ = [
+    "ELEMENT_CAP",
     "CoverError",
     "JoinSizeError",
     "PositionedCover",
@@ -57,13 +58,17 @@ __all__ = [
 
 WordTuple = tuple[int, ...]
 
+#: Most index tuples an n-step join may hold; :func:`check_join_size` reads it
+#: at call time.
+ELEMENT_CAP = 10**6
+
 
 class CoverError(ValueError):
     """A cover or partition violates covering/disjointness invariants."""
 
 
 class JoinSizeError(RuntimeError):
-    """An iterated join would exceed the configured element cap."""
+    """An iterated join would exceed :data:`ELEMENT_CAP`."""
 
 
 def _normalize_word(w) -> WordTuple:
@@ -463,26 +468,24 @@ def pullback(u: PositionedCover, i: int) -> PositionedCover:
     )
 
 
-def check_join_size(u: PositionedCover, steps: int, element_cap: int) -> None:
+def check_join_size(u: PositionedCover, steps: int) -> None:
     """Raise :class:`JoinSizeError` when the ``steps``-step join of ``u`` would
-    hold more than ``element_cap`` index tuples."""
-    if u.element_count**steps > element_cap:
+    hold more than :data:`ELEMENT_CAP` index tuples."""
+    if u.element_count**steps > ELEMENT_CAP:
         raise JoinSizeError(
             f"join would create {u.element_count}^{steps} elements "
-            f"(cap {element_cap})"
+            f"(cap {ELEMENT_CAP})"
         )
 
 
-def join_sequence(
-    u: PositionedCover, steps: int, *, element_cap: int = 10**6
-) -> Iterator[PositionedCover]:
+def join_sequence(u: PositionedCover, steps: int) -> Iterator[PositionedCover]:
     """Joins of the pullbacks of ``u`` through steps ``0..k-1`` for
     ``k = 1..steps``, each the one before joined with one more pullback.
 
     The cap guards the last join's ``len(u) ** steps`` index tuples (kept even
     when empty), so :class:`JoinSizeError` comes before any join is built.
     """
-    check_join_size(u, steps, element_cap)
+    check_join_size(u, steps)
     out = u
     for k in range(steps):
         if k:
@@ -490,9 +493,7 @@ def join_sequence(
         yield out
 
 
-def range_join(
-    u: PositionedCover, m: int, n: int, *, element_cap: int = 10**6
-) -> PositionedCover:
+def range_join(u: PositionedCover, m: int, n: int) -> PositionedCover:
     """Join of the pullbacks of ``u`` through steps ``m..n`` inclusive.
 
     The last join of :func:`join_sequence` over ``n - m + 1`` steps, pulled
@@ -500,7 +501,7 @@ def range_join(
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    for out in join_sequence(u, n - m + 1, element_cap=element_cap):
+    for out in join_sequence(u, n - m + 1):
         pass
     return pullback(out, m)
 
@@ -509,10 +510,11 @@ def range_join(
 class PartitionEnumeration:
     """Deterministic stream of product partitions refining a product cover.
 
-    ``count`` is the exact number of partitions; when it exceeds the cap the
-    stream is flagged lazy and should be consumed incrementally.  Iteration
-    order is lexicographic in the assignment vectors, so it is reproducible
-    across runs and platforms.
+    ``count`` is the exact number of partitions and ``lazy`` records only
+    that it exceeds the ``enum_cap`` of :func:`product_partitions_finer`;
+    callers that cap the family test it.  Iteration is always incremental,
+    one partition at a time, in lexicographic order of the assignment
+    vectors, so it is reproducible across runs and platforms.
     """
 
     cover: PositionedCover

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .base import (
     plain_sum,
     transfer_count,
 )
-from .covercomb import SolverLimits, min_subcover_count, partition_join_counts
+from .covercomb import min_subcover_count, partition_join_counts
 from .covers import (
     CoverError,
     PositionedCover,
@@ -221,11 +222,7 @@ def _report(sequence: list[tuple[int, float]], exact_rate, tags) -> EntropyRepor
 
 
 def _log_counts(
-    bundle: SymbolicBundle,
-    cover: PositionedCover,
-    nmax: int,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
+    bundle: SymbolicBundle, cover: PositionedCover, nmax: int
 ) -> list[float]:
     """P-averages of the log minimal subcover counts of the 1..nmax-step joins.
 
@@ -236,16 +233,11 @@ def _log_counts(
     weights = bundle.base.weights
     fibers = range(bundle.base.omega_count)
     if isinstance(cover, PositionedPartition):
-        per_step = zip(
-            *(
-                partition_join_counts(cover, omega, nmax, element_cap=element_cap)
-                for omega in fibers
-            )
-        )
+        per_step = zip(*(partition_join_counts(cover, omega, nmax) for omega in fibers))
     else:
         per_step = [
-            [min_subcover_count(joined, omega, limits) for omega in fibers]
-            for joined in join_sequence(cover, nmax, element_cap=element_cap)
+            [min_subcover_count(joined, omega) for omega in fibers]
+            for joined in join_sequence(cover, nmax)
         ]
     return [
         plain_sum(weights[omega] * math.log(row[omega]) for omega in fibers)
@@ -253,18 +245,11 @@ def _log_counts(
     ]
 
 
-def cover_complexity(
-    bundle: SymbolicBundle,
-    cover: PositionedCover,
-    n: int,
-    *,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
-) -> float:
+def cover_complexity(bundle: SymbolicBundle, cover: PositionedCover, n: int) -> float:
     """P-average of the log minimal subcover count of the n-step join."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _log_counts(bundle, cover, n, limits, element_cap)[-1]
+    return _log_counts(bundle, cover, n)[-1]
 
 
 def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
@@ -276,12 +261,7 @@ def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
 
 
 def topological_cover_entropy(
-    bundle: SymbolicBundle,
-    cover: PositionedCover,
-    nmax: int,
-    *,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
+    bundle: SymbolicBundle, cover: PositionedCover, nmax: int
 ) -> EntropyReport:
     """Step-averaged cover complexities with their Fekete upper bound.
 
@@ -291,7 +271,7 @@ def topological_cover_entropy(
     """
     if nmax < 1:
         raise ValueError("need nmax >= 1")
-    logs = _log_counts(bundle, cover, nmax, limits, element_cap)
+    logs = _log_counts(bundle, cover, nmax)
     seq = [(n, v / n) for n, v in enumerate(logs, 1)]
     exact = None
     tags = ["fekete"]
@@ -306,9 +286,15 @@ def topological_cover_entropy(
 # ---------------------------------------------------------------------------
 
 
+def _direction(mass: Sequence[float]) -> tuple[Fraction, ...]:
+    """A mass vector divided by its first nonzero entry, in exact rationals:
+    two vectors have the same direction exactly when they are proportional."""
+    lead = Fraction(next((x for x in mass if x), 1.0))
+    return tuple(Fraction(x) / lead for x in mass)
+
+
 def _min_entropy_assignment(
     words: Sequence[tuple[tuple[float, ...], tuple[int, ...]]],
-    element_count: int,
     pvec: Sequence[float],
     *,
     node_cap: int = 10**6,
@@ -321,7 +307,8 @@ def _min_entropy_assignment(
     at most one (the concentration bound below is no lower bound once a cell
     can hold more than one, so a larger total raises ``ValueError``).
     ``pvec`` holds the fiber weights.  Exact: forced words accumulate
-    first, the rest decompose into components that share no reachable cell,
+    first, words with the same candidates and proportional mass vectors
+    merge, the rest decompose into components that share no reachable cell,
     and each component is searched with a concentration lower bound.
 
     All arithmetic is on plain Python floats.  Every sum is added term by
@@ -393,7 +380,7 @@ def _min_entropy_assignment(
             return float(parr @ np.array(vec))
 
     base: dict[int, list[float]] = {}
-    grouped: dict[tuple[int, ...], list[float]] = {}
+    grouped: dict[tuple, tuple[list[float], tuple[int, ...]]] = {}
     for mass, cands in words:
         if len(cands) == 1:
             e = cands[0]
@@ -401,11 +388,17 @@ def _min_entropy_assignment(
         elif len(cands) == 0:
             raise CoverError("a positive-mass word has no containing element")
         else:
-            # words with identical candidate sets move together at some
-            # optimum (concavity: a split assignment is an interior point of
-            # the merged group's simplex), so merging them is exact
-            grouped[cands] = vadd(grouped[cands], mass) if cands in grouped else list(mass)
-    free = [(mass, cands) for cands, mass in grouped.items()]
+            # words with identical candidate sets and proportional mass
+            # vectors move together at some optimum (concavity along their
+            # common direction: a split assignment lies between the two
+            # merged ones), so merging them is exact; words whose vectors
+            # point different ways may be apart at every optimum
+            key = cands if dim == 1 else (cands, _direction(mass))
+            if key in grouped:
+                grouped[key] = (vadd(grouped[key][0], mass), cands)
+            else:
+                grouped[key] = (list(mass), cands)
+    free = list(grouped.values())
 
     if not free:
         return plain_sum(map(g, base.values()))
@@ -686,7 +679,6 @@ def cover_conditional_entropy(
     *,
     hull: tuple[int, int] | None = None,
     enum_cap: int = 10**5,
-    node_cap: int = 10**6,
 ) -> float:
     """Infimum of the conditional partition entropy over refinements of the cover.
 
@@ -758,9 +750,7 @@ def cover_conditional_entropy(
         problems = [(1.0, words, weights)]
     total = 0.0
     for weight, words, pvec in problems:
-        total += weight * _min_entropy_assignment(
-            words, cover.element_count, pvec, node_cap=node_cap
-        )
+        total += weight * _min_entropy_assignment(words, pvec)
     return total
 
 
@@ -780,8 +770,6 @@ def h_minus_report(
     mode: str = "general",
     *,
     enum_cap: int = 10**5,
-    node_cap: int = 10**6,
-    element_cap: int = 10**6,
 ) -> EntropyReport:
     """Step-averaged conditional cover entropies along the joined pullbacks.
 
@@ -793,10 +781,8 @@ def h_minus_report(
         raise ValueError("need nmax >= 1")
     nu = markov_to_word(mu, cover.stop + nmax - 1)
     seq = []
-    for n, joined in enumerate(join_sequence(cover, nmax, element_cap=element_cap), 1):
-        h = cover_conditional_entropy(
-            nu, joined, mode, enum_cap=enum_cap, node_cap=node_cap
-        )
+    for n, joined in enumerate(join_sequence(cover, nmax), 1):
+        h = cover_conditional_entropy(nu, joined, mode, enum_cap=enum_cap)
         seq.append((n, h / n))
     exact = None
     tags = [f"mode:{mode}"]
@@ -840,24 +826,12 @@ def _chain_rule_rate(mu: MarkovMeasure) -> float:
 
 
 def partition_entropy_report(
-    mu,
-    partition: PositionedPartition,
-    nmax: int,
-    *,
-    node_cap: int = 10**6,
-    element_cap: int = 10**6,
+    mu, partition: PositionedPartition, nmax: int
 ) -> EntropyReport:
     """Finite-step entropy rate of a partition under an invariant measure."""
     if not isinstance(partition, PositionedPartition):
         raise TypeError("need a partition")
-    return h_minus_report(
-        mu,
-        partition,
-        nmax,
-        "general",
-        node_cap=node_cap,
-        element_cap=element_cap,
-    )
+    return h_minus_report(mu, partition, nmax, "general")
 
 
 @dataclass(frozen=True)
@@ -877,13 +851,7 @@ class HPlusResult:
 
 
 def h_plus_value(
-    mu,
-    cover: PositionedCover,
-    nmax: int,
-    *,
-    enum_cap: int = 10**5,
-    node_cap: int = 10**6,
-    element_cap: int = 10**6,
+    mu, cover: PositionedCover, nmax: int, *, enum_cap: int = 10**5
 ) -> HPlusResult:
     """Minimize the certified partition rate over product refinements.
 
@@ -901,9 +869,7 @@ def h_plus_value(
     best_part = None
     values = []
     for part in enum:
-        rep = partition_entropy_report(
-            mu, part, nmax, node_cap=node_cap, element_cap=element_cap
-        )
+        rep = partition_entropy_report(mu, part, nmax)
         values.append(rep.certified_upper)
         if rep.certified_upper < best:
             best = rep.certified_upper
@@ -950,15 +916,7 @@ class PowerSystem:
         mats = [self.junctions[point] for point in points[:-1]]
         return transfer_count(mats, len(self.block_vocab[points[-1]]))
 
-    def h_value_sequence(
-        self,
-        mu,
-        kmax: int,
-        mode: str = "general",
-        *,
-        node_cap: int = 10**6,
-        element_cap: int = 10**6,
-    ) -> EntropyReport:
+    def h_value_sequence(self, mu, kmax: int, mode: str = "general") -> EntropyReport:
         """Conditional cover entropies of the power system, per block step.
 
         Computed at block granularity: the universe at level k is the
@@ -969,13 +927,12 @@ class PowerSystem:
         ``1/(kM)`` matches the base sequence at ``n = kM`` exactly.
 
         The product refinement family of product mode is enumerated without
-        a cap, unlike :func:`h_minus_report`'s ``enum_cap``; only
-        ``node_cap`` (the assignment search) and ``element_cap`` (the joins)
-        bound the work.
+        a cap, unlike :func:`h_minus_report`'s ``enum_cap``; only the guards
+        of the assignment search and of the joins bound the work.
         """
         mu = _require_invariant(mu)
         joins = itertools.islice(
-            join_sequence(self.cover, kmax * self.steps, element_cap=element_cap),
+            join_sequence(self.cover, kmax * self.steps),
             self.steps - 1,
             None,
             self.steps,
@@ -991,18 +948,17 @@ class PowerSystem:
                 # the block sequence never capped the product refinement
                 # family; only the assignment search's node cap applies
                 enum_cap=math.inf,
-                node_cap=node_cap,
             )
             seq.append((k, h / k))
         return _report(seq, None, [f"mode:{mode}", f"block:{self.steps}"])
 
 
+# most M-blocks (alphabet size ** M) a power presentation may enumerate
+_BLOCK_CAP = 4096
+
+
 def block_power_system(
-    bundle: SymbolicBundle,
-    cover: PositionedCover,
-    steps: int,
-    *,
-    block_cap: int = 4096,
+    bundle: SymbolicBundle, cover: PositionedCover, steps: int
 ) -> PowerSystem:
     """Re-block the bundle into its M-step power presentation.
 
@@ -1013,7 +969,7 @@ def block_power_system(
         raise ValueError("need steps >= 1")
     if cover.start != 0:
         raise CoverError("power presentation expects a cover anchored at 0")
-    if bundle.alphabet_size**steps > block_cap:
+    if bundle.alphabet_size**steps > _BLOCK_CAP:
         raise EnumerationGuardError(
             f"block alphabet would have up to {bundle.alphabet_size}**{steps} symbols"
         )

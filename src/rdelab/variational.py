@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import SymbolicBundle, admissible_tuples
-from .covercomb import SolverLimits, cover_count, maximal_multi_separated
+from .covercomb import cover_count, maximal_multi_separated
 from .covers import (
     CoverError,
     PositionedCover,
@@ -37,6 +37,7 @@ from .covers import (
     pullback,
 )
 from .entropy import (
+    VALUE_TOL,
     cover_conditional_entropy,
     partition_conditional_entropy,
     topological_cover_entropy,
@@ -152,15 +153,7 @@ def _log_floor(value: int) -> tuple[float, bool]:
 
 
 def witness_measures(
-    bundle: SymbolicBundle,
-    cover: PositionedCover,
-    n: int,
-    *,
-    tol: float = 1e-9,
-    horizon_cap: int = 24,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
-    enum_cap: int = 10**5,
+    bundle: SymbolicBundle, cover: PositionedCover, n: int, *, horizon_cap: int = 24
 ) -> tuple[dict[int, tuple], WordMeasure, WordMeasure, WitnessReport]:
     """Separated-set empirical measures and their finite-horizon certificates.
 
@@ -182,7 +175,7 @@ def witness_measures(
         raise HorizonGuardError(
             f"witness horizon {horizon} exceeds the cap {horizon_cap}"
         )
-    enum = product_partitions_finer(cover, enum_cap=enum_cap)
+    enum = product_partitions_finer(cover)
     refinements = list(itertools.islice(iter(enum), min(n, enum.count)))
     if not refinements:
         raise CoverError("no product refinements available")
@@ -198,22 +191,10 @@ def witness_measures(
     full_counts: list[int] = []
     for omega in range(base.omega_count):
         separated[omega] = maximal_multi_separated(
-            bundle,
-            omega,
-            pulled_refs,
-            pulled_cover,
-            n * n,
-            limits=limits,
-            element_cap=element_cap,
+            bundle, omega, pulled_refs, pulled_cover, n * n
         )
-        pulled_counts.append(
-            cover_count(
-                bundle, omega, pulled_cover, n * n, limits=limits, element_cap=element_cap
-            )
-        )
-        full_counts.append(
-            cover_count(bundle, omega, cover, span, limits=limits, element_cap=element_cap)
-        )
+        pulled_counts.append(cover_count(bundle, omega, pulled_cover, n * n))
+        full_counts.append(cover_count(bundle, omega, cover, span))
 
     # empirical measure: uniform over separated words, split uniformly over
     # each word's admissible completions to the full horizon window
@@ -238,10 +219,7 @@ def witness_measures(
 
     separation_checks: list[SeparationCheck] = []
     # per refinement, its joins over 1..span steps
-    join_seqs = [
-        list(join_sequence(refinement, span, element_cap=element_cap))
-        for refinement in refinements
-    ]
+    join_seqs = [list(join_sequence(refinement, span)) for refinement in refinements]
     for shift in range(n + 1):
         for l, joins in enumerate(join_seqs):
             # the shifted range join is exactly the pullback of the base join
@@ -256,7 +234,9 @@ def witness_measures(
                 rhs1, vac1 = _log_floor(pulled_counts[omega] // n)
                 rhs2, vac2 = _log_floor(full_counts[omega] // (n * d**n))
                 vac = vac1 and vac2
-                ok = (vac1 or lhs >= rhs1 - tol) and (vac2 or lhs >= rhs2 - tol)
+                ok = (vac1 or lhs >= rhs1 - VALUE_TOL) and (
+                    vac2 or lhs >= rhs2 - VALUE_TOL
+                )
                 separation_checks.append(
                     SeparationCheck(
                         omega=omega,
@@ -289,7 +269,7 @@ def witness_measures(
         for m in range(1, n + 1):
             lhs = partition_conditional_entropy(mu, joins[m - 1])
             rhs = (m / span) * (logdet - m * math.log(d))
-            ok = vac_int or lhs >= rhs - tol
+            ok = vac_int or lhs >= rhs - VALUE_TOL
             averaged_checks.append(
                 AveragedCheck(
                     refinement=l, block=m, lhs=lhs, rhs=rhs, vacuous=vac_int, ok=ok
@@ -366,8 +346,6 @@ def maximize_invariant_entropy(
     nmax: int = 4,
     mode: str = "general",
     reference_nmax: int = 8,
-    limits: SolverLimits = SolverLimits(),
-    element_cap: int = 10**6,
 ) -> MaximizeResult:
     """Search the invariant Markov family for a high entropy rate on the target.
 
@@ -391,7 +369,7 @@ def maximize_invariant_entropy(
     chain_rule = isinstance(target, PositionedPartition) and _pins_coordinate(target)
     joined_targets = None
     if not chain_rule:
-        joined_targets = list(join_sequence(target, nmax, element_cap=element_cap))
+        joined_targets = list(join_sequence(target, nmax))
 
     def fiber_matrix(qrows: list[list[float]], w: int) -> np.ndarray:
         m = np.zeros((d, d))
@@ -468,9 +446,7 @@ def maximize_invariant_entropy(
         if evaluations >= budget:
             break
 
-    ref_report = topological_cover_entropy(
-        bundle, target, reference_nmax, limits=limits, element_cap=element_cap
-    )
+    ref_report = topological_cover_entropy(bundle, target, reference_nmax)
     reference = (
         ref_report.exact_rate
         if ref_report.exact_rate is not None

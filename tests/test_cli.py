@@ -43,6 +43,14 @@ class TestTopent:
         assert res.exit_code == 2
         assert "unknown cover" in res.output
 
+    def test_default_join_cap(self):
+        # covers.ELEMENT_CAP is 10**6: 2^19 index tuples pass, 2^20 trip it
+        res = run("topent", GOLDEN, "--cover", "zero_cyl", "--nmax", "20")
+        assert res.exit_code == 4
+        assert "join would create 2^20 elements (cap 1000000)" in res.output
+        res = run("topent", GOLDEN, "--cover", "zero_cyl", "--nmax", "19")
+        assert res.exit_code == 0
+
 
 class TestMeasent:
     def test_partition_report(self):

@@ -300,8 +300,9 @@ class TestPartitionJoinCounts:
         import rdelab.covers as covers
 
         u = zero_cylinders(gm)
+        monkeypatch.setattr(covers, "ELEMENT_CAP", 100)
         with pytest.raises(JoinSizeError) as want:
-            next(join_sequence(u, 10, element_cap=100))
+            next(join_sequence(u, 10))
 
         def fail(*args, **kwargs):
             raise AssertionError("work done before the size check")
@@ -309,9 +310,9 @@ class TestPartitionJoinCounts:
         monkeypatch.setattr(covers, "join", fail)
         monkeypatch.setattr(PositionedPartition, "cell_of", fail)
         calls = [
-            lambda: partition_join_counts(u, 0, 10, element_cap=100),
-            lambda: cover_count(gm, 0, u, 10, element_cap=100),
-            lambda: topological_cover_entropy(gm, u, 10, element_cap=100),
+            lambda: partition_join_counts(u, 0, 10),
+            lambda: cover_count(gm, 0, u, 10),
+            lambda: topological_cover_entropy(gm, u, 10),
         ]
         for call in calls:
             with pytest.raises(JoinSizeError) as got:

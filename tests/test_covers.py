@@ -138,9 +138,10 @@ class TestRangeJoin:
         assert sum(1 for e in j.sections if e[0]) == 4
         assert sum(1 for e in j.sections if e[1]) == 3
 
-    def test_element_cap_guard(self, gm):
+    def test_element_cap_guard(self, gm, monkeypatch):
+        monkeypatch.setattr("rdelab.covers.ELEMENT_CAP", 100)
         with pytest.raises(JoinSizeError):
-            range_join(zero_cylinders(gm), 0, 9, element_cap=100)
+            range_join(zero_cylinders(gm), 0, 9)
 
     @pytest.mark.parametrize("partition", [True, False])
     def test_shifted_range_is_the_join_of_shifted_pullbacks(self, gm, partition):
@@ -161,8 +162,9 @@ class TestRangeJoin:
             expect = range_join(u, 0, k - 1)
             assert joined.window == expect.window and joined.sections == expect.sections
 
-    def test_join_sequence_cap_raises_before_any_join(self, gm):
-        joins = join_sequence(zero_cylinders(gm), 4, element_cap=15)
+    def test_join_sequence_cap_raises_before_any_join(self, gm, monkeypatch):
+        monkeypatch.setattr("rdelab.covers.ELEMENT_CAP", 15)
+        joins = join_sequence(zero_cylinders(gm), 4)
         with pytest.raises(JoinSizeError):
             next(joins)
 

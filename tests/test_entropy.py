@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -430,17 +431,16 @@ class TestPowerSystem:
 # ---------------------------------------------------------------------------
 
 
-def reference_min_entropy_assignment(
-    words, element_count, pvec, *, node_cap=10**6, visited=None
-):
+def reference_min_entropy_assignment(words, pvec, *, node_cap=10**6, visited=None):
     """The numpy assignment search that the plain-float kernel replaced.
 
     Mass vectors and per-cell masses are numpy arrays, and the lower bound
-    is built from scratch at every node.  Two changes from the replaced
+    is built from scratch at every node.  Three changes from the replaced
     code: sums of Python floats are written as left-to-right loops (what
-    builtin ``sum`` does for them before Python 3.12), and a tripped node
-    cap also reports the node count.  A finished search appends its node
-    count to ``visited`` when one is given.
+    builtin ``sum`` does for them before Python 3.12), a tripped node cap
+    also reports the node count, and on several fibers words with the same
+    candidates merge only when their mass vectors are proportional.  A
+    finished search appends its node count to ``visited`` when one is given.
     """
     words = [(np.array(m, dtype=float), tuple(c)) for m, c in words]
     pvec = np.array(pvec, dtype=float)
@@ -474,11 +474,15 @@ def reference_min_entropy_assignment(
         elif len(cands) == 0:
             raise CoverError("a positive-mass word has no containing element")
         else:
-            if cands in grouped:
-                grouped[cands] = grouped[cands] + mass
+            key = cands
+            if dim > 1:
+                lead = Fraction(float(next((x for x in mass if x), 1.0)))
+                key = (cands, tuple(Fraction(float(x)) / lead for x in mass))
+            if key in grouped:
+                grouped[key] = (grouped[key][0] + mass, cands)
             else:
-                grouped[cands] = mass.copy()
-    free = [(mass, cands) for cands, mass in grouped.items()]
+                grouped[key] = (mass.copy(), cands)
+    free = list(grouped.values())
 
     def xlnx(x):
         return x * math.log(x) if x > 0.0 else 0.0
@@ -735,9 +739,9 @@ class TestMinEntropyAssignment:
         )
     )
     def test_same_bits_as_the_reference(self, inputs):
-        words, element_count, pvec = inputs
-        got = _min_entropy_assignment(words, element_count, pvec)
-        expect = reference_min_entropy_assignment(words, element_count, pvec)
+        words, _, pvec = inputs
+        got = _min_entropy_assignment(words, pvec)
+        expect = reference_min_entropy_assignment(words, pvec)
         assert got.hex() == float(expect).hex()
 
     @given(assignment_inputs())
@@ -749,17 +753,15 @@ class TestMinEntropyAssignment:
         # the kernel's incremental bound prunes where the reference's
         # from-scratch bound does: a cap at the reference's node count is
         # enough, one less trips the guard at exactly that count
-        words, element_count, pvec = inputs
+        words, _, pvec = inputs
         visited = []
-        expect = reference_min_entropy_assignment(
-            words, element_count, pvec, visited=visited
-        )
+        expect = reference_min_entropy_assignment(words, pvec, visited=visited)
         (nodes,) = visited
-        got = _min_entropy_assignment(words, element_count, pvec, node_cap=nodes)
+        got = _min_entropy_assignment(words, pvec, node_cap=nodes)
         assert got.hex() == float(expect).hex()
         if nodes:
             with pytest.raises(EnumerationGuardError) as tripped:
-                _min_entropy_assignment(words, element_count, pvec, node_cap=nodes - 1)
+                _min_entropy_assignment(words, pvec, node_cap=nodes - 1)
             assert tripped.value.nodes == nodes
 
     @given(assignment_inputs())
@@ -768,17 +770,45 @@ class TestMinEntropyAssignment:
     def test_result_does_not_depend_on_how_sum_adds(self, inputs):
         # from Python 3.12 builtin sum compensates float rounding; the kernel
         # adds left to right itself, so a compensated sum changes nothing
-        words, element_count, pvec = inputs
-        expect = reference_min_entropy_assignment(words, element_count, pvec)
+        words, _, pvec = inputs
+        expect = reference_min_entropy_assignment(words, pvec)
         with mock.patch.object(entropy_module, "sum", math.fsum, create=True):
-            got = _min_entropy_assignment(words, element_count, pvec)
+            got = _min_entropy_assignment(words, pvec)
         assert got.hex() == float(expect).hex()
 
     @given(assignment_inputs())
     @settings(max_examples=60)
+    # two words with the same candidates, one in each fiber: merged, they
+    # had to share a cell, and the minimum 0 needs them apart
+    @example(
+        (
+            [
+                ((0.01, 0.0), (0, 1, 2)),
+                ((0.0, 0.01), (0,)),
+                ((0.0, 0.125), (0,)),
+                ((0.01, 0.0), (1,)),
+                ((0.0, 0.01), (0, 1, 2)),
+            ],
+            3,
+            (0.5, 0.5),
+        )
+    )
+    # proportional mass vectors with the same candidates still merge
+    @example(
+        (
+            [
+                ((0.1, 0.2), (0, 1)),
+                ((0.2, 0.4), (0, 1)),
+                ((0.3, 0.1), (0,)),
+                ((0.4, 0.3), (1,)),
+            ],
+            2,
+            (0.5, 0.5),
+        )
+    )
     def test_minimum_over_all_assignments(self, inputs):
         # the kernel expects each fiber's masses to add up to one
-        words, element_count, pvec = inputs
+        words, _, pvec = inputs
         totals = [sum(mass[f] for mass, _ in words) for f in range(len(pvec))]
         assume(all(totals))
         words = [
@@ -797,36 +827,34 @@ class TestMinEntropyAssignment:
                 if x > 0.0
             )
             best = min(best, h)
-        got = _min_entropy_assignment(words, element_count, pvec)
+        got = _min_entropy_assignment(words, pvec)
         assert got == pytest.approx(best, abs=1e-12)
 
     def test_matches_brute_force(self):
-        words, element_count, pvec = fifteen_bit_instance()
+        words, _, pvec = fifteen_bit_instance()
         masses = {i: m[0] for i, (m, _) in enumerate(words)}
         cands = {i: c for i, (_, c) in enumerate(words)}
-        got = _min_entropy_assignment(words, element_count, pvec)
+        got = _min_entropy_assignment(words, pvec)
         assert got == pytest.approx(brute_assignment_minimum(masses, cands), abs=1e-12)
 
     def test_node_count_is_pinned(self):
         # a weaker bound or another visit order changes this count
-        words, element_count, pvec = fifteen_bit_instance()
+        words, _, pvec = fifteen_bit_instance()
         nodes = FIFTEEN_BIT_NODES
-        got = _min_entropy_assignment(words, element_count, pvec, node_cap=nodes)
-        expect = reference_min_entropy_assignment(
-            words, element_count, pvec, node_cap=nodes
-        )
+        got = _min_entropy_assignment(words, pvec, node_cap=nodes)
+        expect = reference_min_entropy_assignment(words, pvec, node_cap=nodes)
         assert got.hex() == float(expect).hex()
         with pytest.raises(EnumerationGuardError) as tripped:
-            _min_entropy_assignment(words, element_count, pvec, node_cap=nodes - 1)
+            _min_entropy_assignment(words, pvec, node_cap=nodes - 1)
         assert tripped.value.nodes == nodes
 
     @pytest.mark.parametrize("cap", [1, 40, 200])
     def test_tripped_guard_reports_how_far_it_got(self, cap):
-        words, element_count, pvec = fifteen_bit_instance()
+        words, _, pvec = fifteen_bit_instance()
         with pytest.raises(EnumerationGuardError) as ref:
-            reference_min_entropy_assignment(words, element_count, pvec, node_cap=cap)
+            reference_min_entropy_assignment(words, pvec, node_cap=cap)
         with pytest.raises(EnumerationGuardError) as got:
-            _min_entropy_assignment(words, element_count, pvec, node_cap=cap)
+            _min_entropy_assignment(words, pvec, node_cap=cap)
         assert got.value.nodes == ref.value.nodes == cap + 1
         assert got.value.partial_minimum.hex() == float(ref.value.partial_minimum).hex()
         assert f"{cap + 1} nodes" in str(got.value)
@@ -837,11 +865,9 @@ class TestMinEntropyAssignment:
         kernel = _min_entropy_assignment
         seen = []
 
-        def both(words, element_count, pvec, *, node_cap):
-            got = kernel(words, element_count, pvec, node_cap=node_cap)
-            expect = reference_min_entropy_assignment(
-                words, element_count, pvec, node_cap=node_cap
-            )
+        def both(words, pvec):
+            got = kernel(words, pvec)
+            expect = reference_min_entropy_assignment(words, pvec)
             assert got.hex() == float(expect).hex()
             free = sum(1 for _, cands in words if len(cands) > 1)
             seen.append((len(pvec), free > 1))
@@ -871,9 +897,9 @@ def test_kernel_rejects_fibers_holding_more_than_one():
         for i, mass in enumerate(itertools.permutations((0.25, 1 / 3, 0.2)))
     ]
     with pytest.raises(ValueError, match="holds mass"):
-        _min_entropy_assignment(words, 5, (1 / 3, 1 / 3, 1 / 3))
+        _min_entropy_assignment(words, (1 / 3, 1 / 3, 1 / 3))
     scaled = [(tuple(x * 30 / 47 for x in mass), cands) for mass, cands in words]
-    assert _min_entropy_assignment(scaled, 5, (1 / 3, 1 / 3, 1 / 3)) > 0.0
+    assert _min_entropy_assignment(scaled, (1 / 3, 1 / 3, 1 / 3)) > 0.0
 
 
 def test_kernel_rejects_a_nan_fiber_mass():
@@ -881,11 +907,15 @@ def test_kernel_rejects_a_nan_fiber_mass():
     # the search then returned 0.0
     words = [((math.nan,), (0, 1)), ((0.5,), (1, 2)), ((0.25,), (0,))]
     with pytest.raises(ValueError, match="holds mass nan"):
-        _min_entropy_assignment(words, 3, (1.0,))
+        _min_entropy_assignment(words, (1.0,))
 
 
 class TestJoinCap:
     """The join-sequence cap stops the rate reports before any join is built."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr("rdelab.covers.ELEMENT_CAP", 8)
 
     @pytest.fixture
     def no_joins(self, monkeypatch):
@@ -898,16 +928,16 @@ class TestJoinCap:
 
     def test_topological_cover_entropy(self, gm, no_joins):
         with pytest.raises(JoinSizeError):
-            topological_cover_entropy(gm, zero_cylinders(gm), 5, element_cap=8)
+            topological_cover_entropy(gm, zero_cylinders(gm), 5)
 
     def test_h_minus_report(self, gm, gm_measure, no_joins):
         with pytest.raises(JoinSizeError):
-            h_minus_report(gm_measure, zero_cylinders(gm), 5, element_cap=8)
+            h_minus_report(gm_measure, zero_cylinders(gm), 5)
 
     def test_at_the_cap_the_reports_run(self, gm, gm_measure):
         zero = zero_cylinders(gm)
-        top = topological_cover_entropy(gm, zero, 3, element_cap=8)
-        minus = h_minus_report(gm_measure, zero, 3, element_cap=8)
+        top = topological_cover_entropy(gm, zero, 3)
+        minus = h_minus_report(gm_measure, zero, 3)
         assert len(top.sequence) == len(minus.sequence) == 3
 
 
@@ -928,9 +958,7 @@ def reference_h_value_sequence(ps, mu, kmax, mode):
                 words = [
                     ((x,), member[w]) for w, x in nu.weights[omega].items() if x > 0.0
                 ]
-                h += base.weights[omega] * _min_entropy_assignment(
-                    words, joined.element_count, (1.0,)
-                )
+                h += base.weights[omega] * _min_entropy_assignment(words, (1.0,))
         else:
             lo, hi = joined.start, joined.stop
             index = {}
@@ -943,7 +971,7 @@ def reference_h_value_sequence(ps, mu, kmax, mode):
                 (tuple(vec), tuple(i for i, d in enumerate(sections) if w[lo:hi] in d))
                 for w, vec in sorted(index.items())
             ]
-            h = _min_entropy_assignment(words, joined.element_count, base.weights)
+            h = _min_entropy_assignment(words, base.weights)
         seq.append(h / k)
     return seq
 
