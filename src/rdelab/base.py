@@ -57,7 +57,12 @@ class PowerIterationError(RuntimeError):
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
+        self.message = message
         self.residual = residual
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it survives pickling
+        return type(self), (self.message, self.residual), self.__dict__
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,11 @@ def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
-    """Hill-climb the invariant Markov family toward maximal entropy."""
+    """Hill-climb the invariant Markov family toward maximal entropy.
+
+    The restarts run in up to one process per available CPU; the report
+    does not depend on how many.
+    """
     if (partition_name is None) == (cover_name is None):
         raise click.UsageError("need exactly one of --partition / --cover")
     inst = _load(file)

@@ -92,6 +92,7 @@ class EnumerationGuardError(RuntimeError):
         partial_minimum: float | None = None,
         nodes: int | None = None,
     ):
+        self.message = message
         details = []
         if nodes is not None:
             details.append(f"{nodes} nodes")
@@ -102,6 +103,14 @@ class EnumerationGuardError(RuntimeError):
         super().__init__(message)
         self.partial_minimum = partial_minimum
         self.nodes = nodes
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it survives pickling
+        return (
+            type(self),
+            (self.message, self.partial_minimum, self.nodes),
+            self.__dict__,
+        )
 
 
 def _xlnx(x: float) -> float:

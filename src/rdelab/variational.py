@@ -22,6 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +322,112 @@ def _project_simplex(v: list[float]) -> list[float]:
     return [max(0.0, x + lam) for x in v]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, or 1 where it should not fork: no
+    ``fork`` or CPU affinity on the platform, other threads running (a
+    forked child gets no copy of them, nor of the locks they hold), or a
+    daemonic ``multiprocessing`` worker (it may start no process)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_restarts(bundle: SymbolicBundle, restart, count: int) -> list:
+    """``restart(r, previous)`` for ``r`` in ``range(count)``, in order, each
+    handed the previous restart's measure as its ``previous``.
+
+    The restarts are split into contiguous groups, one per CPU
+    (:func:`_cpu_count`).  This process runs the first group; each other
+    group runs in a forked child, which sends its results back over a pipe.
+    A child's measures are adopted on ``bundle`` with read-only arrays, so
+    the list is what one process running every restart would return.  The
+    first group to fail raises its exception here, with its type and
+    message; no child outlives the call.  A group whose child cannot be
+    forked runs here.
+    """
+    workers = min(count, _cpu_count())
+    bounds = [count * k // workers for k in range(workers + 1)]
+
+    def run(lo: int, hi: int) -> list:
+        out, mu = [], None
+        for r in range(lo, hi):
+            value, mu, evaluations = restart(r, mu)
+            out.append((value, mu, evaluations))
+        return out
+
+    ctx = multiprocessing.get_context("fork")
+    children = {}
+    finished = False
+    try:
+        for g in range(1, workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_send_restarts, args=(sender, run, bounds[g], bounds[g + 1])
+            )
+            try:
+                child.start()
+            except OSError:
+                receiver.close()
+                continue
+            finally:
+                sender.close()
+            children[g] = (child, receiver)
+        results = []
+        for g in range(workers):
+            if g not in children:
+                results.extend(run(bounds[g], bounds[g + 1]))
+                continue
+            child, receiver = children[g]
+            try:
+                status, payload = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"restart process exited with code {child.exitcode} "
+                    "before sending its results"
+                ) from None
+            if status == "error":
+                raise payload
+            for value, arrays, evaluations in payload:
+                for group in arrays[:2]:
+                    for a in group:
+                        a.setflags(write=False)
+                mu = MarkovMeasure._adopt(bundle, *arrays)
+                results.append((value, mu, evaluations))
+        finished = True
+        return results
+    finally:
+        for child, receiver in children.values():
+            if not finished:
+                child.kill()
+            child.join()
+            receiver.close()
+
+
+def _send_restarts(sender, run, lo: int, hi: int) -> None:
+    """A child's body in :func:`_run_restarts`: send ``run(lo, hi)`` with each
+    measure as its (transitions, starts, flags), or the exception that
+    stopped it."""
+    try:
+        payload = (
+            "ok",
+            [
+                (value, (mu.transitions, mu.starts, mu.flags), evaluations)
+                for value, mu, evaluations in run(lo, hi)
+            ],
+        )
+    except Exception as exc:  # every failure goes to the parent
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # one that cannot be sent goes as its type and message
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        payload = ("error", exc)
+    sender.send(payload)
+    sender.close()
+
+
 @dataclass(frozen=True)
 class MaximizeResult:
     measure: MarkovMeasure
@@ -352,8 +462,9 @@ def maximize_invariant_entropy(
     Partitions are scored with :func:`partition_entropy_report` (exact chain
     rule when available, certified upper bound otherwise); covers are scored
     with the step-``nmax`` certified conditional-entropy rate.  Hill climbing
-    restarts from deterministic seeds derived from ``(seed, restart)``, so
-    results do not depend on scheduling.
+    restarts from deterministic seeds derived from ``(seed, restart)``.  The
+    restarts are independent and run in up to one process per available CPU
+    (see :func:`_run_restarts`); the result does not depend on how many.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -405,29 +516,32 @@ def maximize_invariant_entropy(
     def uniform_rows() -> list[list[float]]:
         return [[1.0 / len(s)] * len(s) for s in supports]
 
-    evaluations = 0
-    best_value = -math.inf
-    best_measure = None
-    mu = None
     restarts = max(1, min(8, budget // 50)) if free_rows else 1
     per_restart = max(1, budget // restarts)
-    for r in range(restarts):
+
+    def restart(
+        r: int, previous: MarkovMeasure | None
+    ) -> tuple[float, MarkovMeasure, int]:
+        """Climb from restart ``r``'s start; returns the best value, the
+        measure that reached it and the number of evaluations.
+
+        Only improvements are accepted, so the last accepted measure is the
+        first to reach the restart's best value.  ``previous`` only spares
+        solves (:func:`stationary_starts` gives the same bits without it).
+        ``restarts * per_restart <= budget``, so no restart needs to check
+        the budget.
+        """
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         if r == 0:
             qrows = uniform_rows()
         else:
             qrows = [rng.dirichlet(np.ones(len(s))).tolist() for s in supports]
-        mu = build(qrows, mu)
+        mu = build(qrows, previous)
         cur = score(mu)
-        evaluations += 1
-        if cur > best_value:
-            best_value, best_measure = cur, mu
         if not free_rows:
-            break
+            return cur, mu, 1
         steps = per_restart - 1
         for t in range(steps):
-            if evaluations >= budget:
-                break
             sigma = 0.4 * (0.05 / 0.4) ** (t / max(1, steps - 1))
             i = free_rows[int(rng.integers(len(free_rows)))]
             old = qrows[i]
@@ -436,15 +550,20 @@ def maximize_invariant_entropy(
             qrows[i] = proposal
             mu_new = build(qrows, mu, i)
             val = score(mu_new)
-            evaluations += 1
             if val > cur:
                 cur, mu = val, mu_new
-                if val > best_value:
-                    best_value, best_measure = val, mu_new
             else:
                 qrows[i] = old
-        if evaluations >= budget:
-            break
+        return cur, mu, per_restart
+
+    evaluations = 0
+    best_value = -math.inf
+    best_measure = None
+    # strict ``>`` in restart order: ties go to the earliest restart
+    for value, measure, count in _run_restarts(bundle, restart, restarts):
+        evaluations += count
+        if value > best_value:
+            best_value, best_measure = value, measure
 
     ref_report = topological_cover_entropy(bundle, target, reference_nmax)
     reference = (

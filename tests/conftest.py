@@ -14,8 +14,13 @@ from rdelab import (
     stationary_starts,
 )
 
+# ``suite`` (the default) tries the same few inputs on every run;
+# ``pytest --hypothesis-profile thorough`` draws many fresh ones.
 settings.register_profile(
     "suite", max_examples=25, derandomize=True, deadline=None
+)
+settings.register_profile(
+    "thorough", max_examples=300, derandomize=False, deadline=None
 )
 settings.load_profile("suite")
 

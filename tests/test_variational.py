@@ -1,9 +1,17 @@
 import math
+import multiprocessing.context
+import os
+import pickle
+import threading
 
 import pytest
+from click.testing import CliRunner
 
 import rdelab.variational as variational
 from rdelab import (
+    BundleError,
+    MeasureError,
+    PowerIterationError,
     cover_count,
     maximize_invariant_entropy,
     partition_conditional_entropy,
@@ -15,7 +23,11 @@ from rdelab import (
     witness_measures,
     zero_cylinders,
 )
+from rdelab.cli import main
 from rdelab.covers import CoverError
+from rdelab.entropy import EnumerationGuardError
+from rdelab.guards import GUARDS
+from rdelab.instances import canonical_json
 from rdelab.variational import HorizonGuardError
 
 from conftest import alphabet2_bundle
@@ -183,3 +195,170 @@ class TestMaximizeReusesUnchangedCycles:
         afresh = maximize_invariant_entropy(bundle, target, 240, 5)
         assert reused.to_dict() == afresh.to_dict()
         assert reused.measure.flags == afresh.measure.flags
+
+
+def _search(bundle, target, budget, seed, cpus, monkeypatch, **kw):
+    """The search with ``cpus`` CPUs available to it."""
+    with monkeypatch.context() as m:
+        m.setattr(variational, "_cpu_count", lambda: cpus)
+        return maximize_invariant_entropy(bundle, target, budget, seed, **kw)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stalls_in_child(parent):
+    """``stationary_starts`` that stalls in every process but ``parent``."""
+
+    def solve(bundle, transitions, previous=None):
+        if os.getpid() != parent:
+            raise PowerIterationError("stalled in a child", 0.5)
+        return stationary_starts(bundle, transitions, previous=previous)
+
+    return solve
+
+
+class TestRestartsInProcesses:
+    """Restarts split over forked children give the serial search's result."""
+
+    @pytest.mark.parametrize("budget", [120, 400])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", sorted(SEARCH_BUNDLES) + ["overlap"])
+    def test_same_report_as_one_process(self, name, seed, budget, monkeypatch):
+        if name == "overlap":
+            bundle = presets.alternating_golden_mean()
+            target = product_cover(bundle, [[(0,), (1,)], [(1,)]])
+        else:
+            bundle = SEARCH_BUNDLES[name]
+            target = zero_cylinders(bundle)
+        one = _search(bundle, target, budget, seed, 1, monkeypatch, nmax=3)
+        four = _search(bundle, target, budget, seed, 4, monkeypatch, nmax=3)
+        assert canonical_json(four.to_dict()) == canonical_json(one.to_dict())
+        assert four.measure.flags == one.measure.flags
+        assert four.measure.bundle is bundle
+        if name == "overlap":
+            # every measure scores 0, so the tie goes to restart 0's
+            # uniform start, which no proposal beats
+            assert [q.tolist() for q in four.measure.transitions] == [
+                [[0.5, 0.5], [0.5, 0.5]],
+                [[0.5, 0.5], [1.0, 0.0]],
+            ]
+        for a in four.measure.transitions + four.measure.starts:
+            assert not a.flags.writeable
+        _assert_no_child_left()
+
+    def test_children_results_in_restart_order_and_read_only(self, gm, monkeypatch):
+        mu = stationary_starts(gm, [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]])
+
+        def restart(r, previous):
+            return float(r), mu, r + 1
+
+        monkeypatch.setattr(variational, "_cpu_count", lambda: 4)
+        results = variational._run_restarts(gm, restart, 8)
+        assert [(value, count) for value, _, count in results] == [
+            (float(r), r + 1) for r in range(8)
+        ]
+        for _, got, _ in results:
+            assert got.bundle is gm and got.flags == mu.flags
+            for a, b in zip(got.transitions + got.starts, mu.transitions + mu.starts):
+                assert not a.flags.writeable
+                assert a.tobytes() == b.tobytes()
+        _assert_no_child_left()
+
+    def test_a_child_failure_reaches_the_caller(self, full2, monkeypatch):
+        monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
+        with pytest.raises(PowerIterationError) as info:
+            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+        assert type(info.value) is PowerIterationError
+        assert str(info.value) == "stalled in a child (residual=5.000e-01)"
+        assert info.value.residual == 0.5
+        _assert_no_child_left()
+
+    def test_an_error_that_cannot_be_pickled_arrives_as_runtime_error(
+        self, full2, monkeypatch
+    ):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        parent = os.getpid()
+
+        def solve(bundle, transitions, previous=None):
+            if os.getpid() != parent:
+                raise Unpicklable("one", "two")
+            return stationary_starts(bundle, transitions, previous=previous)
+
+        monkeypatch.setattr(variational, "stationary_starts", solve)
+        with pytest.raises(RuntimeError, match="^Unpicklable: one and two$"):
+            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+        _assert_no_child_left()
+
+    def test_cli_exits_4_on_a_child_stall(self, monkeypatch):
+        monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
+        monkeypatch.setattr(variational, "_cpu_count", lambda: 2)
+        res = CliRunner().invoke(
+            main,
+            ["maximize", "demos/instances/full_shift_2.json", "--partition",
+             "zero_cyl", "--budget", "400"],
+        )
+        assert res.exit_code == 4
+        assert "guard exceeded: stalled in a child (residual=5.000e-01)" in res.output
+        _assert_no_child_left()
+
+    def test_a_failure_here_stops_the_children(self, full2, monkeypatch):
+        parent = os.getpid()
+
+        def solve(bundle, transitions, previous=None):
+            if os.getpid() == parent:
+                raise MeasureError("failed in the parent")
+            return stationary_starts(bundle, transitions, previous=previous)
+
+        monkeypatch.setattr(variational, "stationary_starts", solve)
+        with pytest.raises(MeasureError, match="failed in the parent"):
+            _search(full2, zero_cylinders(full2), 400, 0, 4, monkeypatch)
+        _assert_no_child_left()
+
+    def test_groups_that_cannot_fork_run_here(self, gm, monkeypatch):
+        def no_fork(self):
+            raise BlockingIOError("no process to spare")
+
+        serial = _search(gm, zero_cylinders(gm), 400, 2, 1, monkeypatch)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
+        forked = _search(gm, zero_cylinders(gm), 400, 2, 4, monkeypatch)
+        assert canonical_json(forked.to_dict()) == canonical_json(serial.to_dict())
+        _assert_no_child_left()
+
+    def test_one_cpu_while_other_threads_run(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert variational._cpu_count() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestErrorsSurvivePickling:
+    """A forked restart sends its error to the parent pickled."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            cls("stalled", 1.0) if cls is PowerIterationError
+            else cls("too many", 0.25, 12) if cls is EnumerationGuardError
+            else cls("too big")
+            for cls in GUARDS + (MeasureError, BundleError, CoverError)
+        ]
+        + [EnumerationGuardError("too many")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_round_trip(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert back.args == error.args
+        assert back.__dict__ == error.__dict__
