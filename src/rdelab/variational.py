@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
 import threading
@@ -327,6 +326,10 @@ def _cpu_count() -> int:
     ``fork`` or CPU affinity on the platform, other threads running (a
     forked child gets no copy of them, nor of the locks they hold), or a
     daemonic ``multiprocessing`` worker (it may start no process)."""
+    # imported here, not with the module: it adds about 0.7 MB to every
+    # process, and only a search uses it
+    import multiprocessing
+
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1 or multiprocessing.current_process().daemon:
@@ -347,6 +350,8 @@ def _run_restarts(bundle: SymbolicBundle, restart, count: int) -> list:
     message; no child outlives the call.  A group whose child cannot be
     forked runs here.
     """
+    import multiprocessing
+
     workers = min(count, _cpu_count())
     bounds = [count * k // workers for k in range(workers + 1)]
 
@@ -390,11 +395,10 @@ def _run_restarts(bundle: SymbolicBundle, restart, count: int) -> list:
                 ) from None
             if status == "error":
                 raise payload
-            for value, arrays, evaluations in payload:
-                for group in arrays[:2]:
-                    for a in group:
-                        a.setflags(write=False)
-                mu = MarkovMeasure._adopt(bundle, *arrays)
+            for value, (transitions, starts, flags), evaluations in payload:
+                for a in transitions + starts:
+                    a.setflags(write=False)
+                mu = MarkovMeasure._adopt(bundle, transitions, starts, flags)
                 results.append((value, mu, evaluations))
         finished = True
         return results
