@@ -295,6 +295,19 @@ class TestRestartsInProcesses:
             _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
         _assert_no_child_left()
 
+    def test_a_child_that_dies_without_a_result(self, full2, monkeypatch):
+        parent = os.getpid()
+
+        def solve(bundle, transitions, previous=None):
+            if os.getpid() != parent:
+                os._exit(3)
+            return stationary_starts(bundle, transitions, previous=previous)
+
+        monkeypatch.setattr(variational, "stationary_starts", solve)
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
+            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+        _assert_no_child_left()
+
     def test_cli_exits_4_on_a_child_stall(self, monkeypatch):
         monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
         monkeypatch.setattr(variational, "_cpu_count", lambda: 2)
