@@ -24,6 +24,7 @@ import itertools
 import math
 import os
 import pickle
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -413,7 +414,8 @@ def _run_restarts(bundle: SymbolicBundle, restart, count: int) -> list:
 def _send_restarts(sender, run, lo: int, hi: int) -> None:
     """A child's body in :func:`_run_restarts`: send ``run(lo, hi)`` with each
     measure as its (transitions, starts, flags), or the exception that
-    stopped it."""
+    stopped it.  An interrupt is left to the parent, which stops the child."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         payload = (
             "ok",

@@ -2,7 +2,12 @@ import math
 import multiprocessing.context
 import os
 import pickle
+import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -319,6 +324,51 @@ class TestRestartsInProcesses:
         assert res.exit_code == 4
         assert "guard exceeded: stalled in a child (residual=5.000e-01)" in res.output
         _assert_no_child_left()
+
+    @pytest.mark.skipif(
+        variational._cpu_count() < 2 or shutil.which("ps") is None,
+        reason="needs two CPUs to fork a restart, and ps to see it",
+    )
+    def test_an_interrupt_stops_the_children_quietly(self):
+        """A child ignores Ctrl-C, and Ctrl-C during a forked search prints
+        what it prints without one and leaves no process behind."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(variational.__file__))]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from rdelab.cli import main; main()",
+             "maximize", "demos/instances/alternating_golden_mean.json",
+             "--partition", "zero_cyl", "--budget", "20000"],
+            env=env, start_new_session=True, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+
+        def group():
+            ps = ["ps", "-o", "pid=", "-g", str(proc.pid)]
+            return subprocess.run(ps, capture_output=True, text=True).stdout.split()
+
+        try:
+            deadline = time.monotonic() + 20
+            while len(group()) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.2)  # let the child start ignoring interrupts
+            children = [int(pid) for pid in group() if int(pid) != proc.pid]
+            for child in children:
+                os.kill(child, signal.SIGINT)
+            time.sleep(0.2)
+            assert len(group()) == 1 + len(children)  # the children ignored it
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=30)
+        assert proc.returncode == 1
+        assert err == "\nAborted!\n"
+        assert group() == []
 
     def test_a_failure_here_stops_the_children(self, full2, monkeypatch):
         parent = os.getpid()
