@@ -40,7 +40,7 @@ print("\nOverlapping cover {a,b},{b}:")
 print("  minimal subcover per fiber:",
       [min_subcover_count(overlap, omega) for omega in range(2)])
 print("  joined counts at n=3:",
-      [cover_count(bundle, omega, overlap, 3) for omega in range(2)])
+      [cover_count(overlap, omega, 3) for omega in range(2)])
 
 print("  product refinements (each word assigned one containing element):")
 for part in product_partitions_finer(overlap):
@@ -49,7 +49,7 @@ for part in product_partitions_finer(overlap):
     print("   ", cells)
 
 print("\nStep-averaged log counts for the coordinate partition:")
-rep = topological_cover_entropy(bundle, zero, 12)
+rep = topological_cover_entropy(zero, 12)
 for n, value in rep.sequence:
     print(f"  n={n:<2d} {value:.6f}")
 print(f"certified upper bound {rep.certified_upper:.6f}")

@@ -16,7 +16,7 @@ bundle = presets.alternating_golden_mean()
 zero = zero_cylinders(bundle)
 
 for n in (1, 2):
-    separated, nu, mu, rep = witness_measures(bundle, zero, n)
+    separated, nu, mu, rep = witness_measures(zero, n)
     print(f"=== n = {n} (horizon {rep.horizon}, {rep.refinement_count} refinement(s)) ===")
     for omega, label in enumerate(bundle.base.labels):
         words = ["".join(bundle.alphabet[s] for s in w) for w in separated[omega]]

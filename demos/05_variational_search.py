@@ -15,7 +15,7 @@ for name, bundle, target_rate in (
     ("two fixed points", presets.identity_shift(2), 0.0),
     ("alternating golden mean", presets.alternating_golden_mean(), 0.5 * math.log(3)),
 ):
-    result = maximize_invariant_entropy(bundle, zero_cylinders(bundle), 1500, seed=0)
+    result = maximize_invariant_entropy(zero_cylinders(bundle), 1500, seed=0)
     print(f"=== {name} ===")
     print(f"  best rate found {result.value:.6f}")
     print(f"  reference       {result.reference:.6f} (target {target_rate:.6f})")

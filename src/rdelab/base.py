@@ -553,9 +553,7 @@ def cycle_product(factors, size: int) -> tuple[np.ndarray, int]:
     return prod, exponent
 
 
-def cycle_growth_rate(
-    bundle: SymbolicBundle, tol: float = 1e-12, max_iterations: int = 100_000
-) -> CycleRates:
+def cycle_growth_rate(bundle: SymbolicBundle) -> CycleRates:
     """Exponential word-growth rate (nats/step) per theta-cycle and integrated.
 
     For a cycle of length ``L`` through ``omega`` the rate is
@@ -570,7 +568,7 @@ def cycle_growth_rate(
         prod, exponent = cycle_product(
             (bundle.adjacency[w].astype(float) for w in cyc), bundle.alphabet_size
         )
-        rho = spectral_radius(prod, tol=tol, max_iterations=max_iterations)
+        rho = spectral_radius(prod)
         # adding 0.0 when nothing was rescaled is exact, so short cycles keep
         # their bits
         log_rho = math.log(rho) + exponent * math.log(2) if rho > 0 else -math.inf

@@ -112,7 +112,7 @@ def topent_cmd(file, cover_name, nmax, json_path):
     """Step-averaged cover complexities and their certified upper bound."""
     inst = _load(file)
     cover = _pick(inst.covers, cover_name, "cover")
-    rep = _guarded(lambda: topological_cover_entropy(inst.bundle, cover, nmax))
+    rep = _guarded(lambda: topological_cover_entropy(cover, nmax))
     _print_report(rep)
     _write_json(json_path, {"cover": cover_name, "report": rep.to_dict()})
 
@@ -191,7 +191,7 @@ def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
     inst = _load(file)
     cover = _pick(inst.covers, cover_name, "cover")
     separated, nu, mu, rep = _guarded(
-        lambda: witness_measures(inst.bundle, cover, steps, horizon_cap=horizon_cap)
+        lambda: witness_measures(cover, steps, horizon_cap=horizon_cap)
     )
     labels = inst.bundle.base.labels
     for omega, size in enumerate(rep.separated_sizes):
@@ -243,9 +243,7 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
     if partition_name is not None and not isinstance(target, PositionedPartition):
         click.echo(f"{name!r} is a cover, not a partition", err=True)
         sys.exit(EXIT_NAME)
-    res = _guarded(
-        lambda: maximize_invariant_entropy(inst.bundle, target, budget, seed)
-    )
+    res = _guarded(lambda: maximize_invariant_entropy(target, budget, seed))
     click.echo(f"best value {res.value:.6f}")
     click.echo(f"reference  {res.reference:.6f}")
     click.echo(f"gap        {res.gap:.6f}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .base import SymbolicBundle, admissible_tuples
+from .base import admissible_tuples
 from .covers import (
     PositionedCover,
     PositionedPartition,
@@ -275,9 +275,7 @@ def partition_join_counts(p: PositionedPartition, omega: int, steps: int) -> lis
     return counts
 
 
-def cover_count(
-    bundle: SymbolicBundle, omega: int, cover: PositionedCover, n: int
-) -> int:
+def cover_count(cover: PositionedCover, omega: int, n: int) -> int:
     """Minimal subcover cardinality of the ``n``-step joined pullbacks of the
     cover over fiber ``omega``.
 
@@ -295,7 +293,6 @@ def cover_count(
 
 
 def maximal_multi_separated(
-    bundle: SymbolicBundle,
     omega: int,
     partitions: Sequence[PositionedPartition],
     cover: PositionedCover,
@@ -322,7 +319,7 @@ def maximal_multi_separated(
     joined_cover = range_join(cover, 0, n - 1)
     hs = min(j.start for j in joined_parts + [joined_cover])
     he = max(j.stop for j in joined_parts + [joined_cover])
-    universe = admissible_tuples(bundle, omega, hs, he - hs)
+    universe = admissible_tuples(cover.bundle, omega, hs, he - hs)
     atom_of = [j.cell_of(omega, (hs, he)) for j in joined_parts]
     used: list[set[int]] = [set() for _ in joined_parts]
     chosen: list[tuple[int, ...]] = []

@@ -146,9 +146,6 @@ class PositionedCover:
     def is_partition(self) -> bool:
         return isinstance(self, PositionedPartition)
 
-    def section(self, element: int, omega: int) -> frozenset:
-        return self.sections[element][omega]
-
     def membership(self, omega: int, hull: tuple[int, int] | None = None) -> dict:
         """Map each admissible hull word to the indices of elements containing it.
 
@@ -510,18 +507,16 @@ def range_join(u: PositionedCover, m: int, n: int) -> PositionedCover:
 class PartitionEnumeration:
     """Deterministic stream of product partitions refining a product cover.
 
-    ``count`` is the exact number of partitions and ``lazy`` records only
-    that it exceeds the ``enum_cap`` of :func:`product_partitions_finer`;
-    callers that cap the family test it.  Iteration is always incremental,
-    one partition at a time, in lexicographic order of the assignment
-    vectors, so it is reproducible across runs and platforms.
+    ``count`` is the exact number of partitions; callers that cap the
+    family compare it with their cap.  Iteration is incremental, one
+    partition at a time, in lexicographic order of the assignment vectors,
+    so it is reproducible across runs and platforms.
     """
 
     cover: PositionedCover
     words: tuple[WordTuple, ...]
     choices: tuple[tuple[int, ...], ...]
     count: int
-    lazy: bool
 
     def __iter__(self) -> Iterator[PositionedPartition]:
         bundle = self.cover.bundle
@@ -541,9 +536,7 @@ class PartitionEnumeration:
         return self.count
 
 
-def product_partitions_finer(
-    u: PositionedCover, *, enum_cap: int = 10**5
-) -> PartitionEnumeration:
+def product_partitions_finer(u: PositionedCover) -> PartitionEnumeration:
     """Every product partition obtained by assigning each window word one
     containing element of ``u``.
 
@@ -568,5 +561,4 @@ def product_partitions_finer(
         words=words,
         choices=tuple(choices),
         count=count,
-        lazy=count > enum_cap,
     )

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .base import (
-    SymbolicBundle,
     admissible_tuples,
     cycle_growth_rate,
     plain_sum,
@@ -230,17 +229,16 @@ def _report(sequence: list[tuple[int, float]], exact_rate, tags) -> EntropyRepor
     )
 
 
-def _log_counts(
-    bundle: SymbolicBundle, cover: PositionedCover, nmax: int
-) -> list[float]:
+def _log_counts(cover: PositionedCover, nmax: int) -> list[float]:
     """P-averages of the log minimal subcover counts of the 1..nmax-step joins.
 
     A partition's counts come from :func:`partition_join_counts`, which builds
     no join; a cover's from :func:`join_sequence` and
     :func:`min_subcover_count`.  Both check the join size first.
     """
-    weights = bundle.base.weights
-    fibers = range(bundle.base.omega_count)
+    base = cover.bundle.base
+    weights = base.weights
+    fibers = range(base.omega_count)
     if isinstance(cover, PositionedPartition):
         per_step = zip(*(partition_join_counts(cover, omega, nmax) for omega in fibers))
     else:
@@ -254,11 +252,11 @@ def _log_counts(
     ]
 
 
-def cover_complexity(bundle: SymbolicBundle, cover: PositionedCover, n: int) -> float:
+def cover_complexity(cover: PositionedCover, n: int) -> float:
     """P-average of the log minimal subcover count of the n-step join."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _log_counts(bundle, cover, n)[-1]
+    return _log_counts(cover, n)[-1]
 
 
 def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
@@ -269,9 +267,7 @@ def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
     )
 
 
-def topological_cover_entropy(
-    bundle: SymbolicBundle, cover: PositionedCover, nmax: int
-) -> EntropyReport:
+def topological_cover_entropy(cover: PositionedCover, nmax: int) -> EntropyReport:
     """Step-averaged cover complexities with their Fekete upper bound.
 
     For partitions whose cells are single window words, the count of the
@@ -280,12 +276,12 @@ def topological_cover_entropy(
     """
     if nmax < 1:
         raise ValueError("need nmax >= 1")
-    logs = _log_counts(bundle, cover, nmax)
+    logs = _log_counts(cover, nmax)
     seq = [(n, v / n) for n, v in enumerate(logs, 1)]
     exact = None
     tags = ["fekete"]
     if _is_singleton_cell_partition(cover):
-        exact = cycle_growth_rate(bundle).integrated
+        exact = cycle_growth_rate(cover.bundle).integrated
         tags.append("spectral")
     return _report(seq, exact, tags)
 
@@ -643,16 +639,21 @@ def _min_entropy_assignment(
     return total
 
 
-def _measure_at(mu, horizon: int) -> WordMeasure:
-    if isinstance(mu, WordMeasure):
-        if mu.horizon < horizon:
-            raise ValueError(
-                f"word measure horizon {mu.horizon} too short for window end {horizon}"
-            )
-        return mu
+def _measure_at(mu, cover: PositionedCover, horizon: int) -> WordMeasure:
+    """``mu`` as a word measure on the window ``[0, horizon)``, once it is
+    known to live on the bundle of ``cover``: every measure meets a cover
+    here, so a mismatched pair fails here."""
+    if not isinstance(mu, (WordMeasure, MarkovMeasure)):
+        raise TypeError(f"unsupported measure type {type(mu)!r}")
+    if mu.bundle is not cover.bundle:
+        raise ValueError("measure and cover must live on the same bundle")
     if isinstance(mu, MarkovMeasure):
         return markov_to_word(mu, horizon)
-    raise TypeError(f"unsupported measure type {type(mu)!r}")
+    if mu.horizon < horizon:
+        raise ValueError(
+            f"word measure horizon {mu.horizon} too short for window end {horizon}"
+        )
+    return mu
 
 
 def partition_conditional_entropy(
@@ -666,7 +667,7 @@ def partition_conditional_entropy(
     if not isinstance(partition, PositionedPartition):
         raise TypeError("need a partition; use cover_conditional_entropy for covers")
     hs, he = hull if hull is not None else partition.window
-    nu = _measure_at(mu, he)
+    nu = _measure_at(mu, partition, he)
     bundle = partition.bundle
     total = 0.0
     for omega in range(bundle.base.omega_count):
@@ -694,20 +695,25 @@ def cover_conditional_entropy(
     ``mode="general"`` minimizes per fiber independently over assignments of
     each word to a containing element (the full refinement class);
     ``mode="product"`` shares one assignment across fibers (the product-form
-    class, enumerable by :func:`product_partitions_finer`, whose ``enum_cap``
-    guard applies).  The general value never exceeds the product value.
+    class, enumerable by :func:`product_partitions_finer`; more than
+    ``enum_cap`` members raise :class:`EnumerationGuardError`).  The general
+    value never exceeds the product value.
 
     The words are those of ``hull`` (default: the cover's window), a window
     containing the cover's; a hull word's candidates are the elements holding
     its restriction to the cover window.  Partitions leave nothing to choose
     and go to :func:`partition_conditional_entropy`.  This is the only caller
     of the assignment search: general mode solves one problem per fiber,
-    product mode one problem over all fibers.
+    product mode one problem over all fibers.  A measure on another bundle
+    than the cover's raises ``ValueError``, even where an element holding
+    every word makes the value 0.0 whatever the measure.
     """
     if mode not in ("general", "product"):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(cover, PositionedPartition):
         return partition_conditional_entropy(mu, cover, hull=hull)
+    hs, he = hull if hull is not None else cover.window
+    nu = _measure_at(mu, cover, he)
     bundle = cover.bundle
     weights = bundle.base.weights
     omega_count = bundle.base.omega_count
@@ -722,8 +728,6 @@ def cover_conditional_entropy(
             for omega in range(omega_count)
         ):
             return 0.0
-    hs, he = hull if hull is not None else cover.window
-    nu = _measure_at(mu, he)
     if mode == "general":
 
         def fiber_words(omega: int) -> list:
@@ -741,8 +745,8 @@ def cover_conditional_entropy(
     else:
         if not cover.product_form:
             raise CoverError("product mode needs a product-form cover")
-        enum = product_partitions_finer(cover, enum_cap=enum_cap)
-        if enum.lazy:
+        enum = product_partitions_finer(cover)
+        if enum.count > enum_cap:
             raise EnumerationGuardError(
                 f"product refinement family has {enum.count} members (cap {enum_cap})"
             )
@@ -869,8 +873,8 @@ def h_plus_value(
     carries the argmin partition.
     """
     mu = _require_invariant(mu)
-    enum = product_partitions_finer(cover, enum_cap=enum_cap)
-    if enum.lazy:
+    enum = product_partitions_finer(cover)
+    if enum.count > enum_cap:
         raise EnumerationGuardError(
             f"product refinement family has {enum.count} members (cap {enum_cap})"
         )
@@ -902,7 +906,6 @@ class PowerSystem:
     can be cross-checked against the base system at stride M.
     """
 
-    bundle: SymbolicBundle
     cover: PositionedCover
     steps: int
     block_vocab: tuple[tuple[WordTuple, ...], ...]
@@ -920,7 +923,7 @@ class PowerSystem:
         """Number of admissible k-block words starting in fiber ``omega``."""
         if k < 1:
             raise ValueError("need k >= 1")
-        base = self.bundle.base
+        base = self.cover.bundle.base
         points = [base.apply_theta(omega, j * self.steps) for j in range(k)]
         mats = [self.junctions[point] for point in points[:-1]]
         return transfer_count(mats, len(self.block_vocab[points[-1]]))
@@ -966,10 +969,8 @@ class PowerSystem:
 _BLOCK_CAP = 4096
 
 
-def block_power_system(
-    bundle: SymbolicBundle, cover: PositionedCover, steps: int
-) -> PowerSystem:
-    """Re-block the bundle into its M-step power presentation.
+def block_power_system(cover: PositionedCover, steps: int) -> PowerSystem:
+    """Re-block the cover's bundle into its M-step power presentation.
 
     ``steps == 1`` reproduces the base system verbatim (alphabet per fiber,
     adjacency as junctions).  The cover must start at coordinate 0.
@@ -978,6 +979,7 @@ def block_power_system(
         raise ValueError("need steps >= 1")
     if cover.start != 0:
         raise CoverError("power presentation expects a cover anchored at 0")
+    bundle = cover.bundle
     if bundle.alphabet_size**steps > _BLOCK_CAP:
         raise EnumerationGuardError(
             f"block alphabet would have up to {bundle.alphabet_size}**{steps} symbols"
@@ -998,7 +1000,6 @@ def block_power_system(
         mat.setflags(write=False)
         junctions.append(mat)
     return PowerSystem(
-        bundle=bundle,
         cover=cover,
         steps=steps,
         block_vocab=vocab,

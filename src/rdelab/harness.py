@@ -444,8 +444,8 @@ def _check_refinement_enum(config, corpus):
             cov = inst.covers[name]
             if not cov.product_form or isinstance(cov, PositionedPartition):
                 continue
-            enum = product_partitions_finer(cov, enum_cap=200)
-            if enum.lazy:
+            enum = product_partitions_finer(cov)
+            if enum.count > 200:
                 continue
             parts = list(enum)
             expect = 1
@@ -504,9 +504,9 @@ def _check_count_monotone(config, corpus):
         v = join(u, w)
         for omega in range(b.base.omega_count):
             for n in (1, 2):
-                cu = cover_count(b, omega, u, n)
-                cw = cover_count(b, omega, w, n)
-                cv = cover_count(b, omega, v, n)
+                cu = cover_count(u, omega, n)
+                cw = cover_count(w, omega, n)
+                cv = cover_count(v, omega, n)
                 t.record(cv >= cu, float(cv - cu), _repro(inst, omega=omega, n=n))
                 # a subcover of the join is a product of subcovers
                 t.record(
@@ -515,9 +515,9 @@ def _check_count_monotone(config, corpus):
                     _repro(inst, omega=omega, n=n, law="join-submultiplicative"),
                 )
             for n, m in ((1, 1), (1, 2), (2, 1)):
-                lhs = cover_count(b, omega, u, n + m)
-                rhs = cover_count(b, omega, u, n) * cover_count(
-                    b, b.base.apply_theta(omega, n), u, m
+                lhs = cover_count(u, omega, n + m)
+                rhs = cover_count(u, omega, n) * cover_count(
+                    u, b.base.apply_theta(omega, n), m
                 )
                 t.record(lhs <= rhs, float(rhs - lhs), _repro(inst, omega=omega, n=n, m=m))
     return t.result()
@@ -534,7 +534,7 @@ def _check_fekete_tail(config, corpus):
         )
         if any(len(strongly_connected_components(p > 0)) != 1 for p in products):
             continue
-        rep = topological_cover_entropy(b, inst.covers["zero"], 6)
+        rep = topological_cover_entropy(inst.covers["zero"], 6)
         values = [v for _, v in rep.sequence]
         t.record(
             min(values) >= values[-1] - config.tolerance,
@@ -553,12 +553,11 @@ def _check_separated(config, corpus):
             cov = inst.covers[name]
             if not cov.product_form:
                 continue
-            enum = product_partitions_finer(cov, enum_cap=10**5)
-            parts = list(itertools.islice(iter(enum), 2))
+            parts = list(itertools.islice(iter(product_partitions_finer(cov)), 2))
             for n in (1, 2):
                 for omega in range(b.base.omega_count):
-                    chosen = maximal_multi_separated(b, omega, parts, cov, n)
-                    ncount = cover_count(b, omega, cov, n)
+                    chosen = maximal_multi_separated(omega, parts, cov, n)
+                    ncount = cover_count(cov, omega, n)
                     bound = ncount // len(parts)
                     t.record(
                         len(chosen) >= bound,
@@ -651,7 +650,6 @@ def _check_cond_entropy_laws(config, corpus):
 def _check_join_count_bound(config, corpus):
     t = _Tally("join-count-bound", "exact")
     for inst in corpus:
-        b = inst.bundle
         tops: dict[str, list[float]] = {}
         for mname in sorted(inst.measures):
             mu = inst.measures[mname]
@@ -661,7 +659,7 @@ def _check_join_count_bound(config, corpus):
                 if cname not in tops:
                     # the step-n complexities do not depend on the measure:
                     # one pass per cover serves every measure
-                    tops[cname] = _log_counts(b, cov, config.nmax)
+                    tops[cname] = _log_counts(cov, config.nmax)
                 for n, val in rep.sequence:
                     top = tops[cname][n - 1]
                     t.record(
@@ -733,7 +731,7 @@ def _check_witness(config, corpus):
             for n in (1, 2):
                 try:
                     _, _, _, rep = witness_measures(
-                        inst.bundle, cov, n, horizon_cap=config.horizon_cap
+                        cov, n, horizon_cap=config.horizon_cap
                     )
                 except GUARDS:  # a tripped guard is a skip, not a pass
                     t.skipped += 1
@@ -752,11 +750,10 @@ def _check_witness(config, corpus):
 def _check_power_identity(config, corpus):
     t = _Tally("power-identity", "exact")
     for inst in corpus[: max(2, len(corpus) // 3)]:
-        b = inst.bundle
         cov = inst.covers["zero"]
         mu = inst.measures[sorted(inst.measures)[0]]
         for m_steps in (2, 3):
-            ps = block_power_system(b, cov, m_steps)
+            ps = block_power_system(cov, m_steps)
             kmax = 2
             pseq = ps.h_value_sequence(mu, kmax)
             bseq = h_minus_report(mu, cov, kmax * m_steps)
@@ -779,8 +776,7 @@ def _check_hminus_le_hplus(config, corpus):
             cov = inst.covers[name]
             if not cov.product_form or isinstance(cov, PositionedPartition):
                 continue
-            enum = product_partitions_finer(cov, enum_cap=64)
-            if enum.lazy:
+            if product_partitions_finer(cov).count > 64:
                 continue
             minus = h_minus_report(mu, cov, config.nmax).certified_upper
             plus = h_plus_value(mu, cov, config.nmax, enum_cap=64).value
@@ -809,9 +805,8 @@ def _check_measure_invariance(config, corpus):
 def _check_rate_below_top(config, corpus):
     t = _Tally("rate-below-top", "exact")
     for inst in corpus:
-        b = inst.bundle
         zero = inst.covers["zero"]
-        top = topological_cover_entropy(b, zero, 1).exact_rate
+        top = topological_cover_entropy(zero, 1).exact_rate
         for mname in sorted(inst.measures):
             rep = partition_entropy_report(inst.measures[mname], zero, 1)
             rate = rep.exact_rate
@@ -860,7 +855,7 @@ def _check_hplus_trend(config, corpus):
         blocked = range_join(zero, 0, m_steps - 1)
         outer = min(
             stride_rate(part, m_steps, max(1, 6 // m_steps))
-            for part in product_partitions_finer(blocked, enum_cap=10**5)
+            for part in product_partitions_finer(blocked)
         )
         values.append(outer / m_steps)
     drift = values[-1] - minus
@@ -877,7 +872,7 @@ def _check_search_gap(config, corpus):
     t = _Tally("variational-gap", "soft")
     bundle = presets.alternating_golden_mean()
     zero = zero_cylinders(bundle)
-    res = maximize_invariant_entropy(bundle, zero, config.search_budget, config.seed)
+    res = maximize_invariant_entropy(zero, config.search_budget, config.seed)
     t.record(
         res.gap <= config.soft_slack,
         config.soft_slack - res.gap,

@@ -251,13 +251,20 @@ class WordMeasure:
         return out
 
 
-def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tuple[np.ndarray, bool]:
-    """Stationary row vector of a row-stochastic matrix, from the uniform start.
+def _stationary_of(
+    cycle: Sequence[np.ndarray], tol: float = NORM_TOL, max_iterations: int = 100_000
+) -> tuple[list[np.ndarray], bool]:
+    """Stationary starts along a cycle of stochastic matrices, from the uniform start.
 
-    Iterates on the half-lazy matrix ``(M + I)/2`` (same fixed vectors, no
-    periodicity) until the L1 residual ``|p M - p|_1`` is at most ``tol``.
-    Returns the vector and whether the stationary vector is unique, decided
-    by counting closed communicating classes of the support graph.
+    Iterates on the half-lazy matrix ``(M + I)/2`` of the cycle product
+    ``M`` (same fixed vectors, no periodicity) until the L1 residual
+    ``|p M - p|_1`` is at most ``tol`` and, on a cycle of two or more
+    points, ``p`` carried around the cycle closes it within ``tol`` too:
+    that gap is the orbit residual :class:`MarkovMeasure` checks, and
+    rounding along the cycle can leave it above the residual.  Returns the
+    starts along the cycle (:func:`_along`) and whether the stationary
+    vector is unique, decided by counting closed communicating classes of
+    the support graph.
 
     Both vector-matrix products are numpy calls (BLAS may round them with
     fused multiply-adds, which a Python product would not reproduce): the
@@ -285,8 +292,10 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
     then the lazy matrix is squared 64 times (``2**64`` steps), with rows
     renormalised, and the uniform start is mapped through the result.
     ``PowerIterationError`` is raised only if this vector also misses
-    ``tol``.  Inputs that converge within the cap never reach this branch.
+    ``tol``, by its residual or its closing gap.  Inputs that converge
+    within the cap never reach this branch.
     """
+    product = cycle_product(cycle, len(cycle[0]))[0]
     d = product.shape[0]
     lazy = 0.5 * (product + _identity(d))
     screen = tol + 16 * d * d * 2.0**-52
@@ -308,7 +317,9 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
             for x, y in zip((p @ product).tolist(), ps):
                 residual += abs(x - y)
             if residual <= tol:
-                break
+                starts, closing = _along(p, cycle)
+                if closing <= tol:
+                    break
     else:
         limit = lazy
         for _ in range(64):
@@ -316,10 +327,25 @@ def _stationary_of(product: np.ndarray, tol: float, max_iterations: int) -> tupl
             limit /= limit.sum(axis=1, keepdims=True)
         p = np.full(d, 1.0 / d) @ limit
         p /= p.sum()
-        residual = float(np.abs(p @ product - p).sum())
+        starts, closing = _along(p, cycle)
+        residual = max(float(np.abs(p @ product - p).sum()), closing)
         if residual > tol:
             raise PowerIterationError("stationary vector iteration stalled", residual)
-    return p, _closed_classes(product > 0) == 1
+    return starts, _closed_classes(product > 0) == 1
+
+
+def _along(p: np.ndarray, cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
+    """The starts ``p, p Q_0, p Q_0 Q_1, ..`` along ``cycle = (Q_0, .., Q_{L-1})``
+    and the L1 gap by which the last one pushed through ``Q_{L-1}`` misses
+    ``p``: bit for bit the orbit residual of :func:`invariance_residual` at
+    the cycle's last point.  Fewer than two points give ``[p]`` and 0.0."""
+    starts = [p]
+    for q in cycle[:-1]:
+        starts.append(starts[-1] @ q)
+    if len(cycle) < 2:
+        return starts, 0.0
+    pushed = (starts[-1] @ cycle[-1]).tolist()
+    return starts, _numpy_sum([abs(t - x) for t, x in zip(p.tolist(), pushed)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -358,8 +384,6 @@ def _closed_classes_of(d: int, support: bytes) -> int:
 def stationary_starts(
     bundle: SymbolicBundle,
     transitions: Sequence[np.ndarray],
-    tol: float = 1e-12,
-    max_iterations: int = 100_000,
     *,
     previous: MarkovMeasure | None = None,
 ) -> MarkovMeasure:
@@ -368,16 +392,16 @@ def stationary_starts(
     Per theta-cycle ``(w, theta w, ..)`` the start at ``w`` is a stationary
     vector of the cycle product ``Q(w) Q(theta w) ...``, found by damped power
     iteration from the uniform vector (see :func:`_stationary_of`, including
-    its fallback when ``max_iterations`` runs out), and successive starts
-    propagate along the cycle.  A reducible cycle product is flagged
-    ``"non-unique stationary start"`` and the uniform-start limit is used.
+    its fallback when its iteration cap runs out), and successive starts
+    propagate along the cycle, closing it within ``NORM_TOL``.  A reducible
+    cycle product is flagged ``"non-unique stationary start"`` and the
+    uniform-start limit is used.
 
-    ``previous`` is an earlier result of this function for the same bundle,
-    ``tol`` and ``max_iterations``.  A cycle whose transition matrices are
-    byte-equal to ``previous``'s takes its starts and its flag from
-    ``previous`` instead of being solved again; the result is bit-for-bit
-    what a fresh solve gives.  A search that edits one fiber at a time thus
-    solves only the cycle it changed.
+    ``previous`` is an earlier result of this function for the same bundle.
+    A cycle whose transition matrices are byte-equal to ``previous``'s takes
+    its starts and its flag from ``previous`` instead of being solved again;
+    the result is bit-for-bit what a fresh solve gives.  A search that edits
+    one fiber at a time thus solves only the cycle it changed.
 
     Every fiber's transition matrix is checked on entry (shape, sign,
     support, row sums; a NaN entry fails the row sums), except a fiber whose
@@ -426,16 +450,12 @@ def stationary_starts(
             for w in cyc:
                 starts[w] = previous.starts[w]
             continue
-        prod = cycle_product((qs[w] for w in cyc), d)[0]
-        p, unique = _stationary_of(prod, tol, max_iterations)
+        along, unique = _stationary_of([qs[w] for w in cyc])
         if not unique:
             flags.append(flag)
-        p.setflags(write=False)
-        starts[cyc[0]] = p
-        for w in cyc[:-1]:
-            p = p @ qs[w]
+        for w, p in zip(cyc, along):
             p.setflags(write=False)
-            starts[base.theta[w]] = p
+            starts[w] = p
     mu = MarkovMeasure._adopt(bundle, tuple(qs), tuple(starts), tuple(flags))
     mu._validate_starts()
     return mu

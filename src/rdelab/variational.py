@@ -157,7 +157,7 @@ def _log_floor(value: int) -> tuple[float, bool]:
 
 
 def witness_measures(
-    bundle: SymbolicBundle, cover: PositionedCover, n: int, *, horizon_cap: int = 24
+    cover: PositionedCover, n: int, *, horizon_cap: int = 24
 ) -> tuple[dict[int, tuple], WordMeasure, WordMeasure, WitnessReport]:
     """Separated-set empirical measures and their finite-horizon certificates.
 
@@ -185,6 +185,7 @@ def witness_measures(
         raise CoverError("no product refinements available")
     k_used = len(refinements)
     d = cover.element_count
+    bundle = cover.bundle
     base = bundle.base
 
     pulled_cover = pullback(cover, n)
@@ -194,11 +195,9 @@ def witness_measures(
     pulled_counts: list[int] = []
     full_counts: list[int] = []
     for omega in range(base.omega_count):
-        separated[omega] = maximal_multi_separated(
-            bundle, omega, pulled_refs, pulled_cover, n * n
-        )
-        pulled_counts.append(cover_count(bundle, omega, pulled_cover, n * n))
-        full_counts.append(cover_count(bundle, omega, cover, span))
+        separated[omega] = maximal_multi_separated(omega, pulled_refs, pulled_cover, n * n)
+        pulled_counts.append(cover_count(pulled_cover, omega, n * n))
+        full_counts.append(cover_count(cover, omega, span))
 
     # empirical measure: uniform over separated words, split uniformly over
     # each word's admissible completions to the full horizon window
@@ -454,7 +453,6 @@ class MaximizeResult:
 
 
 def maximize_invariant_entropy(
-    bundle: SymbolicBundle,
     target: PositionedCover,
     budget: int,
     seed: int,
@@ -474,6 +472,7 @@ def maximize_invariant_entropy(
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
+    bundle = target.bundle
     base = bundle.base
     d = bundle.alphabet_size
     supports = [
@@ -571,7 +570,7 @@ def maximize_invariant_entropy(
         if value > best_value:
             best_value, best_measure = value, measure
 
-    ref_report = topological_cover_entropy(bundle, target, reference_nmax)
+    ref_report = topological_cover_entropy(target, reference_nmax)
     reference = (
         ref_report.exact_rate
         if ref_report.exact_rate is not None

@@ -72,13 +72,13 @@ def corpus_instances():
 
 def test_criterion_1_exact_rates(full2, id2, gm):
     started = time.monotonic()
-    assert topological_cover_entropy(full2, zero_cylinders(full2), 3).exact_rate == pytest.approx(
+    assert topological_cover_entropy(zero_cylinders(full2), 3).exact_rate == pytest.approx(
         LN2, abs=TOL
     )
-    assert topological_cover_entropy(id2, zero_cylinders(id2), 3).exact_rate == pytest.approx(
+    assert topological_cover_entropy(zero_cylinders(id2), 3).exact_rate == pytest.approx(
         0.0, abs=TOL
     )
-    spectral = topological_cover_entropy(gm, zero_cylinders(gm), 3).exact_rate
+    spectral = topological_cover_entropy(zero_cylinders(gm), 3).exact_rate
     assert spectral == pytest.approx(0.5 * LN3, abs=TOL)
     assert round(spectral, 6) == 0.549306
     for n, expected in ((2, (4, 3)), (3, (6, 6)), (4, (12, 9))):
@@ -90,7 +90,7 @@ def test_criterion_1_exact_rates(full2, id2, gm):
 
 def test_criterion_2_fekete_bounds(gm):
     started = time.monotonic()
-    rep = topological_cover_entropy(gm, zero_cylinders(gm), 12)
+    rep = topological_cover_entropy(zero_cylinders(gm), 12)
     assert 0.549306 <= rep.certified_upper <= 0.70
     mins = rep.prefix_minima()
     assert all(mins[i + 1] <= mins[i] + 1e-15 for i in range(len(mins) - 1))
@@ -162,8 +162,8 @@ def test_criterion_5_separated_sets():
             parts = list(itertools.islice(iter(product_partitions_finer(cov)), 2))
             for n in (1, 2):
                 for omega in range(b.base.omega_count):
-                    chosen = maximal_multi_separated(b, omega, parts, cov, n)
-                    bound = cover_count(b, omega, cov, n) // len(parts)
+                    chosen = maximal_multi_separated(omega, parts, cov, n)
+                    bound = cover_count(cov, omega, n) // len(parts)
                     assert len(chosen) >= bound
                     joined = [range_join(p, 0, n - 1) for p in parts]
                     hs = min(j.start for j in joined)
@@ -189,7 +189,7 @@ def test_criterion_5_separated_sets():
 def test_criterion_6_witness_certificates(gm):
     started = time.monotonic()
     n, d = 2, 2
-    separated, nu, mu, rep = witness_measures(gm, zero_cylinders(gm), n)
+    separated, nu, mu, rep = witness_measures(zero_cylinders(gm), n)
     assert rep.all_ok
 
     # ingredient cross-checks against brute-force word enumeration
@@ -238,7 +238,7 @@ def test_criterion_6_witness_certificates(gm):
 def test_criterion_7_power_identity(gm, gm_measure):
     started = time.monotonic()
     for steps in (2, 3):
-        ps = block_power_system(gm, zero_cylinders(gm), steps)
+        ps = block_power_system(zero_cylinders(gm), steps)
         power = ps.h_value_sequence(gm_measure, 3)
         base = dict(h_minus_report(gm_measure, zero_cylinders(gm), 3 * steps).sequence)
         for k, v in power.sequence:
@@ -256,15 +256,15 @@ def test_criterion_8_join_count_bound():
             cov = inst.covers[cname]
             rep = h_minus_report(mu, cov, 4)
             for n, val in rep.sequence:
-                assert val * n <= cover_complexity(b, cov, n) + TOL
+                assert val * n <= cover_complexity(cov, n) + TOL
     _stamp("criterion 8 (conditional below counting, n <= 4)", started, 120.0)
 
 
 def test_criterion_9_variational_search(gm, full2):
     started = time.monotonic()
-    res_gm = maximize_invariant_entropy(gm, zero_cylinders(gm), 2000, 0)
+    res_gm = maximize_invariant_entropy(zero_cylinders(gm), 2000, 0)
     assert res_gm.value >= 0.5 * LN3 - 0.05
-    res_full = maximize_invariant_entropy(full2, zero_cylinders(full2), 2000, 0)
+    res_full = maximize_invariant_entropy(zero_cylinders(full2), 2000, 0)
     assert res_full.value >= LN2 - 0.02
     # the reverse direction: no sampled invariant measure beats the exact rate
     rng = _rng_for(9, "sample")

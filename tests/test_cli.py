@@ -113,6 +113,14 @@ class TestMaximize:
         assert res.exit_code == 0
         assert "best value 0.69" in res.output
 
+    def test_long_search_on_the_golden_mean(self):
+        # one solve of this search closed its cycle only after its cycle
+        # product's residual had passed (TestStationaryStarts in
+        # test_measures.py has its transition family)
+        res = run("maximize", GOLDEN, "--partition", "zero_cyl", "--budget", "50000")
+        assert res.exit_code == 0
+        assert "evaluations 50000" in res.output
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_is_a_usage_error(self, budget):
         res = run("maximize", FULL, "--partition", "zero_cyl", "--budget", budget)

@@ -112,18 +112,18 @@ class TestMinSubcover:
 class TestCoverCount:
     def test_cylinder_partition_equals_word_counts(self, gm):
         u = zero_cylinders(gm)
-        assert cover_count(gm, 0, u, 2) == 4
-        assert cover_count(gm, 1, u, 2) == 3
+        assert cover_count(u, 0, 2) == 4
+        assert cover_count(u, 1, 2) == 3
 
     def test_full_shift(self, full2):
         u = zero_cylinders(full2)
         for n in (1, 2, 3, 5):
-            assert cover_count(full2, 0, u, n) == 2**n
+            assert cover_count(u, 0, n) == 2**n
 
     def test_two_fixed_points(self, id2):
         u = zero_cylinders(id2)
         for n in (1, 3, 6):
-            assert cover_count(id2, 0, u, n) == 2
+            assert cover_count(u, 0, n) == 2
 
     @pytest.mark.parametrize("seed", [2, 9, 17])
     def test_monotone_and_submultiplicative(self, seed):
@@ -135,30 +135,30 @@ class TestCoverCount:
 
         v = join(u, inst.covers[names[1 % len(names)]])
         for omega in range(b.base.omega_count):
-            assert cover_count(b, omega, v, 2) >= cover_count(b, omega, u, 2)
+            assert cover_count(v, omega, 2) >= cover_count(u, omega, 2)
             for n, m in ((1, 1), (1, 2), (2, 1)):
-                assert cover_count(b, omega, u, n + m) <= cover_count(
-                    b, omega, u, n
-                ) * cover_count(b, b.base.apply_theta(omega, n), u, m)
+                assert cover_count(u, omega, n + m) <= cover_count(
+                    u, omega, n
+                ) * cover_count(u, b.base.apply_theta(omega, n), m)
 
 
 class TestMaximalMultiSeparated:
     def test_cylinder_partition_takes_every_word(self, gm):
         u = zero_cylinders(gm)
-        chosen = maximal_multi_separated(gm, 0, [u], u, 2)
-        assert len(chosen) == 4 == cover_count(gm, 0, u, 2)
+        chosen = maximal_multi_separated(0, [u], u, 2)
+        assert len(chosen) == 4 == cover_count(u, 0, 2)
 
     def test_trivial_partition_takes_one_word(self, gm):
         t = trivial_cover(gm)
-        chosen = maximal_multi_separated(gm, 0, [t], t, 1)
+        chosen = maximal_multi_separated(0, [t], t, 1)
         assert len(chosen) == 1
 
     def test_two_refinements_of_overlap_cover(self, gm):
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])
         parts = list(product_partitions_finer(u))
         for omega in range(2):
-            chosen = maximal_multi_separated(gm, omega, parts, u, 1)
-            n_count = cover_count(gm, omega, u, 1)
+            chosen = maximal_multi_separated(omega, parts, u, 1)
+            n_count = cover_count(u, omega, 1)
             assert len(chosen) >= n_count // len(parts)
             # exhaustive maximality: no unchosen word can be added
             joined = [range_join(p, 0, 0) for p in parts]
@@ -173,7 +173,7 @@ class TestMaximalMultiSeparated:
         u = zero_cylinders(gm)
         coarse = trivial_cover(gm)
         with pytest.raises(SeparationError, match="finer"):
-            maximal_multi_separated(gm, 0, [coarse], u, 1)
+            maximal_multi_separated(0, [coarse], u, 1)
 
     @pytest.mark.parametrize("seed", [4, 23])
     def test_bound_on_fuzzed_instances(self, seed):
@@ -188,8 +188,8 @@ class TestMaximalMultiSeparated:
             )
             for n in (1, 2):
                 for omega in range(b.base.omega_count):
-                    chosen = maximal_multi_separated(b, omega, parts, cov, n)
-                    assert len(chosen) >= cover_count(b, omega, cov, n) // len(parts)
+                    chosen = maximal_multi_separated(omega, parts, cov, n)
+                    assert len(chosen) >= cover_count(cov, omega, n) // len(parts)
 
 
 DEMOS = [
@@ -286,13 +286,13 @@ class TestPartitionJoinCounts:
     def test_reports_keep_their_bits(self, bundle, cover):
         nmax = 5 if cover.element_count <= 4 else 3
         ref = join_log_counts(bundle, cover, nmax)
-        rep = topological_cover_entropy(bundle, cover, nmax)
+        rep = topological_cover_entropy(cover, nmax)
         assert [(n, v.hex()) for n, v in rep.sequence] == [
             (n, (x / n).hex()) for n, x in enumerate(ref, 1)
         ]
         assert rep.certified_upper.hex() == min(x / n for n, x in enumerate(ref, 1)).hex()
         for omega in range(bundle.base.omega_count):
-            assert cover_count(bundle, omega, cover, nmax) == join_counts(
+            assert cover_count(cover, omega, nmax) == join_counts(
                 cover, omega, nmax
             )[-1]
 
@@ -311,8 +311,8 @@ class TestPartitionJoinCounts:
         monkeypatch.setattr(PositionedPartition, "cell_of", fail)
         calls = [
             lambda: partition_join_counts(u, 0, 10),
-            lambda: cover_count(gm, 0, u, 10),
-            lambda: topological_cover_entropy(gm, u, 10),
+            lambda: cover_count(u, 0, 10),
+            lambda: topological_cover_entropy(u, 10),
         ]
         for call in calls:
             with pytest.raises(JoinSizeError) as got:

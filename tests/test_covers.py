@@ -192,7 +192,7 @@ class TestProductPartitionsFiner:
     def test_two_element_overlap_example(self, gm):
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])
         enum = product_partitions_finer(u)
-        assert enum.count == 2 and not enum.lazy
+        assert enum.count == 2
         parts = list(enum)
         got = [
             tuple(tuple(sorted(cell)) for cell in p.product_sections) for p in parts
@@ -206,11 +206,6 @@ class TestProductPartitionsFiner:
         u = product_cover(gm, [[(0,), (1,)], [(0,), (1,)]])
         enum = product_partitions_finer(u)
         assert enum.count == 4 == len(list(enum))
-
-    def test_lazy_flag_above_cap(self, gm):
-        u = product_cover(gm, [[(0,), (1,)], [(0,), (1,)]])
-        enum = product_partitions_finer(u, enum_cap=3)
-        assert enum.lazy and enum.count == 4
 
     def test_yields_refining_partitions(self, gm):
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])

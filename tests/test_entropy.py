@@ -103,32 +103,32 @@ class TestMassShiftCheck:
 class TestCoverComplexity:
     def test_worked_value(self, gm):
         expect = 0.5 * (math.log(4) + math.log(3))
-        got = cover_complexity(gm, zero_cylinders(gm), 2)
+        got = cover_complexity(zero_cylinders(gm), 2)
         assert got == pytest.approx(expect, abs=1e-12)
         assert got == pytest.approx(1.242453, abs=1e-6)
 
     def test_full_shift_linear(self, full2):
         u = zero_cylinders(full2)
         for n in (1, 2, 5):
-            assert cover_complexity(full2, u, n) == pytest.approx(n * LN2, abs=1e-12)
+            assert cover_complexity(u, n) == pytest.approx(n * LN2, abs=1e-12)
 
     def test_trivial_cover_is_zero(self, gm):
         for n in (1, 3):
-            assert cover_complexity(gm, trivial_cover(gm), n) == 0.0
+            assert cover_complexity(trivial_cover(gm), n) == 0.0
 
 
 class TestTopologicalCoverEntropy:
     def test_full_shift_exact(self, full2):
-        rep = topological_cover_entropy(full2, zero_cylinders(full2), 4)
+        rep = topological_cover_entropy(zero_cylinders(full2), 4)
         assert rep.exact_rate == pytest.approx(LN2, abs=1e-12)
         assert rep.certified_upper == pytest.approx(LN2, abs=1e-12)
 
     def test_two_fixed_points_zero(self, id2):
-        rep = topological_cover_entropy(id2, zero_cylinders(id2), 4)
+        rep = topological_cover_entropy(zero_cylinders(id2), 4)
         assert rep.exact_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_alternating_golden_mean(self, gm):
-        rep = topological_cover_entropy(gm, zero_cylinders(gm), 12)
+        rep = topological_cover_entropy(zero_cylinders(gm), 12)
         assert rep.exact_rate == pytest.approx(0.5 * LN3, abs=1e-12)
         assert 0.549306 <= rep.certified_upper <= 0.70
         mins = rep.prefix_minima()
@@ -137,7 +137,7 @@ class TestTopologicalCoverEntropy:
 
     def test_no_exact_rate_for_proper_covers(self, gm):
         overlap = product_cover(gm, [[(0,), (1,)], [(1,)]])
-        rep = topological_cover_entropy(gm, overlap, 3)
+        rep = topological_cover_entropy(overlap, 3)
         assert rep.exact_rate is None
 
 
@@ -230,6 +230,21 @@ class TestConditionalEntropy:
         )
         with pytest.raises(EnumerationGuardError):
             cover_conditional_entropy(gm_measure, u, "product", enum_cap=3)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mu, u, cap: cover_conditional_entropy(mu, u, "product", enum_cap=cap),
+            lambda mu, u, cap: h_minus_report(mu, u, 1, "product", enum_cap=cap),
+            lambda mu, u, cap: h_plus_value(mu, u, 1, enum_cap=cap),
+        ],
+    )
+    def test_enumeration_guard_trips_above_the_count(self, gm, gm_measure, run):
+        u = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
+        assert product_partitions_finer(u).count == 4
+        run(gm_measure, u, 4)
+        with pytest.raises(EnumerationGuardError, match=r"has 4 members \(cap 3\)"):
+            run(gm_measure, u, 3)
 
 
 class TestRefinementLaws:
@@ -340,7 +355,7 @@ class TestRateReports:
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])
         rep = h_minus_report(gm_measure, u, 4)
         for n, v in rep.sequence:
-            assert v * n <= cover_complexity(gm, u, n) + 1e-9
+            assert v * n <= cover_complexity(u, n) + 1e-9
 
 
 class TestHPlus:
@@ -365,8 +380,7 @@ class TestHPlus:
             cov = inst.covers[name]
             if not cov.product_form:
                 continue
-            enum = product_partitions_finer(cov, enum_cap=64)
-            if enum.lazy:
+            if product_partitions_finer(cov).count > 64:
                 continue
             minus = h_minus_report(mu, cov, 3).certified_upper
             plus = h_plus_value(mu, cov, 3, enum_cap=64).value
@@ -376,7 +390,7 @@ class TestHPlus:
 
 class TestPowerSystem:
     def test_single_step_reproduces_base(self, gm):
-        ps = block_power_system(gm, zero_cylinders(gm), 1)
+        ps = block_power_system(zero_cylinders(gm), 1)
         assert ps.block_alphabet_sizes() == (2, 2)
         from rdelab import word_count
 
@@ -385,7 +399,7 @@ class TestPowerSystem:
                 assert ps.block_word_count(omega, k) == word_count(gm, omega, k)
 
     def test_two_step_blocks(self, gm):
-        ps = block_power_system(gm, zero_cylinders(gm), 2)
+        ps = block_power_system(zero_cylinders(gm), 2)
         assert ps.block_alphabet_sizes() == (4, 3)
         from rdelab import word_count
 
@@ -395,7 +409,7 @@ class TestPowerSystem:
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_rate_identity_with_base(self, gm, gm_measure, steps):
-        ps = block_power_system(gm, zero_cylinders(gm), steps)
+        ps = block_power_system(zero_cylinders(gm), steps)
         power = ps.h_value_sequence(gm_measure, 3)
         base = h_minus_report(gm_measure, zero_cylinders(gm), 3 * steps)
         base_vals = dict(base.sequence)
@@ -407,12 +421,12 @@ class TestPowerSystem:
 
         shifted = pullback(zero_cylinders(gm), 1)
         with pytest.raises(CoverError, match="anchored"):
-            block_power_system(gm, shifted, 2)
+            block_power_system(shifted, 2)
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_rate_identity_with_wider_window(self, gm, gm_measure, steps):
         pairs = full_word_partition(gm, 0, 2)
-        ps = block_power_system(gm, pairs, steps)
+        ps = block_power_system(pairs, steps)
         power = ps.h_value_sequence(gm_measure, 2)
         base_vals = dict(h_minus_report(gm_measure, pairs, 2 * steps).sequence)
         for k, v in power.sequence:
@@ -877,7 +891,7 @@ class TestMinEntropyAssignment:
         u = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
         for mode in ("general", "product"):
             h_minus_report(gm_measure, u, 2, mode)
-            block_power_system(gm, u, 2).h_value_sequence(gm_measure, 1, mode)
+            block_power_system(u, 2).h_value_sequence(gm_measure, 1, mode)
         for seed in (5, 13):
             inst = gen_instance(seed)
             mu = inst.measures[sorted(inst.measures)[0]]
@@ -928,7 +942,7 @@ class TestJoinCap:
 
     def test_topological_cover_entropy(self, gm, no_joins):
         with pytest.raises(JoinSizeError):
-            topological_cover_entropy(gm, zero_cylinders(gm), 5)
+            topological_cover_entropy(zero_cylinders(gm), 5)
 
     def test_h_minus_report(self, gm, gm_measure, no_joins):
         with pytest.raises(JoinSizeError):
@@ -936,7 +950,7 @@ class TestJoinCap:
 
     def test_at_the_cap_the_reports_run(self, gm, gm_measure):
         zero = zero_cylinders(gm)
-        top = topological_cover_entropy(gm, zero, 3)
+        top = topological_cover_entropy(zero, 3)
         minus = h_minus_report(gm_measure, zero, 3)
         assert len(top.sequence) == len(minus.sequence) == 3
 
@@ -945,7 +959,7 @@ def reference_h_value_sequence(ps, mu, kmax, mode):
     """The block-power values as computed before ``h_value_sequence`` went
     through :func:`cover_conditional_entropy`: a fresh range join per step and
     the assignment problems built inline from the block-granular measure."""
-    base = ps.bundle.base
+    base = ps.cover.bundle.base
     seq = []
     for k in range(1, kmax + 1):
         granularity = (k - 1 + ps.block_window) * ps.steps
@@ -984,7 +998,7 @@ class TestPowerSystemKernel:
         # argument is accepted that would be ignored
         u = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
         with pytest.raises(TypeError, match="enum_cap"):
-            block_power_system(gm, u, 2).h_value_sequence(gm_measure, 1, enum_cap=1)
+            block_power_system(u, 2).h_value_sequence(gm_measure, 1, enum_cap=1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_same_bits_as_the_inline_kernels(self, seed):
@@ -994,7 +1008,7 @@ class TestPowerSystemKernel:
             if isinstance(cover, PositionedPartition):
                 continue
             for steps in (1, 2):
-                ps = block_power_system(inst.bundle, cover, steps)
+                ps = block_power_system(cover, steps)
                 modes = ("general", "product") if cover.product_form else ("general",)
                 for mode in modes:
                     got = ps.h_value_sequence(mu, 2, mode).sequence
@@ -1004,7 +1018,7 @@ class TestPowerSystemKernel:
 
     def test_zero_cylinders_general_mode(self, gm, gm_measure):
         for steps in (1, 2, 3):
-            ps = block_power_system(gm, zero_cylinders(gm), steps)
+            ps = block_power_system(zero_cylinders(gm), steps)
             got = [v.hex() for _, v in ps.h_value_sequence(gm_measure, 3).sequence]
             expect = reference_h_value_sequence(ps, gm_measure, 3, "general")
             assert got == [v.hex() for v in expect]
@@ -1014,7 +1028,7 @@ class TestPowerSystemKernel:
         inst = gen_instance(seed)
         mu = inst.measures["m0"]
         for name, cover in sorted(inst.covers.items()):
-            ps = block_power_system(inst.bundle, cover, 2)
+            ps = block_power_system(cover, 2)
             values = ps.h_value_sequence(mu, 2).sequence
             for k, value in values:
                 g = (k - 1 + ps.block_window) * ps.steps
@@ -1022,3 +1036,48 @@ class TestPowerSystemKernel:
                 nu = markov_to_word(mu, g)
                 h = cover_conditional_entropy(nu, joined, hull=(0, g))
                 assert value.hex() == (h / k).hex(), (name, k)
+
+
+class TestMeasureMeetsCover:
+    """A measure and a cover on different bundles are refused, whichever
+    entry point they meet in."""
+
+    @staticmethod
+    def _pairs(full2, id2):
+        on_id2 = stationary_starts(id2, [np.eye(2)])
+        on_full2 = stationary_starts(full2, [np.full((2, 2), 0.5)])
+        return [(on_id2, full2), (on_full2, id2)]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda mu, u: partition_conditional_entropy(mu, u), id="partition"),
+            pytest.param(
+                lambda mu, u: partition_conditional_entropy(markov_to_word(mu, 1), u),
+                id="partition-word-measure",
+            ),
+            pytest.param(lambda mu, u: cover_conditional_entropy(mu, u), id="cover"),
+            pytest.param(lambda mu, u: h_minus_report(mu, u, 3), id="h-minus"),
+            pytest.param(lambda mu, u: partition_entropy_report(mu, u, 3), id="partition-report"),
+            pytest.param(lambda mu, u: h_plus_value(mu, u, 3), id="h-plus"),
+            pytest.param(
+                lambda mu, u: block_power_system(u, 2).h_value_sequence(mu, 1),
+                id="power-system",
+            ),
+        ],
+    )
+    def test_every_entry_point_raises(self, full2, id2, run):
+        for mu, other in self._pairs(full2, id2):
+            with pytest.raises(ValueError) as err:
+                run(mu, zero_cylinders(other))
+            assert str(err.value) == "measure and cover must live on the same bundle"
+
+    @pytest.mark.parametrize("mode", ["general", "product"])
+    def test_checked_before_the_free_element_shortcut(self, full2, id2, mode):
+        # the first element holds every word, which on a matching pair
+        # gives 0.0 without reading the measure
+        for mu, other in self._pairs(full2, id2):
+            free = product_cover(other, [[(0,), (1,)], [(1,)]])
+            for nu in (mu, markov_to_word(mu, 1)):
+                with pytest.raises(ValueError, match="same bundle"):
+                    cover_conditional_entropy(nu, free, mode)

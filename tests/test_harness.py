@@ -157,7 +157,7 @@ class TestSuite:
         assert len(calls) == (pairs + joined_covers) * (n - 1)
         # the margins are those of one fresh range_join per step
         worst = min(
-            cover_complexity(inst.bundle, cov, k) + config.tolerance - val * k
+            cover_complexity(cov, k) + config.tolerance - val * k
             for inst in corpus
             for mu in inst.measures.values()
             for cov in inst.covers.values()

@@ -183,7 +183,7 @@ class TestStationaryStarts:
             expected, unique = reference_stationary_of(m, tol, 100_000)
         except PowerIterationError:
             assume(False)
-        got, got_unique = _stationary_of(m, tol, 100_000)
+        (got,), got_unique = _stationary_of([m], tol, 100_000)
         assert got.tobytes() == expected.tobytes()
         assert got_unique == unique
 
@@ -201,7 +201,7 @@ class TestStationaryStarts:
             assume(False)
         tol = float(np.abs(p @ m - p).sum())
         expected, unique = reference_stationary_of(m, tol, 100_000)
-        got, got_unique = _stationary_of(m, tol, 100_000)
+        (got,), got_unique = _stationary_of([m], tol, 100_000)
         assert got.tobytes() == expected.tobytes()
         assert got_unique == unique
 
@@ -222,27 +222,48 @@ class TestStationaryStarts:
             expected, unique = previous_stationary_of(m, tol, cap)
         except PowerIterationError as exc:
             with pytest.raises(PowerIterationError) as got:
-                _stationary_of(m, tol, cap)
+                _stationary_of([m], tol, cap)
             assert got.value.residual.hex() == exc.residual.hex()
             return
-        got, got_unique = _stationary_of(m, tol, cap)
+        (got,), got_unique = _stationary_of([m], tol, cap)
         assert got.tobytes() == expected.tobytes()
         assert got_unique == unique
 
     @pytest.mark.parametrize("product, limit", SLOW_DRAIN)
     def test_slow_transient_drain_reaches_its_limit(self, product, limit):
         m = np.array(product)
-        p, unique = _stationary_of(m, 1e-12, 100_000)
+        (p,), unique = _stationary_of([m], 1e-12, 100_000)
         assert unique
         assert p == pytest.approx(limit, abs=1e-12)
         assert np.abs(p @ m - p).sum() <= 1e-12
 
     def test_cap_fallback_agrees_with_the_converged_vector(self, gm_measure):
         cycle = gm_measure.transitions[0] @ gm_measure.transitions[1]
-        converged, _ = _stationary_of(cycle, 1e-12, 100_000)
-        capped, unique = _stationary_of(cycle, 1e-12, 1)
+        (converged,), _ = _stationary_of([cycle], 1e-12, 100_000)
+        (capped,), unique = _stationary_of([cycle], 1e-12, 1)
         assert unique
         assert capped == pytest.approx(converged, abs=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 100_000])
+    def test_starts_along_a_cycle_close_it(self, gm_measure, cap):
+        # cap 1 takes the squaring fallback
+        factors = list(gm_measure.transitions)
+        (p0, p1), unique = _stationary_of(factors, 1e-12, cap)
+        assert unique
+        assert p1.tobytes() == (p0 @ factors[0]).tobytes()
+        assert np.abs(p1 @ factors[1] - p0).sum() <= 1e-12
+
+    def test_closing_gap_above_the_product_residual(self, gm):
+        # solve 4302 of ``rdelab maximize`` on the alternating golden mean
+        # (``zero_cyl``, budget 50000, seed 0): the cycle product's residual
+        # passes 1e-12 at an iterate whose start, pushed around the cycle,
+        # misses itself by 1.0000333894311098e-12; the solve runs on
+        qs = [
+            [[0.6103451795589118, 0.3896548204410883], [0.6667491988259705, 0.3332508011740295]],
+            [[0.5000156329664185, 0.4999843670335815], [1.0, 0.0]],
+        ]
+        mu = stationary_starts(gm, qs)
+        assert invariance_residual(mu) <= 1e-12
 
     @pytest.mark.parametrize("seed", [2099060821, 2003792646])
     def test_generated_instances_with_slow_drain_build(self, seed):
@@ -265,9 +286,9 @@ class TestPreviousReuse:
         qs[1] = np.array([[0.2, 0.8], [0.6, 0.4]])
         solved = []
 
-        def counting(product, tol, max_iterations):
-            solved.append(product)
-            return _stationary_of(product, tol, max_iterations)
+        def counting(cycle, *args):
+            solved.append(cycle)
+            return _stationary_of(cycle, *args)
 
         monkeypatch.setattr(measures, "_stationary_of", counting)
         reused = stationary_starts(bundle, qs, previous=first)
@@ -328,16 +349,22 @@ class TestInvarianceResidual:
         )
         assert invariance_residual(lopsided) == pytest.approx(0.5, abs=1e-12)
 
-    def test_loose_tol_result_fails_the_residual_check(self, gm):
+    def test_loose_tol_result_fails_the_residual_check(self, gm, monkeypatch):
         # stationary_starts builds its result unchecked, then runs the
         # constructor's start and residual checks itself, same message
+        import rdelab.measures as measures
+
+        def loose(cycle):
+            return _stationary_of(cycle, 1e-6)
+
+        monkeypatch.setattr(measures, "_stationary_of", loose)
         qs = [[[0.3, 0.7], [1.0, 0.0]], [[0.6, 0.4], [1.0, 0.0]]]
         message = (
             "starts are not orbit consistent (residual 7.356e-07); "
             "use stationary_starts or check=False"
         )
         with pytest.raises(MeasureError) as err:
-            stationary_starts(gm, qs, tol=1e-6)
+            stationary_starts(gm, qs)
         assert str(err.value) == message
 
     def test_constructor_rejects_inconsistent_starts(self, gm, gm_measure):

@@ -43,18 +43,18 @@ LN3 = math.log(3)
 
 class TestWitnessConstruction:
     def test_one_step_on_golden_mean(self, gm):
-        separated, nu, mu, rep = witness_measures(gm, zero_cylinders(gm), 1)
+        separated, nu, mu, rep = witness_measures(zero_cylinders(gm), 1)
         # a single refinement (the partition itself); every pulled coordinate
         # word is its own atom
         assert rep.refinement_count == 1
         for omega in range(2):
             assert len(separated[omega]) == cover_count(
-                gm, omega, pullback(zero_cylinders(gm), 1), 1
+                pullback(zero_cylinders(gm), 1), omega, 1
             )
         assert rep.all_ok
 
     def test_two_step_worked_example(self, gm):
-        separated, nu, mu, rep = witness_measures(gm, zero_cylinders(gm), 2)
+        separated, nu, mu, rep = witness_measures(zero_cylinders(gm), 2)
         assert rep.separated_sizes == (12, 9)
         assert rep.pulled_counts == (12, 9)
         assert rep.full_counts == (36, 27)
@@ -73,7 +73,7 @@ class TestWitnessConstruction:
         assert rhs[(0, 2)] == pytest.approx((2 / 6) * (logdet - 2 * LN2), abs=1e-12)
 
     def test_averaged_measure_entropy_recomputed(self, gm):
-        _, _, mu, rep = witness_measures(gm, zero_cylinders(gm), 2)
+        _, _, mu, rep = witness_measures(zero_cylinders(gm), 2)
         for check in rep.averaged_checks:
             joined = range_join(zero_cylinders(gm), 0, check.block - 1)
             again = partition_conditional_entropy(mu, joined)
@@ -83,7 +83,7 @@ class TestWitnessConstruction:
     def test_average_matches_direct_summation(self, gm):
         # rebuild the skew-product average by hand: push the empirical
         # measure i times, restrict, and accumulate dictionary weights
-        _, nu, mu, rep = witness_measures(gm, zero_cylinders(gm), 2)
+        _, nu, mu, rep = witness_measures(zero_cylinders(gm), 2)
         span = 6
         horizon = rep.common_horizon
         from rdelab import pushforward as push, restrict
@@ -105,7 +105,7 @@ class TestWitnessConstruction:
                 )
 
     def test_two_fixed_points_support(self, id2):
-        separated, nu, mu, rep = witness_measures(id2, zero_cylinders(id2), 2)
+        separated, nu, mu, rep = witness_measures(zero_cylinders(id2), 2)
         assert all(size <= 2 for size in rep.separated_sizes)
         assert mu.support_size(0) == 2
         assert set(mu.weights[0]) == {(0,) * 3, (1,) * 3}
@@ -115,18 +115,18 @@ class TestWitnessConstruction:
         from rdelab import full_word_partition
 
         pairs = full_word_partition(gm, 0, 2)
-        _, _, _, rep = witness_measures(gm, pairs, 1)
+        _, _, _, rep = witness_measures(pairs, 1)
         # one-step pull lands on the swapped fiber's pair counts
         assert rep.separated_sizes == (3, 4)
         assert rep.all_ok
-        _, _, _, rep2 = witness_measures(gm, pairs, 2)
+        _, _, _, rep2 = witness_measures(pairs, 2)
         assert rep2.horizon == 9 and rep2.all_ok
 
     def test_overlapping_wide_cover(self, gm):
         overlap = product_cover(
             gm, [[(0, 0), (0, 1), (1, 0)], [(0, 1), (1, 1)], [(1, 1), (1, 0)]]
         )
-        _, _, _, rep = witness_measures(gm, overlap, 2)
+        _, _, _, rep = witness_measures(overlap, 2)
         assert rep.refinement_count == 2
         assert rep.all_ok
         for omega in (0, 1):
@@ -135,39 +135,39 @@ class TestWitnessConstruction:
     def test_product_form_required(self, gm):
         mixed = pullback(zero_cylinders(gm), 1)
         with pytest.raises(CoverError, match="anchored"):
-            witness_measures(gm, mixed, 1)
+            witness_measures(mixed, 1)
 
     def test_horizon_guard(self, gm):
         with pytest.raises(HorizonGuardError):
-            witness_measures(gm, zero_cylinders(gm), 5, horizon_cap=24)
+            witness_measures(zero_cylinders(gm), 5, horizon_cap=24)
 
 
 class TestMaximizeInvariantEntropy:
     def test_full_shift_reaches_log_two(self, full2):
-        res = maximize_invariant_entropy(full2, zero_cylinders(full2), 300, 0)
+        res = maximize_invariant_entropy(zero_cylinders(full2), 300, 0)
         assert res.value >= LN2 - 0.02
         assert res.reference == pytest.approx(LN2, abs=1e-12)
 
     def test_two_fixed_points_is_flat(self, id2):
-        res = maximize_invariant_entropy(id2, zero_cylinders(id2), 50, 0)
+        res = maximize_invariant_entropy(zero_cylinders(id2), 50, 0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_mean_closes_most_of_the_gap(self, gm):
-        res = maximize_invariant_entropy(gm, zero_cylinders(gm), 800, 0)
+        res = maximize_invariant_entropy(zero_cylinders(gm), 800, 0)
         assert res.value >= 0.5 * LN3 - 0.05
         assert res.value <= 0.5 * LN3 + 1e-9
 
     def test_deterministic_given_seed(self, gm):
-        a = maximize_invariant_entropy(gm, zero_cylinders(gm), 120, 3)
-        b = maximize_invariant_entropy(gm, zero_cylinders(gm), 120, 3)
+        a = maximize_invariant_entropy(zero_cylinders(gm), 120, 3)
+        b = maximize_invariant_entropy(zero_cylinders(gm), 120, 3)
         assert a.value == b.value
         for omega in range(2):
             assert (a.measure.transitions[omega] == b.measure.transitions[omega]).all()
 
     def test_cover_target_uses_certified_bound(self, gm):
         overlap = product_cover(gm, [[(0,), (1,)], [(1,)]])
-        res = maximize_invariant_entropy(gm, overlap, 60, 1, nmax=3)
+        res = maximize_invariant_entropy(overlap, 60, 1, nmax=3)
         # one element is the whole space, so every refinement can collapse
         # and both sides of the gap vanish
         assert res.value == pytest.approx(0.0, abs=1e-12)
@@ -191,22 +191,22 @@ class TestMaximizeReusesUnchangedCycles:
     def test_same_report_as_solving_every_cycle_afresh(self, name, monkeypatch):
         bundle = SEARCH_BUNDLES[name]
         target = zero_cylinders(bundle)
-        reused = maximize_invariant_entropy(bundle, target, 240, 5)
+        reused = maximize_invariant_entropy(target, 240, 5)
 
         def fresh(bundle, transitions, previous=None):
             return stationary_starts(bundle, transitions)
 
         monkeypatch.setattr(variational, "stationary_starts", fresh)
-        afresh = maximize_invariant_entropy(bundle, target, 240, 5)
+        afresh = maximize_invariant_entropy(target, 240, 5)
         assert reused.to_dict() == afresh.to_dict()
         assert reused.measure.flags == afresh.measure.flags
 
 
-def _search(bundle, target, budget, seed, cpus, monkeypatch, **kw):
+def _search(target, budget, seed, cpus, monkeypatch, **kw):
     """The search with ``cpus`` CPUs available to it."""
     with monkeypatch.context() as m:
         m.setattr(variational, "_cpu_count", lambda: cpus)
-        return maximize_invariant_entropy(bundle, target, budget, seed, **kw)
+        return maximize_invariant_entropy(target, budget, seed, **kw)
 
 
 def _assert_no_child_left():
@@ -238,8 +238,8 @@ class TestRestartsInProcesses:
         else:
             bundle = SEARCH_BUNDLES[name]
             target = zero_cylinders(bundle)
-        one = _search(bundle, target, budget, seed, 1, monkeypatch, nmax=3)
-        four = _search(bundle, target, budget, seed, 4, monkeypatch, nmax=3)
+        one = _search(target, budget, seed, 1, monkeypatch, nmax=3)
+        four = _search(target, budget, seed, 4, monkeypatch, nmax=3)
         assert canonical_json(four.to_dict()) == canonical_json(one.to_dict())
         assert four.measure.flags == one.measure.flags
         assert four.measure.bundle is bundle
@@ -275,7 +275,7 @@ class TestRestartsInProcesses:
     def test_a_child_failure_reaches_the_caller(self, full2, monkeypatch):
         monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
         with pytest.raises(PowerIterationError) as info:
-            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
         assert type(info.value) is PowerIterationError
         assert str(info.value) == "stalled in a child (residual=5.000e-01)"
         assert info.value.residual == 0.5
@@ -297,7 +297,7 @@ class TestRestartsInProcesses:
 
         monkeypatch.setattr(variational, "stationary_starts", solve)
         with pytest.raises(RuntimeError, match="^Unpicklable: one and two$"):
-            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
         _assert_no_child_left()
 
     def test_a_child_that_dies_without_a_result(self, full2, monkeypatch):
@@ -310,7 +310,7 @@ class TestRestartsInProcesses:
 
         monkeypatch.setattr(variational, "stationary_starts", solve)
         with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
-            _search(full2, zero_cylinders(full2), 400, 0, 2, monkeypatch)
+            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
         _assert_no_child_left()
 
     def test_cli_exits_4_on_a_child_stall(self, monkeypatch):
@@ -380,16 +380,16 @@ class TestRestartsInProcesses:
 
         monkeypatch.setattr(variational, "stationary_starts", solve)
         with pytest.raises(MeasureError, match="failed in the parent"):
-            _search(full2, zero_cylinders(full2), 400, 0, 4, monkeypatch)
+            _search(zero_cylinders(full2), 400, 0, 4, monkeypatch)
         _assert_no_child_left()
 
     def test_groups_that_cannot_fork_run_here(self, gm, monkeypatch):
         def no_fork(self):
             raise BlockingIOError("no process to spare")
 
-        serial = _search(gm, zero_cylinders(gm), 400, 2, 1, monkeypatch)
+        serial = _search(zero_cylinders(gm), 400, 2, 1, monkeypatch)
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
-        forked = _search(gm, zero_cylinders(gm), 400, 2, 4, monkeypatch)
+        forked = _search(zero_cylinders(gm), 400, 2, 4, monkeypatch)
         assert canonical_json(forked.to_dict()) == canonical_json(serial.to_dict())
         _assert_no_child_left()
 
