@@ -15,7 +15,9 @@ per base point, and computes, exactly at finite horizons:
   variational search (``variational``);
 * a deterministic fuzzing harness that mechanically checks the calculus on
   random instances (``harness``), instance file I/O (``instances``), the
-  solver guard errors (``guards``) and a command line (``cli``).
+  solver guard errors (``guards``) and a command line (``cli``);
+* the forked task pool that runs the suite's checks and the search's
+  restarts across CPUs (``forked``).
 """
 
 from . import presets

@@ -232,8 +232,9 @@ def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
 def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
     """Hill-climb the invariant Markov family toward maximal entropy.
 
-    The restarts run in up to one process per available CPU; the report
-    does not depend on how many.
+    The restarts run across the available CPUs in forked processes and are
+    merged in restart order, so the report does not depend on how many CPUs
+    there are; there is no option for this.
     """
     if (partition_name is None) == (cover_name is None):
         raise click.UsageError("need exactly one of --partition / --cover")
@@ -276,7 +277,12 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
 @click.option("--only", default=None, help="comma-separated check ids")
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
-    """Run the mechanical property suite; nonzero exit iff a hard check fails."""
+    """Run the mechanical property suite; nonzero exit iff a hard check fails.
+
+    The checks run across the available CPUs in forked processes and are
+    reported in catalog order, so the report does not depend on how many
+    CPUs there are; there is no option for this.
+    """
     params = GenParams()
     if caps:
         fields = {

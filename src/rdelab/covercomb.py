@@ -74,6 +74,18 @@ def _iter_bits(x: int):
         x ^= low
 
 
+def _forced(pool: Sequence[int]) -> set[int]:
+    """The masks of ``pool`` that hold an item no other mask holds (a
+    duplicate mask counts as another)."""
+    # the items of at least one mask, and of at least two
+    once = twice = 0
+    for m in pool:
+        twice |= once & m
+        once |= m
+    unique = once & ~twice
+    return {m for m in pool if m & unique}
+
+
 def exact_min_cover(
     universe_size: int,
     masks: Sequence[int],
@@ -100,13 +112,7 @@ def exact_min_cover(
     uncovered = full
     # forced picks: items covered by exactly one set pin that set
     while uncovered:
-        count: dict[int, int] = {}
-        owner: dict[int, int] = {}
-        for m in pool:
-            for b in _iter_bits(m):
-                count[b] = count.get(b, 0) + 1
-                owner[b] = m
-        forced = {owner[b] for b, c in count.items() if c == 1}
+        forced = _forced(pool)
         if not forced:
             break
         for m in forced:

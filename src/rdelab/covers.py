@@ -451,10 +451,15 @@ def pullback(u: PositionedCover, i: int) -> PositionedCover:
         return u
     base = u.bundle.base
     perm = [base.apply_theta(omega, i) for omega in range(base.omega_count)]
-    sections = tuple(
-        tuple(elem[perm[omega]] for omega in range(base.omega_count))
-        for elem in u.sections
-    )
+    if perm == list(range(base.omega_count)):
+        # theta^i fixes every fiber (one fiber, or fixed points): each
+        # element keeps its sections
+        sections = u.sections
+    else:
+        sections = tuple(
+            tuple(elem[perm[omega]] for omega in range(base.omega_count))
+            for elem in u.sections
+        )
     return type(u)(
         bundle=u.bundle,
         start=u.start + i,

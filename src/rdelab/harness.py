@@ -12,6 +12,7 @@ the offending instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -59,6 +60,7 @@ from .entropy import (
     partition_entropy_report,
     topological_cover_entropy,
 )
+from .forked import run_tasks
 from .guards import GUARDS, GenerationError
 from .measures import (
     MarkovMeasure,
@@ -907,17 +909,24 @@ CHECK_IDS = tuple(name for name, _ in _CHECKS)
 
 
 def run_suite(config: SuiteConfig = SuiteConfig(), instances=None) -> SuiteReport:
-    """Run the selected checks, in catalog order, over a deterministic corpus.
+    """Run the selected checks over a deterministic corpus.
 
     ``instances`` replaces the generated corpus when given (for file-driven
-    verification).
+    verification).  The checks are independent tasks, run across the
+    available CPUs in forked processes (:func:`~rdelab.forked.run_tasks`);
+    each draws only from its own seeded streams and the corpus is built
+    first, so the report comes out in catalog order with the bytes of a
+    serial run, and a failing check raises what a serial run raises.  There
+    is no option for this.
     """
     corpus = _corpus(config, instances)
+    tasks = [
+        functools.partial(fn, config, corpus)
+        for name, fn in _CHECKS
+        if not config.only or name in config.only
+    ]
     results: list[CheckResult] = []
-    for name, fn in _CHECKS:
-        if config.only and name not in config.only:
-            continue
-        out = fn(config, corpus)
+    for out in run_tasks(tasks):
         if isinstance(out, list):
             results.extend(out)
         else:

@@ -20,17 +20,14 @@ optimizer; the gap to the topological reference is reported, never asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SymbolicBundle, admissible_tuples
+from .base import admissible_tuples
 from .covercomb import cover_count, maximal_multi_separated
 from .covers import (
     CoverError,
@@ -49,6 +46,7 @@ from .entropy import (
     _pins_coordinate,
     shannon,
 )
+from .forked import run_tasks
 from .measures import (
     MarkovMeasure,
     WordMeasure,
@@ -321,118 +319,6 @@ def _project_simplex(v: list[float]) -> list[float]:
     return [max(0.0, x + lam) for x in v]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, or 1 where it should not fork: no
-    ``fork`` or CPU affinity on the platform, other threads running (a
-    forked child gets no copy of them, nor of the locks they hold), or a
-    daemonic ``multiprocessing`` worker (it may start no process)."""
-    # imported here, not with the module: it adds about 0.7 MB to every
-    # process, and only a search uses it
-    import multiprocessing
-
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_restarts(bundle: SymbolicBundle, restart, count: int) -> list:
-    """``restart(r, previous)`` for ``r`` in ``range(count)``, in order, each
-    handed the previous restart's measure as its ``previous``.
-
-    The restarts are split into contiguous groups, one per CPU
-    (:func:`_cpu_count`).  This process runs the first group; each other
-    group runs in a forked child, which sends its results back over a pipe.
-    A child's measures are adopted on ``bundle`` with read-only arrays, so
-    the list is what one process running every restart would return.  The
-    first group to fail raises its exception here, with its type and
-    message; no child outlives the call.  A group whose child cannot be
-    forked runs here.
-    """
-    import multiprocessing
-
-    workers = min(count, _cpu_count())
-    bounds = [count * k // workers for k in range(workers + 1)]
-
-    def run(lo: int, hi: int) -> list:
-        out, mu = [], None
-        for r in range(lo, hi):
-            value, mu, evaluations = restart(r, mu)
-            out.append((value, mu, evaluations))
-        return out
-
-    ctx = multiprocessing.get_context("fork")
-    children = {}
-    finished = False
-    try:
-        for g in range(1, workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(
-                target=_send_restarts, args=(sender, run, bounds[g], bounds[g + 1])
-            )
-            try:
-                child.start()
-            except OSError:
-                receiver.close()
-                continue
-            finally:
-                sender.close()
-            children[g] = (child, receiver)
-        results = []
-        for g in range(workers):
-            if g not in children:
-                results.extend(run(bounds[g], bounds[g + 1]))
-                continue
-            child, receiver = children[g]
-            try:
-                status, payload = receiver.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"restart process exited with code {child.exitcode} "
-                    "before sending its results"
-                ) from None
-            if status == "error":
-                raise payload
-            for value, (transitions, starts, flags), evaluations in payload:
-                for a in transitions + starts:
-                    a.setflags(write=False)
-                mu = MarkovMeasure._adopt(bundle, transitions, starts, flags)
-                results.append((value, mu, evaluations))
-        finished = True
-        return results
-    finally:
-        for child, receiver in children.values():
-            if not finished:
-                child.kill()
-            child.join()
-            receiver.close()
-
-
-def _send_restarts(sender, run, lo: int, hi: int) -> None:
-    """A child's body in :func:`_run_restarts`: send ``run(lo, hi)`` with each
-    measure as its (transitions, starts, flags), or the exception that
-    stopped it.  An interrupt is left to the parent, which stops the child."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        payload = (
-            "ok",
-            [
-                (value, (mu.transitions, mu.starts, mu.flags), evaluations)
-                for value, mu, evaluations in run(lo, hi)
-            ],
-        )
-    except Exception as exc:  # every failure goes to the parent
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # one that cannot be sent goes as its type and message
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        payload = ("error", exc)
-    sender.send(payload)
-    sender.close()
-
-
 @dataclass(frozen=True)
 class MaximizeResult:
     measure: MarkovMeasure
@@ -467,8 +353,10 @@ def maximize_invariant_entropy(
     rule when available, certified upper bound otherwise); covers are scored
     with the step-``nmax`` certified conditional-entropy rate.  Hill climbing
     restarts from deterministic seeds derived from ``(seed, restart)``.  The
-    restarts are independent and run in up to one process per available CPU
-    (see :func:`_run_restarts`); the result does not depend on how many.
+    restarts are independent tasks, run across the available CPUs in forked
+    processes (:func:`~rdelab.forked.run_tasks`) and merged in restart order,
+    so the result does not depend on how many CPUs there are; there is no
+    option for this.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -494,7 +382,9 @@ def maximize_invariant_entropy(
         return m
 
     def build(
-        qrows: list[list[float]], previous: MarkovMeasure | None, row: int | None = None
+        qrows: list[list[float]],
+        previous: MarkovMeasure | None = None,
+        row: int | None = None,
     ) -> MarkovMeasure:
         if row is None:
             qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
@@ -524,27 +414,25 @@ def maximize_invariant_entropy(
     restarts = max(1, min(8, budget // 50)) if free_rows else 1
     per_restart = max(1, budget // restarts)
 
-    def restart(
-        r: int, previous: MarkovMeasure | None
-    ) -> tuple[float, MarkovMeasure, int]:
+    def restart(r: int) -> tuple[float, tuple, int]:
         """Climb from restart ``r``'s start; returns the best value, the
-        measure that reached it and the number of evaluations.
+        measure that reached it as its (transitions, starts, flags), and the
+        number of evaluations.  The measure travels as its arrays, so a
+        forked restart sends no bundle.
 
         Only improvements are accepted, so the last accepted measure is the
-        first to reach the restart's best value.  ``previous`` only spares
-        solves (:func:`stationary_starts` gives the same bits without it).
-        ``restarts * per_restart <= budget``, so no restart needs to check
-        the budget.
+        first to reach the restart's best value.  ``restarts * per_restart
+        <= budget``, so no restart needs to check the budget.
         """
         rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
         if r == 0:
             qrows = uniform_rows()
         else:
             qrows = [rng.dirichlet(np.ones(len(s))).tolist() for s in supports]
-        mu = build(qrows, previous)
+        mu = build(qrows)
         cur = score(mu)
         if not free_rows:
-            return cur, mu, 1
+            return cur, (mu.transitions, mu.starts, mu.flags), 1
         steps = per_restart - 1
         for t in range(steps):
             sigma = 0.4 * (0.05 / 0.4) ** (t / max(1, steps - 1))
@@ -559,16 +447,21 @@ def maximize_invariant_entropy(
                 cur, mu = val, mu_new
             else:
                 qrows[i] = old
-        return cur, mu, per_restart
+        return cur, (mu.transitions, mu.starts, mu.flags), per_restart
 
     evaluations = 0
     best_value = -math.inf
     best_measure = None
+    tasks = [functools.partial(restart, r) for r in range(restarts)]
     # strict ``>`` in restart order: ties go to the earliest restart
-    for value, measure, count in _run_restarts(bundle, restart, restarts):
+    for value, (transitions, starts, flags), count in run_tasks(tasks):
         evaluations += count
         if value > best_value:
-            best_value, best_measure = value, measure
+            # a forked restart's arrays arrive writable
+            for a in transitions + starts:
+                a.setflags(write=False)
+            best_value = value
+            best_measure = MarkovMeasure._adopt(bundle, transitions, starts, flags)
 
     ref_report = topological_cover_entropy(target, reference_nmax)
     reference = (

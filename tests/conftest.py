@@ -73,6 +73,24 @@ def enumerate_words(bundle, omega, start, length):
     return out
 
 
+def rebuilt_pullback(u, i):
+    """``pullback(u, i)`` with every element's sections rebuilt, also where
+    theta^i fixes every fiber."""
+    base = u.bundle.base
+    sections = tuple(
+        tuple(elem[base.apply_theta(omega, i)] for omega in range(base.omega_count))
+        for elem in u.sections
+    )
+    return type(u)(
+        bundle=u.bundle,
+        start=u.start + i,
+        length=u.length,
+        sections=sections,
+        product_sections=u.product_sections,
+        check=False,
+    )
+
+
 def brute_min_cover(universe, sets):
     """Smallest subfamily covering the universe, by exhaustive subsets."""
     universe = set(universe)

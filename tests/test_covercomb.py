@@ -24,6 +24,7 @@ from rdelab.covercomb import (
     SetCoverSizeError,
     SolverLimits,
     UncoveredUniverseError,
+    _forced,
     partition_join_counts,
 )
 from rdelab.covers import (
@@ -70,6 +71,30 @@ class TestExactMinCover:
         sets = [
             {i for i in range(n) if m >> i & 1} for m in masks
         ]
+        assert exact_min_cover(n, masks) == brute_min_cover(range(n), sets)
+
+    @given(st.data())
+    def test_forced_picks_match_per_item_counts(self, data):
+        """The bitwise forced picks are the masks that own an item of count
+        one, with empty and duplicate masks in the family."""
+        n = data.draw(st.integers(1, 9))
+        masks = data.draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)
+        )
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=3))
+        count: dict[int, int] = {}
+        owner: dict[int, int] = {}
+        for m in masks:
+            for b in range(n):
+                if m >> b & 1:
+                    count[b] = count.get(b, 0) + 1
+                    owner[b] = m
+        assert _forced(masks) == {owner[b] for b, c in count.items() if c == 1}
+        union = 0
+        for m in masks:
+            union |= m
+        masks.append(((1 << n) - 1) & ~union)
+        sets = [{i for i in range(n) if m >> i & 1} for m in masks]
         assert exact_min_cover(n, masks) == brute_min_cover(range(n), sets)
 
 

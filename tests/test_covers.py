@@ -28,7 +28,7 @@ from rdelab.covers import (
 )
 from rdelab.harness import gen_instance
 
-from conftest import small_cover
+from conftest import rebuilt_pullback, small_cover
 
 
 class TestConstruction:
@@ -116,6 +116,25 @@ class TestPullback:
         assert p.sections[0][0] == frozenset({(0,), (1,)})
         assert p.sections[0][1] == frozenset({(0,)})
         assert p.window == (1, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sections_match_rebuilt_ones(self, seed):
+        # powers 1..4 reach theta^i = identity on every base of up to four
+        # points, where the sections are reused
+        inst = gen_instance(seed)
+        for u in inst.covers.values():
+            for i in range(1, 5):
+                got, want = pullback(u, i), rebuilt_pullback(u, i)
+                assert got.sections == want.sections
+                assert got.window == want.window
+                assert got.product_sections == want.product_sections
+
+    def test_fixed_fibers_keep_their_sections(self, full2, gm):
+        u = product_cover(full2, [[(0,)], [(0,), (1,)]])
+        assert pullback(u, 3).sections == rebuilt_pullback(u, 3).sections
+        w = per_fiber_cover(gm, [[[(0,)], [(0,), (1,)]], [[(1,)], []]])
+        assert pullback(w, 2).sections == rebuilt_pullback(w, 2).sections
+        assert pullback(w, 2).sections[0][0] == frozenset({(0,)})
 
     def test_negative_power_rejected(self, gm):
         with pytest.raises(ValueError):

@@ -1,17 +1,17 @@
 import math
-import multiprocessing.context
 import os
 import pickle
 import shutil
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import rdelab.covers as covers
+import rdelab.forked as forked
 import rdelab.variational as variational
 from rdelab import (
     BundleError,
@@ -35,7 +35,7 @@ from rdelab.guards import GUARDS
 from rdelab.instances import canonical_json
 from rdelab.variational import HorizonGuardError
 
-from conftest import alphabet2_bundle
+from conftest import alphabet2_bundle, rebuilt_pullback
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -205,7 +205,7 @@ class TestMaximizeReusesUnchangedCycles:
 def _search(target, budget, seed, cpus, monkeypatch, **kw):
     """The search with ``cpus`` CPUs available to it."""
     with monkeypatch.context() as m:
-        m.setattr(variational, "_cpu_count", lambda: cpus)
+        m.setattr(forked, "_cpu_count", lambda: cpus)
         return maximize_invariant_entropy(target, budget, seed, **kw)
 
 
@@ -214,19 +214,9 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _stalls_in_child(parent):
-    """``stationary_starts`` that stalls in every process but ``parent``."""
-
-    def solve(bundle, transitions, previous=None):
-        if os.getpid() != parent:
-            raise PowerIterationError("stalled in a child", 0.5)
-        return stationary_starts(bundle, transitions, previous=previous)
-
-    return solve
-
-
 class TestRestartsInProcesses:
-    """Restarts split over forked children give the serial search's result."""
+    """Restarts spread over forked children give the serial search's result
+    (the pool itself is tested in ``test_forked``)."""
 
     @pytest.mark.parametrize("budget", [120, 400])
     @pytest.mark.parametrize("seed", [0, 5])
@@ -254,68 +244,22 @@ class TestRestartsInProcesses:
             assert not a.flags.writeable
         _assert_no_child_left()
 
-    def test_children_results_in_restart_order_and_read_only(self, gm, monkeypatch):
-        mu = stationary_starts(gm, [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]])
-
-        def restart(r, previous):
-            return float(r), mu, r + 1
-
-        monkeypatch.setattr(variational, "_cpu_count", lambda: 4)
-        results = variational._run_restarts(gm, restart, 8)
-        assert [(value, count) for value, _, count in results] == [
-            (float(r), r + 1) for r in range(8)
-        ]
-        for _, got, _ in results:
-            assert got.bundle is gm and got.flags == mu.flags
-            for a, b in zip(got.transitions + got.starts, mu.transitions + mu.starts):
-                assert not a.flags.writeable
-                assert a.tobytes() == b.tobytes()
-        _assert_no_child_left()
-
-    def test_a_child_failure_reaches_the_caller(self, full2, monkeypatch):
-        monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
-        with pytest.raises(PowerIterationError) as info:
-            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
-        assert type(info.value) is PowerIterationError
-        assert str(info.value) == "stalled in a child (residual=5.000e-01)"
-        assert info.value.residual == 0.5
-        _assert_no_child_left()
-
-    def test_an_error_that_cannot_be_pickled_arrives_as_runtime_error(
-        self, full2, monkeypatch
-    ):
-        class Unpicklable(Exception):
-            def __init__(self, a, b):
-                super().__init__(f"{a} and {b}")
-
-        parent = os.getpid()
-
-        def solve(bundle, transitions, previous=None):
-            if os.getpid() != parent:
-                raise Unpicklable("one", "two")
-            return stationary_starts(bundle, transitions, previous=previous)
-
-        monkeypatch.setattr(variational, "stationary_starts", solve)
-        with pytest.raises(RuntimeError, match="^Unpicklable: one and two$"):
-            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
-        _assert_no_child_left()
-
-    def test_a_child_that_dies_without_a_result(self, full2, monkeypatch):
-        parent = os.getpid()
-
-        def solve(bundle, transitions, previous=None):
-            if os.getpid() != parent:
-                os._exit(3)
-            return stationary_starts(bundle, transitions, previous=previous)
-
-        monkeypatch.setattr(variational, "stationary_starts", solve)
-        with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
-            _search(zero_cylinders(full2), 400, 0, 2, monkeypatch)
-        _assert_no_child_left()
-
     def test_cli_exits_4_on_a_child_stall(self, monkeypatch):
-        monkeypatch.setattr(variational, "stationary_starts", _stalls_in_child(os.getpid()))
-        monkeypatch.setattr(variational, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+        waited = []
+
+        def solve(bundle, transitions, previous=None):
+            """Stalls in a child; the first solve here waits until a child
+            has taken a restart."""
+            if os.getpid() != parent:
+                raise PowerIterationError("stalled in a child", 0.5)
+            if not waited:
+                waited.append(True)
+                time.sleep(0.5)
+            return stationary_starts(bundle, transitions, previous=previous)
+
+        monkeypatch.setattr(variational, "stationary_starts", solve)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         res = CliRunner().invoke(
             main,
             ["maximize", "demos/instances/full_shift_2.json", "--partition",
@@ -326,7 +270,7 @@ class TestRestartsInProcesses:
         _assert_no_child_left()
 
     @pytest.mark.skipif(
-        variational._cpu_count() < 2 or shutil.which("ps") is None,
+        forked._cpu_count() < 2 or shutil.which("ps") is None,
         reason="needs two CPUs to fork a restart, and ps to see it",
     )
     def test_an_interrupt_stops_the_children_quietly(self):
@@ -370,39 +314,23 @@ class TestRestartsInProcesses:
         assert err == "\nAborted!\n"
         assert group() == []
 
-    def test_a_failure_here_stops_the_children(self, full2, monkeypatch):
-        parent = os.getpid()
 
-        def solve(bundle, transitions, previous=None):
-            if os.getpid() == parent:
-                raise MeasureError("failed in the parent")
-            return stationary_starts(bundle, transitions, previous=previous)
+class TestWitnessWithFixedFibers:
+    """Pulling back through a theta power that fixes every fiber reuses the
+    cover's sections; the witness report is the rebuilt sections' report."""
 
-        monkeypatch.setattr(variational, "stationary_starts", solve)
-        with pytest.raises(MeasureError, match="failed in the parent"):
-            _search(zero_cylinders(full2), 400, 0, 4, monkeypatch)
-        _assert_no_child_left()
-
-    def test_groups_that_cannot_fork_run_here(self, gm, monkeypatch):
-        def no_fork(self):
-            raise BlockingIOError("no process to spare")
-
-        serial = _search(zero_cylinders(gm), 400, 2, 1, monkeypatch)
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
-        forked = _search(zero_cylinders(gm), 400, 2, 4, monkeypatch)
-        assert canonical_json(forked.to_dict()) == canonical_json(serial.to_dict())
-        _assert_no_child_left()
-
-    def test_one_cpu_while_other_threads_run(self):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert variational._cpu_count() == 1
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+    @pytest.mark.parametrize(
+        "bundle",
+        [alphabet2_bundle((0,), [GM]), alphabet2_bundle((0, 1), [FULL, GM])],
+        ids=["one-fiber-golden-mean", "two-fixed-points"],
+    )
+    def test_same_report_as_rebuilt_sections(self, bundle, monkeypatch):
+        cover = zero_cylinders(bundle)
+        reused = witness_measures(cover, 3)[3]
+        monkeypatch.setattr(variational, "pullback", rebuilt_pullback)
+        monkeypatch.setattr(covers, "pullback", rebuilt_pullback)
+        rebuilt = witness_measures(cover, 3)[3]
+        assert canonical_json(reused.to_dict()) == canonical_json(rebuilt.to_dict())
 
 
 class TestErrorsSurvivePickling:
