@@ -42,19 +42,22 @@ def run_tasks(tasks: Sequence[Callable[[], Any]]) -> list:
 
     This process is worker 0; every other worker is a forked child, which
     sees the inputs this process had when the call began.  Each worker takes
-    the next task that has not started until none is left, and a task that
-    raises stops its worker and keeps further tasks from starting.  A
-    child's results and exception come back pickled, so tasks return
-    picklable values.
+    the next task that has not started until none is left, from the last
+    task to the first: a caller lists its longest task last, so it starts at
+    once and the others fill the remaining CPUs around it.  A child's
+    results and exceptions come back pickled, so tasks return picklable
+    values.
 
-    The exception raised here is that of the lowest-index task that raised,
-    which is the one the serial loop raises, with its type and message; one
-    that cannot be pickled arrives as ``RuntimeError("Type: message")``.  A
-    child that exits before sending its results raises ``RuntimeError``.  A
-    worker that cannot be forked leaves its tasks to the others.  Children
-    ignore interrupts; this process stops and joins them before it returns
-    or raises, and a stopped child stops its own children the same way, so
-    no process outlives the call.
+    Across workers every task runs, also after one raised, since a task
+    before it may raise too.  The exception raised here is that of the
+    lowest-index task that raised, which is the one the serial loop raises,
+    with its type and message; one that cannot be pickled arrives as
+    ``RuntimeError("Type: message")``.  A child that exits before sending
+    its results raises ``RuntimeError``.  A worker that cannot be forked
+    leaves its tasks to the others.  Children ignore interrupts; this
+    process stops and joins them before it returns or raises, and a stopped
+    child stops its own children the same way, so no process outlives the
+    call.
     """
     workers = min(len(tasks), _cpu_count())
     if workers < 2:
@@ -62,24 +65,23 @@ def run_tasks(tasks: Sequence[Callable[[], Any]]) -> list:
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    started = ctx.Value("q", 0)
+    unstarted = ctx.Value("q", len(tasks))
 
     def work() -> tuple[dict, tuple | None]:
-        """Run tasks as they come: ``({index: result}, (index, exception))``,
-        the second ``None`` when no task raised."""
-        done = {}
+        """Run tasks as they come: ``({index: result}, (index, exception))``
+        with the worker's last, so lowest-index, failure; ``None`` when no
+        task raised."""
+        done, failure = {}, None
         while True:
-            with started.get_lock():
-                i = started.value
-                started.value = i + 1
-            if i >= len(tasks):
-                return done, None
+            with unstarted.get_lock():
+                unstarted.value -= 1
+                i = unstarted.value
+            if i < 0:
+                return done, failure
             try:
                 done[i] = tasks[i]()
             except Exception as exc:  # the caller decides which failure wins
-                with started.get_lock():
-                    started.value = len(tasks)
-                return done, (i, exc)
+                failure = (i, exc)
 
     children = []
     finished = False

@@ -883,6 +883,8 @@ def _check_search_gap(config, corpus):
     return t.result()
 
 
+# the task pool hands out the last check first, so the longest, the search,
+# stays last
 _CHECKS = [
     ("words-vs-counts", _check_words_vs_counts),
     ("relabel-invariance", _check_relabel),

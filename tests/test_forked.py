@@ -84,11 +84,13 @@ class TestRunTasks:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_the_lowest_index_failure_wins(self, n, cpus):
-        """Task 4 fails at once and task 2 late; a serial loop stops at 2."""
+        """Tasks 4 and 5, handed out first, fail at once and task 2 late; a
+        serial loop stops at 2."""
         cpus(n)
         tasks = [functools.partial(_task, i, 0.01) for i in range(6)]
         tasks[2] = functools.partial(_task, 2, 0.3, _raise(MeasureError("task 2")))
-        tasks[4] = functools.partial(_task, 4, 0.0, _raise(KeyError("task 4")))
+        for i in (4, 5):
+            tasks[i] = functools.partial(_task, i, 0.0, _raise(KeyError(f"task {i}")))
         with pytest.raises(MeasureError, match="^task 2$"):
             run_tasks(tasks)
         _assert_no_child_left()
@@ -113,24 +115,28 @@ class TestRunTasks:
             run_tasks([functools.partial(_task, i, 0.3, die, os.getpid()) for i in range(2)])
         _assert_no_child_left()
 
-    def test_a_failure_here_waits_for_the_children(self, cpus):
-        """This process fails its first task; the children's tasks, running
-        meanwhile, finish, and no further task starts."""
+    def test_a_failure_here_waits_for_the_children(self, cpus, tmp_path):
+        """Every task here fails; the children's tasks, running meanwhile,
+        finish, and every task runs."""
         parent = os.getpid()
-        ran = []
 
         def task(i):
+            (tmp_path / str(i)).touch()
             if os.getpid() == parent:
-                ran.append(i)
-                raise MeasureError("failed in the parent")
-            time.sleep(0.3)
+                raise MeasureError(f"failed in the parent at {i}")
+            time.sleep(0.05)
             return i
 
         cpus(4)
-        with pytest.raises(MeasureError, match="failed in the parent"):
+        with pytest.raises(MeasureError, match="^failed in the parent at "):
             run_tasks([functools.partial(task, i) for i in range(12)])
-        assert len(ran) == 1
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(12))
         _assert_no_child_left()
+
+    def test_the_last_task_starts_first(self, cpus):
+        cpus(2)
+        got = run_tasks([functools.partial(time.monotonic) for _ in range(4)])
+        assert got[3] == min(got)
 
     def test_workers_that_cannot_fork_leave_their_tasks_here(self, cpus, monkeypatch):
         def no_fork(self):
