@@ -12,7 +12,6 @@ from rdelab import (
     cover_count,
     is_finer,
     join,
-    min_subcover_count,
     presets,
     product_cover,
     product_partitions_finer,
@@ -36,11 +35,11 @@ print("  coarse does not refine fine:", is_finer(zero, two_step))
 
 # an overlapping cover: {a, b} and {b} -- not a partition
 overlap = product_cover(bundle, [[(0,), (1,)], [(1,)]])
+# one count per fiber of the n-step join, for n = 1..3 (n = 1 is the cover)
+counts = cover_count(overlap, 3)
 print("\nOverlapping cover {a,b},{b}:")
-print("  minimal subcover per fiber:",
-      [min_subcover_count(overlap, omega) for omega in range(2)])
-print("  joined counts at n=3:",
-      [cover_count(overlap, omega, 3) for omega in range(2)])
+print("  minimal subcover per fiber:", list(counts[0]))
+print("  joined counts at n=3:", list(counts[-1]))
 
 print("  product refinements (each word assigned one containing element):")
 for part in product_partitions_finer(overlap):

@@ -12,6 +12,11 @@ The nonempty-cell counts of a partition's joins come from a subset
 construction over the cell labels of admissible words, without building the
 joins.
 
+The count and separated-set routines serve every fiber at once: each
+``(cover, n)`` has one join, built once.  :func:`cover_count` returns, for
+``n = 1..nmax``, one tuple of per-fiber minimal subcover counts of the
+``n``-step join, and :func:`maximal_multi_separated` one word tuple per fiber.
+
 The branch-and-bound memo is per call.  Two tables outlive a call, both on
 objects the caller passes in: :func:`partition_join_counts` memoizes through
 :meth:`~rdelab.covers.PositionedPartition.cell_of` into the partition's
@@ -31,6 +36,7 @@ from .covers import (
     PositionedPartition,
     check_join_size,
     is_finer,
+    join_sequence,
     range_join,
 )
 
@@ -281,38 +287,43 @@ def partition_join_counts(p: PositionedPartition, omega: int, steps: int) -> lis
     return counts
 
 
-def cover_count(cover: PositionedCover, omega: int, n: int) -> int:
-    """Minimal subcover cardinality of the ``n``-step joined pullbacks of the
-    cover over fiber ``omega``.
+def cover_count(cover: PositionedCover, nmax: int) -> list[tuple[int, ...]]:
+    """Minimal subcover counts of the ``n``-step joined pullbacks of the cover
+    for ``n = 1..nmax``: one tuple per step, one count per fiber.
 
-    For partitions this equals the number of nonempty joined cells, which for
-    singleton-cell partitions equals the admissible word count over the joined
-    window; it is counted by :func:`partition_join_counts`, without building
-    the join.
+    A partition's counts are its nonempty joined cells, counted by
+    :func:`partition_join_counts` without building the joins; for
+    singleton-cell partitions they are admissible word counts over the joined
+    window.  A cover's come from one :func:`~rdelab.covers.join_sequence` and
+    :func:`min_subcover_count`.  Both check the join size first.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if nmax < 1:
+        raise ValueError("need nmax >= 1")
+    fibers = range(cover.bundle.base.omega_count)
     if isinstance(cover, PositionedPartition):
-        return partition_join_counts(cover, omega, n)[-1]
-    joined = range_join(cover, 0, n - 1)
-    return min_subcover_count(joined, omega)
+        return list(zip(*(partition_join_counts(cover, omega, nmax) for omega in fibers)))
+    return [
+        tuple(min_subcover_count(joined, omega) for omega in fibers)
+        for joined in join_sequence(cover, nmax)
+    ]
 
 
 def maximal_multi_separated(
-    omega: int,
     partitions: Sequence[PositionedPartition],
     cover: PositionedCover,
     n: int,
-) -> tuple[tuple[int, ...], ...]:
-    """Greedy-maximal word set meeting each joined-partition atom at most once.
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Greedy-maximal word sets meeting each joined-partition atom at most
+    once, one per fiber.
 
-    Every supplied partition must refine ``cover``.  Words over the common
-    joined window are scanned in lexicographic order and kept whenever, for
-    every partition, their joined atom is still unused; after a full scan no
-    remaining word can be added, so the set is maximal.  Any maximal set has
-    at least ``floor(N / K)`` members, where ``N`` is the joined minimal
-    subcover count of ``cover`` and ``K`` the number of partitions; that bound
-    is asserted before returning.
+    Every supplied partition must refine ``cover``.  In each fiber, words over
+    the common joined window are scanned in lexicographic order and kept
+    whenever, for every partition, their joined atom is still unused; after a
+    full scan no remaining word can be added, so the set is maximal.  Any
+    maximal set has at least ``floor(N / K)`` members, where ``N`` is the
+    fiber's joined minimal subcover count of ``cover`` and ``K`` the number of
+    partitions; that bound is asserted before returning.  Each join is built
+    once, for all fibers.
     """
     if not partitions:
         raise SeparationError("need at least one partition")
@@ -325,21 +336,23 @@ def maximal_multi_separated(
     joined_cover = range_join(cover, 0, n - 1)
     hs = min(j.start for j in joined_parts + [joined_cover])
     he = max(j.stop for j in joined_parts + [joined_cover])
-    universe = admissible_tuples(cover.bundle, omega, hs, he - hs)
-    atom_of = [j.cell_of(omega, (hs, he)) for j in joined_parts]
-    used: list[set[int]] = [set() for _ in joined_parts]
-    chosen: list[tuple[int, ...]] = []
-    for w in universe:
-        atoms = [atom_of[l][w] for l in range(len(joined_parts))]
-        if any(a in used[l] for l, a in enumerate(atoms)):
-            continue
-        chosen.append(w)
-        for l, a in enumerate(atoms):
-            used[l].add(a)
-    n_count = min_subcover_count(joined_cover, omega)
-    bound = n_count // len(partitions)
-    if len(chosen) < bound:
-        raise AssertionError(
-            f"separated set of size {len(chosen)} below floor({n_count}/{len(partitions)})"
-        )
-    return tuple(chosen)
+    out = []
+    for omega in range(cover.bundle.base.omega_count):
+        atom_of = [j.cell_of(omega, (hs, he)) for j in joined_parts]
+        used: list[set[int]] = [set() for _ in joined_parts]
+        chosen: list[tuple[int, ...]] = []
+        for w in admissible_tuples(cover.bundle, omega, hs, he - hs):
+            atoms = [atom_of[l][w] for l in range(len(joined_parts))]
+            if any(a in used[l] for l, a in enumerate(atoms)):
+                continue
+            chosen.append(w)
+            for l, a in enumerate(atoms):
+                used[l].add(a)
+        n_count = min_subcover_count(joined_cover, omega)
+        if len(chosen) < n_count // len(partitions):
+            raise AssertionError(
+                f"separated set of size {len(chosen)} below "
+                f"floor({n_count}/{len(partitions)}) in fiber {omega}"
+            )
+        out.append(tuple(chosen))
+    return tuple(out)

@@ -40,7 +40,7 @@ from .base import (
     plain_sum,
     transfer_count,
 )
-from .covercomb import min_subcover_count, partition_join_counts
+from .covercomb import cover_count
 from .covers import (
     CoverError,
     PositionedCover,
@@ -229,34 +229,14 @@ def _report(sequence: list[tuple[int, float]], exact_rate, tags) -> EntropyRepor
     )
 
 
-def _log_counts(cover: PositionedCover, nmax: int) -> list[float]:
-    """P-averages of the log minimal subcover counts of the 1..nmax-step joins.
-
-    A partition's counts come from :func:`partition_join_counts`, which builds
-    no join; a cover's from :func:`join_sequence` and
-    :func:`min_subcover_count`.  Both check the join size first.
-    """
-    base = cover.bundle.base
-    weights = base.weights
-    fibers = range(base.omega_count)
-    if isinstance(cover, PositionedPartition):
-        per_step = zip(*(partition_join_counts(cover, omega, nmax) for omega in fibers))
-    else:
-        per_step = [
-            [min_subcover_count(joined, omega) for omega in fibers]
-            for joined in join_sequence(cover, nmax)
-        ]
+def cover_complexity(cover: PositionedCover, nmax: int) -> list[float]:
+    """P-averages of the log minimal subcover counts of the 1..nmax-step
+    joins, from :func:`~rdelab.covercomb.cover_count`."""
+    weights = cover.bundle.base.weights
     return [
-        plain_sum(weights[omega] * math.log(row[omega]) for omega in fibers)
-        for row in per_step
+        plain_sum(w * math.log(c) for w, c in zip(weights, row))
+        for row in cover_count(cover, nmax)
     ]
-
-
-def cover_complexity(cover: PositionedCover, n: int) -> float:
-    """P-average of the log minimal subcover count of the n-step join."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _log_counts(cover, n)[-1]
 
 
 def _is_singleton_cell_partition(cover: PositionedCover) -> bool:
@@ -274,9 +254,7 @@ def topological_cover_entropy(cover: PositionedCover, nmax: int) -> EntropyRepor
     n-step join is an admissible word count, so the exact rate is the
     integrated spectral growth rate of the transition cycle products.
     """
-    if nmax < 1:
-        raise ValueError("need nmax >= 1")
-    logs = _log_counts(cover, nmax)
+    logs = cover_complexity(cover, nmax)
     seq = [(n, v / n) for n, v in enumerate(logs, 1)]
     exact = None
     tags = ["fekete"]

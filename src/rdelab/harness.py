@@ -51,7 +51,7 @@ from .covers import (
 )
 from .entropy import (
     block_power_system,
-    _log_counts,
+    cover_complexity,
     cover_conditional_entropy,
     h_minus_report,
     h_plus_value,
@@ -233,9 +233,16 @@ def random_word_measure(
 # ---------------------------------------------------------------------------
 
 
+# the witness horizon cap, the absolute tolerance of the hard checks and the
+# slack of the soft ones
+HORIZON_CAP = 14
+TOLERANCE = 1e-9
+SOFT_SLACK = 0.08
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run, at what sizes, and with what tolerances.
+    """Which checks to run, and at what sizes.
 
     The size caps of ``params`` must allow one fiber, one symbol, a window of
     one and two cover elements.  An alphabet cap of 1 is valid:
@@ -247,9 +254,6 @@ class SuiteConfig:
     draws: int = 200
     params: GenParams = field(default_factory=GenParams)
     nmax: int = 4
-    horizon_cap: int = 14
-    tolerance: float = 1e-9
-    soft_slack: float = 0.08
     search_budget: int = 400
     only: tuple[str, ...] = ()
 
@@ -262,7 +266,7 @@ class SuiteConfig:
             )
         if p.omega_max > 6 or p.alphabet_max > 4:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
-        if self.nmax > 12 or self.horizon_cap > 14:
+        if self.nmax > 12:
             raise ValueError("caps exceed the exactness guarantees of the solvers")
         unknown = [c for c in self.only if c not in CHECK_IDS]
         if unknown:
@@ -403,7 +407,7 @@ def _check_relabel(config, corpus):
         )
         other = cycle_growth_rate(relabeled).integrated
         gap = abs(rate - other)
-        t.record(gap <= config.tolerance, config.tolerance - gap, _repro(inst, gap=gap))
+        t.record(gap <= TOLERANCE, TOLERANCE - gap, _repro(inst, gap=gap))
     return t.result()
 
 
@@ -504,11 +508,15 @@ def _check_count_monotone(config, corpus):
         u = inst.covers[names[0]]
         w = inst.covers[names[1 % len(names)]]
         v = join(u, w)
+        # row n - 1 holds the n-step counts of every fiber
+        counts_u = cover_count(u, 3)
+        counts_w = cover_count(w, 2)
+        counts_v = cover_count(v, 2)
         for omega in range(b.base.omega_count):
             for n in (1, 2):
-                cu = cover_count(u, omega, n)
-                cw = cover_count(w, omega, n)
-                cv = cover_count(v, omega, n)
+                cu = counts_u[n - 1][omega]
+                cw = counts_w[n - 1][omega]
+                cv = counts_v[n - 1][omega]
                 t.record(cv >= cu, float(cv - cu), _repro(inst, omega=omega, n=n))
                 # a subcover of the join is a product of subcovers
                 t.record(
@@ -517,10 +525,8 @@ def _check_count_monotone(config, corpus):
                     _repro(inst, omega=omega, n=n, law="join-submultiplicative"),
                 )
             for n, m in ((1, 1), (1, 2), (2, 1)):
-                lhs = cover_count(u, omega, n + m)
-                rhs = cover_count(u, omega, n) * cover_count(
-                    u, b.base.apply_theta(omega, n), m
-                )
+                lhs = counts_u[n + m - 1][omega]
+                rhs = counts_u[n - 1][omega] * counts_u[m - 1][b.base.apply_theta(omega, n)]
                 t.record(lhs <= rhs, float(rhs - lhs), _repro(inst, omega=omega, n=n, m=m))
     return t.result()
 
@@ -536,11 +542,11 @@ def _check_fekete_tail(config, corpus):
         )
         if any(len(strongly_connected_components(p > 0)) != 1 for p in products):
             continue
-        rep = topological_cover_entropy(inst.covers["zero"], 6)
+        rep = topological_cover_entropy(zero_cylinders(b), 6)
         values = [v for _, v in rep.sequence]
         t.record(
-            min(values) >= values[-1] - config.tolerance,
-            values[-1] - min(values) + config.tolerance,
+            min(values) >= values[-1] - TOLERANCE,
+            values[-1] - min(values) + TOLERANCE,
             _repro(inst, values=values),
         )
     return t.result()
@@ -556,19 +562,20 @@ def _check_separated(config, corpus):
             if not cov.product_form:
                 continue
             parts = list(itertools.islice(iter(product_partitions_finer(cov)), 2))
+            counts = cover_count(cov, 2)
             for n in (1, 2):
+                separated = maximal_multi_separated(parts, cov, n)
+                joined = [range_join(p, 0, n - 1) for p in parts]
+                hs = min(j.start for j in joined)
+                he = max(j.stop for j in joined)
                 for omega in range(b.base.omega_count):
-                    chosen = maximal_multi_separated(omega, parts, cov, n)
-                    ncount = cover_count(cov, omega, n)
-                    bound = ncount // len(parts)
+                    chosen = separated[omega]
+                    bound = counts[n - 1][omega] // len(parts)
                     t.record(
                         len(chosen) >= bound,
                         float(len(chosen) - bound),
                         _repro(inst, cover=name, omega=omega, n=n),
                     )
-                    joined = [range_join(p, 0, n - 1) for p in parts]
-                    hs = min(j.start for j in joined)
-                    he = max(j.stop for j in joined)
                     atom_maps = [j.cell_of(omega, (hs, he)) for j in joined]
                     used = [
                         {atom_maps[l][w] for w in chosen} for l in range(len(parts))
@@ -621,7 +628,7 @@ def _check_cond_entropy_laws(config, corpus):
     mono = _Tally("cond-entropy-monotone", "exact")
     subadd = _Tally("cond-entropy-subadditive", "exact")
     shift = _Tally("cond-entropy-shift", "exact")
-    tol = config.tolerance
+    tol = TOLERANCE
     for inst in corpus:
         b = inst.bundle
         names = sorted(inst.covers)
@@ -661,12 +668,12 @@ def _check_join_count_bound(config, corpus):
                 if cname not in tops:
                     # the step-n complexities do not depend on the measure:
                     # one pass per cover serves every measure
-                    tops[cname] = _log_counts(cov, config.nmax)
+                    tops[cname] = cover_complexity(cov, config.nmax)
                 for n, val in rep.sequence:
                     top = tops[cname][n - 1]
                     t.record(
-                        val * n <= top + config.tolerance,
-                        top + config.tolerance - val * n,
+                        val * n <= top + TOLERANCE,
+                        top + TOLERANCE - val * n,
                         _repro(inst, measure=mname, cover=cname, n=n),
                     )
     return t.result()
@@ -676,7 +683,7 @@ def _check_mix_laws(config, corpus):
     conc = _Tally("mix-concavity", "exact")
     defect = _Tally("mix-defect", "exact")
     push = _Tally("pushforward-consistency", "exact")
-    tol = config.tolerance
+    tol = TOLERANCE
     for inst in corpus:
         b = inst.bundle
         rng = _rng_for(config.seed, "mix", inst.seed)
@@ -732,9 +739,7 @@ def _check_witness(config, corpus):
                 continue
             for n in (1, 2):
                 try:
-                    _, _, _, rep = witness_measures(
-                        cov, n, horizon_cap=config.horizon_cap
-                    )
+                    _, _, _, rep = witness_measures(cov, n, horizon_cap=HORIZON_CAP)
                 except GUARDS:  # a tripped guard is a skip, not a pass
                     t.skipped += 1
                     continue
@@ -752,7 +757,7 @@ def _check_witness(config, corpus):
 def _check_power_identity(config, corpus):
     t = _Tally("power-identity", "exact")
     for inst in corpus[: max(2, len(corpus) // 3)]:
-        cov = inst.covers["zero"]
+        cov = zero_cylinders(inst.bundle)
         mu = inst.measures[sorted(inst.measures)[0]]
         for m_steps in (2, 3):
             ps = block_power_system(cov, m_steps)
@@ -763,8 +768,8 @@ def _check_power_identity(config, corpus):
                 other = dict(bseq.sequence)[k * m_steps]
                 gap = abs(val / m_steps - other)
                 t.record(
-                    gap <= config.tolerance,
-                    config.tolerance - gap,
+                    gap <= TOLERANCE,
+                    TOLERANCE - gap,
                     _repro(inst, M=m_steps, k=k, gap=gap),
                 )
     return t.result()
@@ -783,8 +788,8 @@ def _check_hminus_le_hplus(config, corpus):
             minus = h_minus_report(mu, cov, config.nmax).certified_upper
             plus = h_plus_value(mu, cov, config.nmax, enum_cap=64).value
             t.record(
-                minus <= plus + config.tolerance,
-                plus + config.tolerance - minus,
+                minus <= plus + TOLERANCE,
+                plus + TOLERANCE - minus,
                 _repro(inst, cover=name),
             )
             break
@@ -807,14 +812,14 @@ def _check_measure_invariance(config, corpus):
 def _check_rate_below_top(config, corpus):
     t = _Tally("rate-below-top", "exact")
     for inst in corpus:
-        zero = inst.covers["zero"]
+        zero = zero_cylinders(inst.bundle)
         top = topological_cover_entropy(zero, 1).exact_rate
         for mname in sorted(inst.measures):
             rep = partition_entropy_report(inst.measures[mname], zero, 1)
             rate = rep.exact_rate
             t.record(
-                rate <= top + config.tolerance,
-                top + config.tolerance - rate,
+                rate <= top + TOLERANCE,
+                top + TOLERANCE - rate,
                 _repro(inst, measure=mname, rate=rate, top=top),
             )
     return t.result()
@@ -861,9 +866,9 @@ def _check_hplus_trend(config, corpus):
         )
         values.append(outer / m_steps)
     drift = values[-1] - minus
-    decreasing = all(values[i + 1] <= values[i] + config.soft_slack for i in range(2))
+    decreasing = all(values[i + 1] <= values[i] + SOFT_SLACK for i in range(2))
     t.record(
-        decreasing and drift >= -config.tolerance,
+        decreasing and drift >= -TOLERANCE,
         drift,
         {"values": values, "h_minus": minus},
     )
@@ -876,8 +881,8 @@ def _check_search_gap(config, corpus):
     zero = zero_cylinders(bundle)
     res = maximize_invariant_entropy(zero, config.search_budget, config.seed)
     t.record(
-        res.gap <= config.soft_slack,
-        config.soft_slack - res.gap,
+        res.gap <= SOFT_SLACK,
+        SOFT_SLACK - res.gap,
         {"value": res.value, "reference": res.reference, "budget": config.search_budget},
     )
     return t.result()
@@ -940,9 +945,9 @@ def run_suite(config: SuiteConfig = SuiteConfig(), instances=None) -> SuiteRepor
         "draws": config.draws,
         "params": vars(config.params),
         "nmax": config.nmax,
-        "horizon_cap": config.horizon_cap,
-        "tolerance": config.tolerance,
-        "soft_slack": config.soft_slack,
+        "horizon_cap": HORIZON_CAP,
+        "tolerance": TOLERANCE,
+        "soft_slack": SOFT_SLACK,
         "search_budget": config.search_budget,
         "only": list(config.only),
     }

@@ -189,13 +189,9 @@ def witness_measures(
     pulled_cover = pullback(cover, n)
     pulled_refs = [pullback(r, n) for r in refinements]
 
-    separated: dict[int, tuple] = {}
-    pulled_counts: list[int] = []
-    full_counts: list[int] = []
-    for omega in range(base.omega_count):
-        separated[omega] = maximal_multi_separated(omega, pulled_refs, pulled_cover, n * n)
-        pulled_counts.append(cover_count(pulled_cover, omega, n * n))
-        full_counts.append(cover_count(cover, omega, span))
+    separated = dict(enumerate(maximal_multi_separated(pulled_refs, pulled_cover, n * n)))
+    pulled_counts = cover_count(pulled_cover, n * n)[-1]
+    full_counts = cover_count(cover, span)[-1]
 
     # empirical measure: uniform over separated words, split uniformly over
     # each word's admissible completions to the full horizon window
@@ -284,8 +280,8 @@ def witness_measures(
         horizon=horizon,
         common_horizon=common_horizon,
         separated_sizes=tuple(len(separated[w]) for w in range(base.omega_count)),
-        pulled_counts=tuple(pulled_counts),
-        full_counts=tuple(full_counts),
+        pulled_counts=pulled_counts,
+        full_counts=full_counts,
         separation_checks=tuple(separation_checks),
         averaged_checks=tuple(averaged_checks),
     )
@@ -338,20 +334,22 @@ class MaximizeResult:
         }
 
 
+# steps of the certified rate that scores a non-chain-rule target, and of the
+# topological reference the best value is compared with
+SCORE_NMAX = 4
+REFERENCE_NMAX = 8
+
+
 def maximize_invariant_entropy(
-    target: PositionedCover,
-    budget: int,
-    seed: int,
-    *,
-    nmax: int = 4,
-    mode: str = "general",
-    reference_nmax: int = 8,
+    target: PositionedCover, budget: int, seed: int
 ) -> MaximizeResult:
     """Search the invariant Markov family for a high entropy rate on the target.
 
     Partitions are scored with :func:`partition_entropy_report` (exact chain
     rule when available, certified upper bound otherwise); covers are scored
-    with the step-``nmax`` certified conditional-entropy rate.  Hill climbing
+    with the step-:data:`SCORE_NMAX` certified conditional-entropy rate, in
+    the fiber-dependent (``"general"``) infimum class.  The reference is the
+    topological rate over :data:`REFERENCE_NMAX` steps.  Hill climbing
     restarts from deterministic seeds derived from ``(seed, restart)``.  The
     restarts are independent tasks, run across the available CPUs in forked
     processes (:func:`~rdelab.forked.run_tasks`) and merged in restart order,
@@ -373,7 +371,7 @@ def maximize_invariant_entropy(
     chain_rule = isinstance(target, PositionedPartition) and _pins_coordinate(target)
     joined_targets = None
     if not chain_rule:
-        joined_targets = list(join_sequence(target, nmax))
+        joined_targets = list(join_sequence(target, SCORE_NMAX))
 
     def fiber_matrix(qrows: list[list[float]], w: int) -> np.ndarray:
         m = np.zeros((d, d))
@@ -400,11 +398,11 @@ def maximize_invariant_entropy(
     def score(mu: MarkovMeasure) -> float:
         if chain_rule:
             return _chain_rule_rate(mu)
-        horizon = target.stop + nmax - 1
+        horizon = target.stop + SCORE_NMAX - 1
         nu = markov_to_word(mu, horizon)
         best = math.inf
         for k, joined in enumerate(joined_targets, start=1):
-            h = cover_conditional_entropy(nu, joined, mode)
+            h = cover_conditional_entropy(nu, joined)
             best = min(best, h / k)
         return best
 
@@ -463,7 +461,7 @@ def maximize_invariant_entropy(
             best_value = value
             best_measure = MarkovMeasure._adopt(bundle, transitions, starts, flags)
 
-    ref_report = topological_cover_entropy(target, reference_nmax)
+    ref_report = topological_cover_entropy(target, REFERENCE_NMAX)
     reference = (
         ref_report.exact_rate
         if ref_report.exact_rate is not None

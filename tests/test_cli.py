@@ -303,6 +303,23 @@ class TestVerify:
         )
         assert res.exit_code == 0
 
+    def test_a_file_cover_named_zero_is_checked_like_any_other(self, tmp_path):
+        # the file's own "zero" is the overlapping cover, not the zero
+        # cylinders that checks such as rate-below-top need
+        with open(GOLDEN, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["covers"]["zero"] = doc["covers"]["overlap"]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        checks = {}
+        for name, source in (("own", str(path)), ("added", GOLDEN)):
+            out = tmp_path / f"{name}.json"
+            res = run("verify", "--file", source, "--json", str(out))
+            assert res.exit_code == 0 and "suite ok" in res.output
+            checks[name] = [r["check"] for r in json.loads(out.read_text())["results"]]
+        # every check ran
+        assert checks["own"] == checks["added"]
+
     def test_schema_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"alphabet": ["a"], "omega": ["w"], "theta": [0], "P": [1.0], "adjacency": {"w": [[1]]}, "extra": 1}')

@@ -137,18 +137,19 @@ class TestMinSubcover:
 class TestCoverCount:
     def test_cylinder_partition_equals_word_counts(self, gm):
         u = zero_cylinders(gm)
-        assert cover_count(u, 0, 2) == 4
-        assert cover_count(u, 1, 2) == 3
+        assert cover_count(u, 2) == [(2, 2), (4, 3)]
 
     def test_full_shift(self, full2):
         u = zero_cylinders(full2)
-        for n in (1, 2, 3, 5):
-            assert cover_count(u, 0, n) == 2**n
+        assert cover_count(u, 5) == [(2**n,) for n in range(1, 6)]
 
     def test_two_fixed_points(self, id2):
         u = zero_cylinders(id2)
-        for n in (1, 3, 6):
-            assert cover_count(u, 0, n) == 2
+        assert cover_count(u, 6) == [(2,)] * 6
+
+    def test_needs_one_step(self, gm):
+        with pytest.raises(ValueError, match=r"^need nmax >= 1$"):
+            cover_count(zero_cylinders(gm), 0)
 
     @pytest.mark.parametrize("seed", [2, 9, 17])
     def test_monotone_and_submultiplicative(self, seed):
@@ -159,32 +160,35 @@ class TestCoverCount:
         from rdelab import join
 
         v = join(u, inst.covers[names[1 % len(names)]])
+        cu = cover_count(u, 3)
+        cv = cover_count(v, 2)
         for omega in range(b.base.omega_count):
-            assert cover_count(v, omega, 2) >= cover_count(u, omega, 2)
+            assert cv[1][omega] >= cu[1][omega]
             for n, m in ((1, 1), (1, 2), (2, 1)):
-                assert cover_count(u, omega, n + m) <= cover_count(
-                    u, omega, n
-                ) * cover_count(u, b.base.apply_theta(omega, n), m)
+                theta_n = b.base.apply_theta(omega, n)
+                assert cu[n + m - 1][omega] <= cu[n - 1][omega] * cu[m - 1][theta_n]
 
 
 class TestMaximalMultiSeparated:
     def test_cylinder_partition_takes_every_word(self, gm):
         u = zero_cylinders(gm)
-        chosen = maximal_multi_separated(0, [u], u, 2)
-        assert len(chosen) == 4 == cover_count(u, 0, 2)
+        separated = maximal_multi_separated([u], u, 2)
+        assert tuple(map(len, separated)) == (4, 3) == cover_count(u, 2)[-1]
+        for omega, chosen in enumerate(separated):
+            assert chosen == admissible_tuples(gm, omega, 0, 2)
 
     def test_trivial_partition_takes_one_word(self, gm):
         t = trivial_cover(gm)
-        chosen = maximal_multi_separated(0, [t], t, 1)
-        assert len(chosen) == 1
+        assert tuple(map(len, maximal_multi_separated([t], t, 1))) == (1, 1)
 
     def test_two_refinements_of_overlap_cover(self, gm):
         u = product_cover(gm, [[(0,), (1,)], [(1,)]])
         parts = list(product_partitions_finer(u))
+        separated = maximal_multi_separated(parts, u, 1)
+        (counts,) = cover_count(u, 1)
         for omega in range(2):
-            chosen = maximal_multi_separated(omega, parts, u, 1)
-            n_count = cover_count(u, omega, 1)
-            assert len(chosen) >= n_count // len(parts)
+            chosen = separated[omega]
+            assert len(chosen) >= counts[omega] // len(parts)
             # exhaustive maximality: no unchosen word can be added
             joined = [range_join(p, 0, 0) for p in parts]
             atoms = [j.cell_of(omega) for j in joined]
@@ -198,7 +202,7 @@ class TestMaximalMultiSeparated:
         u = zero_cylinders(gm)
         coarse = trivial_cover(gm)
         with pytest.raises(SeparationError, match="finer"):
-            maximal_multi_separated(0, [coarse], u, 1)
+            maximal_multi_separated([coarse], u, 1)
 
     @pytest.mark.parametrize("seed", [4, 23])
     def test_bound_on_fuzzed_instances(self, seed):
@@ -211,10 +215,12 @@ class TestMaximalMultiSeparated:
             parts = list(
                 itertools.islice(iter(product_partitions_finer(cov)), 2)
             )
+            counts = cover_count(cov, 2)
             for n in (1, 2):
-                for omega in range(b.base.omega_count):
-                    chosen = maximal_multi_separated(omega, parts, cov, n)
-                    assert len(chosen) >= cover_count(cov, omega, n) // len(parts)
+                separated = maximal_multi_separated(parts, cov, n)
+                assert len(separated) == b.base.omega_count
+                for chosen, count in zip(separated, counts[n - 1]):
+                    assert len(chosen) >= count // len(parts)
 
 
 DEMOS = [
@@ -316,10 +322,10 @@ class TestPartitionJoinCounts:
             (n, (x / n).hex()) for n, x in enumerate(ref, 1)
         ]
         assert rep.certified_upper.hex() == min(x / n for n, x in enumerate(ref, 1)).hex()
-        for omega in range(bundle.base.omega_count):
-            assert cover_count(cover, omega, nmax) == join_counts(
-                cover, omega, nmax
-            )[-1]
+        fibers = range(bundle.base.omega_count)
+        assert cover_count(cover, nmax) == list(
+            zip(*(join_counts(cover, omega, nmax) for omega in fibers))
+        )
 
     def test_size_guard_comes_before_any_work(self, gm, monkeypatch):
         import rdelab.covers as covers
@@ -336,7 +342,7 @@ class TestPartitionJoinCounts:
         monkeypatch.setattr(PositionedPartition, "cell_of", fail)
         calls = [
             lambda: partition_join_counts(u, 0, 10),
-            lambda: cover_count(u, 0, 10),
+            lambda: cover_count(u, 10),
             lambda: topological_cover_entropy(u, 10),
         ]
         for call in calls:

@@ -502,7 +502,7 @@ SEARCHES = {
 }
 
 
-def reference_search(target, budget, seed, **kw):
+def reference_search(target, budget, seed):
     """``maximize_invariant_entropy`` with every replaced piece put back."""
 
     def project(v):
@@ -516,7 +516,7 @@ def reference_search(target, budget, seed, **kw):
     ), mock.patch.object(
         measures, "cycle_product", reference_cycle_product
     ), mock.patch.object(measures, "_closed_classes", closed):
-        return maximize_invariant_entropy(target, budget, seed, **kw)
+        return maximize_invariant_entropy(target, budget, seed)
 
 
 class TestSearchReports:
@@ -530,10 +530,11 @@ class TestSearchReports:
         assert canonical_json(got.to_dict()) == canonical_json(ref.to_dict())
         assert got.measure.flags == ref.measure.flags
 
-    def test_cover_target(self, gm):
+    def test_cover_target(self, gm, monkeypatch):
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
         overlap = product_cover(gm, [[(0,), (1,)], [(1,)]])
-        got = maximize_invariant_entropy(overlap, 60, 1, nmax=3)
-        ref = reference_search(overlap, 60, 1, nmax=3)
+        got = maximize_invariant_entropy(overlap, 60, 1)
+        ref = reference_search(overlap, 60, 1)
         assert canonical_json(got.to_dict()) == canonical_json(ref.to_dict())
 
     def test_reference_guard_on_six_symbols(self):
@@ -544,8 +545,3 @@ class TestSearchReports:
         with pytest.raises(JoinSizeError) as got:
             maximize_invariant_entropy(target, 1, 0)
         assert str(got.value) == str(expected.value) == "join would create 6^8 elements (cap 1000000)"
-
-    def test_reference_step_check(self, gm):
-        target = zero_cylinders(gm)
-        with pytest.raises(ValueError, match=r"^need nmax >= 1$"):
-            maximize_invariant_entropy(target, 1, 0, reference_nmax=0)

@@ -1,6 +1,24 @@
+import math
+
 import pytest
 
-from rdelab import cycle_growth_rate, harness, validate, word_count
+import rdelab.covercomb as covercomb
+import rdelab.covers as covers
+import rdelab.variational as variational
+from rdelab import (
+    cover_count,
+    cycle_growth_rate,
+    harness,
+    maximal_multi_separated,
+    min_subcover_count,
+    product_cover,
+    product_partitions_finer,
+    range_join,
+    validate,
+    witness_measures,
+    word_count,
+)
+from rdelab.base import plain_sum
 from rdelab.harness import (
     CHECK_IDS,
     GenParams,
@@ -12,6 +30,46 @@ from rdelab.harness import (
 from rdelab.covers import PositionedPartition
 from rdelab.measures import MarkovMeasure
 from rdelab.variational import HorizonGuardError
+
+from conftest import alphabet2_bundle
+
+
+def fresh_tops(cov, nmax):
+    """Reference: P-averaged log minimal subcover counts of one fresh
+    ``range_join`` per step."""
+    weights = cov.bundle.base.weights
+    return [
+        plain_sum(
+            w * math.log(min_subcover_count(range_join(cov, 0, k - 1), omega))
+            for omega, w in enumerate(weights)
+        )
+        for k in range(1, nmax + 1)
+    ]
+
+
+def join_calls(monkeypatch, fn) -> int:
+    """The ``join`` and ``range_join`` calls ``fn()`` makes, wherever the
+    library binds them."""
+    calls = []
+    for name in ("join", "range_join"):
+        real = getattr(covers, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+
+        for module in (covers, covercomb, variational, harness):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+GM = [[1, 1], [1, 0]]
+FULL = [[1, 1], [1, 1]]
 
 
 class TestGeneration:
@@ -128,8 +186,7 @@ class TestSuite:
             assert res.to_dict()["skipped"] == res.skipped
 
     def test_join_count_bound_builds_one_join_sequence_per_cover(self, monkeypatch):
-        import rdelab.covers as covers
-        from rdelab.entropy import cover_complexity, h_minus_report
+        from rdelab.entropy import h_minus_report
 
         config = SuiteConfig(seed=7, only=("join-count-bound",))
         corpus = [gen_instance(seed) for seed in (1, 2)]
@@ -157,14 +214,48 @@ class TestSuite:
         assert len(calls) == (pairs + joined_covers) * (n - 1)
         # the margins are those of one fresh range_join per step
         worst = min(
-            cover_complexity(cov, k) + config.tolerance - val * k
+            top + harness.TOLERANCE - val * k
             for inst in corpus
             for mu in inst.measures.values()
             for cov in inst.covers.values()
-            for k, val in h_minus_report(mu, cov, n).sequence
+            for (k, val), top in zip(
+                h_minus_report(mu, cov, n).sequence, fresh_tops(cov, n)
+            )
         )
         assert res.passes == pairs * n and res.failures == 0
         assert res.worst_margin == worst
+
+    # joins built by the one-fiber and the four-fiber call: a range join of k
+    # steps is one call plus its k - 1 joins
+    @pytest.mark.parametrize(
+        "routine, joins",
+        [
+            # 3 joins of one sequence
+            ("cover_count", 3),
+            # 3 range joins of 3 steps: the cover's and its 2 refinements'
+            ("maximal_multi_separated", 9),
+            # at n = 2: the separated sets' 3 range joins of n**2 = 4 steps,
+            # the counts' sequences of 4 and 6 steps and one sequence of 6
+            # steps per refinement
+            ("witness_measures", 12 + 3 + 5 + 2 * 5),
+        ],
+    )
+    def test_each_count_builds_its_joins_once_for_all_fibers(
+        self, routine, joins, monkeypatch
+    ):
+        def calls(bundle):
+            u = product_cover(bundle, [[(0,), (1,)], [(1,)]])
+            parts = list(product_partitions_finer(u))
+            run = {
+                "cover_count": lambda: cover_count(u, 4),
+                "maximal_multi_separated": lambda: maximal_multi_separated(parts, u, 3),
+                "witness_measures": lambda: witness_measures(u, 2),
+            }[routine]
+            return join_calls(monkeypatch, run)
+
+        one = calls(alphabet2_bundle((0,), [FULL]))
+        four = calls(alphabet2_bundle((1, 2, 3, 0), [FULL, GM, FULL, GM]))
+        assert one == four == joins
 
     def test_config_caps_validated(self):
         with pytest.raises(ValueError, match="caps"):

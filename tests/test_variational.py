@@ -47,10 +47,8 @@ class TestWitnessConstruction:
         # a single refinement (the partition itself); every pulled coordinate
         # word is its own atom
         assert rep.refinement_count == 1
-        for omega in range(2):
-            assert len(separated[omega]) == cover_count(
-                pullback(zero_cylinders(gm), 1), omega, 1
-            )
+        (counts,) = cover_count(pullback(zero_cylinders(gm), 1), 1)
+        assert tuple(len(separated[omega]) for omega in range(2)) == counts
         assert rep.all_ok
 
     def test_two_step_worked_example(self, gm):
@@ -165,9 +163,10 @@ class TestMaximizeInvariantEntropy:
         for omega in range(2):
             assert (a.measure.transitions[omega] == b.measure.transitions[omega]).all()
 
-    def test_cover_target_uses_certified_bound(self, gm):
+    def test_cover_target_uses_certified_bound(self, gm, monkeypatch):
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
         overlap = product_cover(gm, [[(0,), (1,)], [(1,)]])
-        res = maximize_invariant_entropy(overlap, 60, 1, nmax=3)
+        res = maximize_invariant_entropy(overlap, 60, 1)
         # one element is the whole space, so every refinement can collapse
         # and both sides of the gap vanish
         assert res.value == pytest.approx(0.0, abs=1e-12)
@@ -202,11 +201,11 @@ class TestMaximizeReusesUnchangedCycles:
         assert reused.measure.flags == afresh.measure.flags
 
 
-def _search(target, budget, seed, cpus, monkeypatch, **kw):
+def _search(target, budget, seed, cpus, monkeypatch):
     """The search with ``cpus`` CPUs available to it."""
     with monkeypatch.context() as m:
         m.setattr(forked, "_cpu_count", lambda: cpus)
-        return maximize_invariant_entropy(target, budget, seed, **kw)
+        return maximize_invariant_entropy(target, budget, seed)
 
 
 def _assert_no_child_left():
@@ -228,8 +227,9 @@ class TestRestartsInProcesses:
         else:
             bundle = SEARCH_BUNDLES[name]
             target = zero_cylinders(bundle)
-        one = _search(target, budget, seed, 1, monkeypatch, nmax=3)
-        four = _search(target, budget, seed, 4, monkeypatch, nmax=3)
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
+        one = _search(target, budget, seed, 1, monkeypatch)
+        four = _search(target, budget, seed, 4, monkeypatch)
         assert canonical_json(four.to_dict()) == canonical_json(one.to_dict())
         assert four.measure.flags == one.measure.flags
         assert four.measure.bundle is bundle
