@@ -47,12 +47,16 @@ def _write_json(path, payload):
             fh.write(canonical_json(payload))
 
 
-def _load(path, check=True):
+def _schema_checked(fn):
     try:
-        return load_instance(path, check=check)
+        return fn()
     except (SchemaError, BundleError, CoverError, MeasureError) as exc:
         click.echo(f"schema error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
+
+
+def _load(path, check=True):
+    return _schema_checked(lambda: load_instance(path, check=check))
 
 
 def _pick(mapping, name, kind):
@@ -69,6 +73,12 @@ def _guarded(fn):
     except GUARDS as exc:
         click.echo(f"guard exceeded: {exc}", err=True)
         sys.exit(EXIT_GUARD)
+
+
+def _solve(read):
+    """``read()`` of a loaded file's measures, which solves them: a solve that
+    fails its checks is a schema error, and a tripped guard exits 4."""
+    return _guarded(lambda: _schema_checked(read))
 
 
 def _print_report(rep):
@@ -144,7 +154,7 @@ def measent_cmd(
     if (partition_name is None) == (cover_name is None):
         raise click.UsageError("need exactly one of --partition / --cover")
     inst = _load(file)
-    mu = _pick(inst.measures, measure_name, "measure")
+    mu = _solve(lambda: _pick(inst.measures, measure_name, "measure"))
     if partition_name is not None:
         target = _pick(inst.covers, partition_name, "partition")
         if not isinstance(target, PositionedPartition):
@@ -319,7 +329,9 @@ def verify_cmd(file_path, seed, instances, draws, nmax, caps, only, json_path):
         loaded = _load(file_path)
         covers = dict(loaded.covers)
         covers.setdefault("zero", zero_cylinders(loaded.bundle))
-        measures = dict(loaded.measures) or _default_measures(loaded.bundle)
+        measures = _solve(lambda: dict(loaded.measures)) or _default_measures(
+            loaded.bundle
+        )
         corpus = [
             Instance(
                 seed=-1,

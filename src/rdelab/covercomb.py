@@ -10,7 +10,8 @@ resolve through forced picks alone, without branching.
 
 The nonempty-cell counts of a partition's joins come from a subset
 construction over the cell labels of admissible words, without building the
-joins.
+joins; :mod:`rdelab.entropy` reads a partition's join entropies from the same
+labels, so a partition's joins are never built.
 
 The count and separated-set routines serve every fiber at once: each
 ``(cover, n)`` has one join, built once.  :func:`cover_count` returns, for

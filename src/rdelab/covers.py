@@ -16,9 +16,10 @@ the fibers, which keeps the union).
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
 incremental loop, :func:`join_sequence`, which checks the element cap
 :data:`ELEMENT_CAP` (:func:`check_join_size`) before building anything.  The
-nonempty-cell counts of a partition's joins need no join at all:
-:func:`rdelab.covercomb.partition_join_counts` counts them from the cell
-labels of admissible words, under the same cap check.
+nonempty-cell counts and conditional entropies of a partition's joins need
+no join at all: :func:`rdelab.covercomb.partition_join_counts` and the
+partition reports of :mod:`rdelab.entropy` read them from the cell labels of
+admissible words, under the same cap check.
 
 Covers are frozen dataclasses and every operation returns a new cover, with
 one exception: each cover memoizes its ``membership``/``cell_of`` maps in a
@@ -256,15 +257,20 @@ def _canonical_sections(
     raw: Sequence[Sequence[Iterable]],
 ) -> tuple[tuple[frozenset, ...], ...]:
     omega_count = bundle.base.omega_count
+    adm = [
+        set(admissible_tuples(bundle, omega, start, length))
+        for omega in range(omega_count)
+    ]
     out = []
     for elem in raw:
         if len(elem) != omega_count:
             raise CoverError("need one section per fiber for every element")
-        per = []
-        for omega in range(omega_count):
-            adm = set(admissible_tuples(bundle, omega, start, length))
-            per.append(frozenset(_normalize_word(w) for w in elem[omega]) & adm)
-        out.append(tuple(per))
+        out.append(
+            tuple(
+                frozenset(_normalize_word(w) for w in elem[omega]) & adm[omega]
+                for omega in range(omega_count)
+            )
+        )
     return tuple(out)
 
 

@@ -22,6 +22,13 @@ component decomposition plus branch and bound; its only caller is
 :func:`cover_conditional_entropy`, which the step-n reports and the block
 power system (on a wider hull) go through.  Sums that reach a report are
 added left to right by :func:`~rdelab.base.plain_sum`.
+
+A partition's joins are never built here.  A cell of its n-step join is the
+sequence of cells a word visits, so the step-n reports of
+:func:`h_minus_report` and :func:`h_plus_value` add the word masses per cell
+label sequence (:func:`_join_entropies`), as
+:func:`rdelab.covercomb.partition_join_counts` counts the sequences; the values
+keep the bits a built join gives.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .covers import (
     CoverError,
     PositionedCover,
     PositionedPartition,
+    check_join_size,
     join_sequence,
     product_partitions_finer,
 )
@@ -765,22 +773,84 @@ def h_minus_report(
     """Step-averaged conditional cover entropies along the joined pullbacks.
 
     Requires an invariant measure, which makes the raw sequence subadditive
-    and the running minimum a certified upper bound for its limit.
+    and the running minimum a certified upper bound for its limit.  A
+    partition's joins are not built: :func:`_join_entropies` reads their
+    cells from cell labels, with the bits the joins would give.
     """
     mu = _require_invariant(mu)
     if nmax < 1:
         raise ValueError("need nmax >= 1")
+    if isinstance(cover, PositionedPartition):
+        check_join_size(cover, nmax)
+        if mode not in ("general", "product"):
+            raise ValueError(f"unknown mode {mode!r}")
+        nu = _measure_at(mu, cover, cover.stop + nmax - 1)
+        return _partition_report(mu, nu, cover, nmax, mode)
     nu = markov_to_word(mu, cover.stop + nmax - 1)
     seq = []
     for n, joined in enumerate(join_sequence(cover, nmax), 1):
         h = cover_conditional_entropy(nu, joined, mode, enum_cap=enum_cap)
         seq.append((n, h / n))
+    return _report(seq, None, [f"mode:{mode}"])
+
+
+def _partition_report(
+    mu: MarkovMeasure,
+    nu: WordMeasure,
+    partition: PositionedPartition,
+    nmax: int,
+    mode: str = "general",
+) -> EntropyReport:
+    """The report of :func:`h_minus_report` on a partition, with ``nu`` the
+    invariant ``mu`` as a word measure reaching the last join's window end."""
+    seq = [(n, h / n) for n, h in enumerate(_join_entropies(nu, partition, nmax), 1)]
     exact = None
     tags = [f"mode:{mode}"]
-    if isinstance(cover, PositionedPartition) and _pins_coordinate(cover):
+    if _pins_coordinate(partition):
         exact = _chain_rule_rate(mu)
         tags.append("chain-rule")
     return _report(seq, exact, tags)
+
+
+def _join_entropies(
+    nu: WordMeasure, partition: PositionedPartition, nmax: int
+) -> list[float]:
+    """:func:`partition_conditional_entropy` of the 1..nmax-step joins of the
+    partition under ``nu``, without building the joins.
+
+    A cell of the n-step join is the sequence of cells its words visit: the
+    pullback through k steps has at fiber ``omega`` the section at
+    ``theta^k omega``, so a word ``w`` lies in the joined cell labelled
+    ``c_k = cell_of(theta^k omega)[w[k:k+L]]`` for ``k < n``.  The label is
+    kept as the join's flat cell index ``c_0 K^(n-1) + ... + c_(n-1)`` for
+    ``K`` cells, each word's from its prefix's one step before.  Masses add
+    per label in word order, as they add per cell of the built join, so every
+    value keeps its bits.  Callers check the join size with
+    :func:`~rdelab.covers.check_join_size` before building ``nu``, as
+    :func:`~rdelab.covers.join_sequence` checks it before any join.
+    """
+    base = partition.bundle.base
+    k = partition.element_count
+    h = [0.0] * nmax
+    for omega in range(base.omega_count):
+        labels: dict[WordTuple, int] = {}
+        for n in range(1, nmax + 1):
+            cell_of = partition.cell_of(base.apply_theta(omega, n - 1))
+            step: dict[WordTuple, int] = {}
+            masses: dict[int, float] = {}
+            span = partition.length + n - 1
+            for w, x in nu.window_masses(omega, partition.start, span).items():
+                if x == 0.0:
+                    continue
+                c = cell_of[w[n - 1 :]]
+                if n > 1:
+                    # a positive-mass word's prefix has positive mass
+                    c += labels[w[:-1]] * k
+                step[w] = c
+                masses[c] = masses.get(c, 0.0) + x
+            labels = step
+            h[n - 1] += base.weights[omega] * shannon(masses.values())
+    return h
 
 
 def _pins_coordinate(partition: PositionedPartition) -> bool:
@@ -856,11 +926,14 @@ def h_plus_value(
         raise EnumerationGuardError(
             f"product refinement family has {enum.count} members (cap {enum_cap})"
         )
+    # every candidate keeps the cover's window and element count
+    check_join_size(cover, nmax)
+    nu = _measure_at(mu, cover, cover.stop + nmax - 1)
     best = math.inf
     best_part = None
     values = []
     for part in enum:
-        rep = partition_entropy_report(mu, part, nmax)
+        rep = _partition_report(mu, nu, part, nmax)
         values.append(rep.certified_upper)
         if rep.certified_upper < best:
             best = rep.certified_upper

@@ -25,11 +25,17 @@ use the declared symbols.  A word is either a list of symbol names or, when
 every symbol name is a single character, a plain string.  Start vectors of
 measures are always derived from the transitions, never read.  Covers whose
 sections are disjoint in every fiber load as partitions.
+
+Every schema check runs at load, the transition checks of every measure
+included.  A measure's start vectors are solved on its first read from
+:attr:`LoadedInstance.measures`, so a command that reads no measure solves
+none and one that reads one measure solves one.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,7 @@ from .covers import (
     per_fiber_cover,
     product_cover,
 )
-from .measures import MarkovMeasure, stationary_starts
+from .measures import MarkovMeasure, MeasureError, check_transition, stationary_starts
 
 __all__ = [
     "SchemaError",
@@ -63,11 +69,43 @@ COVER_KEYS = {"window", "product", "per_omega"}
 MEASURE_KEYS = {"Q"}
 
 
+class _SolvedOnRead(Mapping):
+    """Read-only map of measure names to measures whose transitions passed
+    the schema checks.  A measure's starts are solved by
+    :func:`stationary_starts` on its first read and kept; a solve's
+    :class:`MeasureError` is a :class:`SchemaError` naming the measure."""
+
+    def __init__(self, bundle: SymbolicBundle, transitions: dict):
+        self._bundle = bundle
+        self._transitions = transitions
+        self._solved: dict[str, MarkovMeasure] = {}
+
+    def __getitem__(self, name) -> MarkovMeasure:
+        mu = self._solved.get(name)
+        if mu is None:
+            qs = self._transitions[name]
+            try:
+                mu = stationary_starts(self._bundle, qs)
+            except MeasureError as exc:
+                raise SchemaError(f"measures[{name!r}]: {exc}") from exc
+            self._solved[name] = mu
+        return mu
+
+    def __contains__(self, name) -> bool:
+        return name in self._transitions
+
+    def __iter__(self):
+        return iter(self._transitions)
+
+    def __len__(self) -> int:
+        return len(self._transitions)
+
+
 @dataclass(frozen=True)
 class LoadedInstance:
     bundle: SymbolicBundle
     covers: dict
-    measures: dict
+    measures: Mapping
 
 
 def canonical_json(obj) -> str:
@@ -195,10 +233,13 @@ def parse_instance(doc, check: bool = True) -> LoadedInstance:
     covers: dict[str, PositionedCover] = {}
     for name, entry in (doc.get("covers") or {}).items():
         covers[name] = _parse_cover(bundle, name, entry, symbol_index, omega)
-    measures: dict[str, MarkovMeasure] = {}
-    for name, entry in (doc.get("measures") or {}).items():
-        measures[name] = _parse_measure(bundle, name, entry, omega)
-    return LoadedInstance(bundle=bundle, covers=covers, measures=measures)
+    transitions = {
+        name: _parse_measure(bundle, name, entry, omega)
+        for name, entry in (doc.get("measures") or {}).items()
+    }
+    return LoadedInstance(
+        bundle=bundle, covers=covers, measures=_SolvedOnRead(bundle, transitions)
+    )
 
 
 def _parse_cover(bundle, name, entry, symbol_index, omega_names) -> PositionedCover:
@@ -273,7 +314,8 @@ def _as_partition_if_disjoint(cover: PositionedCover) -> PositionedCover:
     return part
 
 
-def _parse_measure(bundle, name, entry, omega_names) -> MarkovMeasure:
+def _parse_measure(bundle, name, entry, omega_names) -> list[np.ndarray]:
+    """The measure's checked transition matrices, one per fiber."""
     where = f"measures[{name!r}]"
     _expect(isinstance(entry, dict), f"{where} must be an object")
     unknown = set(entry) - MEASURE_KEYS
@@ -303,12 +345,12 @@ def _parse_measure(bundle, name, entry, omega_names) -> MarkovMeasure:
             f"{where}.Q[{fn!r}] entries must be numbers",
         )
         mats.append(np.array(mat, dtype=float))
-    from .measures import MeasureError
-
     try:
-        return stationary_starts(bundle, mats)
+        for omega, q in enumerate(mats):
+            check_transition(bundle, omega, q)
     except MeasureError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+    return mats
 
 
 def dump_instance(bundle: SymbolicBundle, covers=None, measures=None) -> dict:

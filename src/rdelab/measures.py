@@ -381,6 +381,20 @@ def _closed_classes_of(d: int, support: bytes) -> int:
     return closed
 
 
+def check_transition(bundle: SymbolicBundle, omega: int, q: np.ndarray) -> None:
+    """Raise :class:`MeasureError` naming the fiber when the float matrix
+    ``q`` fails a transition check (:func:`_transition_fault`) at ``omega``;
+    :func:`stationary_starts` checks every new matrix so."""
+    fault = _transition_fault(q, bundle.adjacency[omega], bundle.alphabet_size)
+    label = bundle.base.labels[omega]
+    if fault in ("shape", "sign"):
+        raise MeasureError(f"fiber {label}: bad transition matrix")
+    if fault == "support":
+        raise MeasureError(f"fiber {label}: transition mass on a forbidden edge")
+    if fault == "rows":
+        raise MeasureError(f"fiber {label}: rows must sum to 1")
+
+
 def stationary_starts(
     bundle: SymbolicBundle,
     transitions: Sequence[np.ndarray],
@@ -415,7 +429,6 @@ def stationary_starts(
     constructor's messages.
     """
     base = bundle.base
-    d = bundle.alphabet_size
     qs = [np.array(q, dtype=float) for q in transitions]
     if len(qs) != base.omega_count:
         raise MeasureError("need one transition matrix per fiber")
@@ -428,15 +441,7 @@ def stationary_starts(
             if q.shape == old.shape and q.tobytes() == old.tobytes():
                 qs[omega] = old
                 continue
-        fault = _transition_fault(q, bundle.adjacency[omega], d)
-        if fault in ("shape", "sign"):
-            raise MeasureError(f"fiber {base.labels[omega]}: bad transition matrix")
-        if fault == "support":
-            raise MeasureError(
-                f"fiber {base.labels[omega]}: transition mass on a forbidden edge"
-            )
-        if fault == "rows":
-            raise MeasureError(f"fiber {base.labels[omega]}: rows must sum to 1")
+        check_transition(bundle, omega, q)
         q.setflags(write=False)
     starts: list[np.ndarray | None] = [None] * base.omega_count
     flags: list[str] = []

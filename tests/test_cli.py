@@ -407,3 +407,141 @@ class TestReportsDoNotDependOnSum:
                 written = out.read_bytes() if res.exit_code == 0 else None
                 reports.append((res.exit_code, written))
             assert reports[0] == reports[1], job
+
+
+def golden_with(tmp_path, **measures):
+    """The golden-mean demo file with extra measures added."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["measures"].update(measures)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def counting_solves(monkeypatch):
+    """Count the solves of file measures: the loader's ``stationary_starts``."""
+    import rdelab.instances as instances
+
+    calls = []
+    real = instances.stationary_starts
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "stationary_starts", counting)
+    return calls
+
+
+def stalled_solves(monkeypatch):
+    """Make every stationary-start solve trip its guard."""
+    import rdelab.measures as measures
+    from rdelab.base import PowerIterationError
+
+    def stall(*args, **kwargs):
+        raise PowerIterationError("stationary vector iteration stalled", 0.5)
+
+    monkeypatch.setattr(measures, "_stationary_of", stall)
+
+
+FILE_COMMANDS = {
+    "validate": [],
+    "topent": ["--cover", "zero_cyl", "--nmax", "2"],
+    "measent": ["--measure", "balanced", "--partition", "zero_cyl", "--nmax", "2"],
+    "witness": ["--cover", "zero_cyl", "--n", "2"],
+    "maximize": ["--partition", "zero_cyl", "--budget", "20"],
+}
+
+
+class TestMeasuresSolvedOnRead:
+    """A file's measures pass every schema check at load and are solved on
+    their first read, so a command solves only the measure it reads."""
+
+    BAD_ROWS = {"Q": {"w0": [[0.9, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}}
+
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_an_unused_measure_with_bad_rows_exits_3(self, command, tmp_path):
+        path = golden_with(tmp_path, bad=self.BAD_ROWS)
+        res = run(command, path, *FILE_COMMANDS[command])
+        assert res.exit_code == 3
+        assert "schema error: measures['bad']: fiber w0: rows must sum to 1" in res.output
+
+    def test_verify_file_with_bad_rows_exits_3(self, tmp_path):
+        res = run("verify", "--file", golden_with(tmp_path, bad=self.BAD_ROWS))
+        assert res.exit_code == 3
+        assert "schema error: measures['bad']: fiber w0: rows must sum to 1" in res.output
+
+    @pytest.mark.parametrize("command", ["topent", "witness", "maximize"])
+    def test_commands_that_read_no_measure_solve_none(self, command, monkeypatch):
+        calls = counting_solves(monkeypatch)
+        res = run(command, GOLDEN, *FILE_COMMANDS[command])
+        assert res.exit_code == 0
+        assert calls == []
+
+    def test_measent_solves_the_one_measure_it_reads(self, tmp_path, monkeypatch):
+        path = golden_with(tmp_path, other={"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}})
+        calls = counting_solves(monkeypatch)
+        res = run("measent", path, *FILE_COMMANDS["measent"])
+        assert res.exit_code == 0
+        assert len(calls) == 1
+
+    def test_verify_file_solves_every_measure(self, tmp_path, monkeypatch):
+        path = golden_with(tmp_path, other={"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}})
+        calls = counting_solves(monkeypatch)
+        res = run("verify", "--file", path, "--only", "measure-invariance")
+        assert res.exit_code == 0
+        assert len(calls) == 2
+        assert "pass 2, fail 0" in res.output
+
+    @pytest.mark.parametrize("command", ["topent", "witness"])
+    def test_a_stalled_solve_leaves_commands_that_read_no_measure(
+        self, command, monkeypatch
+    ):
+        stalled_solves(monkeypatch)
+        res = run(command, GOLDEN, *FILE_COMMANDS[command])
+        assert res.exit_code == 0
+
+    def test_a_stalled_solve_is_a_guard_trip_for_measent(self, monkeypatch, tmp_path):
+        stalled_solves(monkeypatch)
+        out = tmp_path / "report.json"
+        res = run("measent", GOLDEN, *FILE_COMMANDS["measent"], "--json", str(out))
+        assert res.exit_code == 4
+        assert "guard exceeded: stationary vector iteration stalled" in res.output
+        assert not out.exists()
+
+    def test_a_stalled_solve_is_a_guard_trip_for_verify_file(self, monkeypatch):
+        stalled_solves(monkeypatch)
+        res = run("verify", "--file", GOLDEN, "--only", "measure-invariance")
+        assert res.exit_code == 4
+        assert "guard exceeded: stationary vector iteration stalled" in res.output
+
+    def test_an_unknown_measure_is_named_before_any_solve(self, monkeypatch):
+        # the file's one measure cannot be solved; naming another one is a
+        # usage error, found without solving
+        stalled_solves(monkeypatch)
+        res = run("measent", GOLDEN, "--measure", "nope", "--partition", "zero_cyl")
+        assert res.exit_code == 2
+        assert "unknown measure 'nope' (available: balanced)" in res.output
+
+
+class TestUnsolvableMeasure:
+    """A measure whose starts fail their checks is a schema error when a
+    command reads it, and no error for a command that does not."""
+
+    @pytest.fixture(autouse=True)
+    def inconsistent_starts(self, monkeypatch):
+        import rdelab.measures as measures
+
+        def point_mass(cycle, *args, **kwargs):
+            return [np.array([1.0, 0.0]) for _ in cycle], True
+
+        monkeypatch.setattr(measures, "_stationary_of", point_mass)
+
+    def test_measent_exits_3(self):
+        res = run("measent", GOLDEN, *FILE_COMMANDS["measent"])
+        assert res.exit_code == 3
+        assert "schema error: measures['balanced']: starts are not orbit consistent" in res.output
+
+    def test_topent_runs(self):
+        assert run("topent", GOLDEN, *FILE_COMMANDS["topent"]).exit_code == 0

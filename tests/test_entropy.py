@@ -1,3 +1,4 @@
+import glob
 import itertools
 import math
 import random
@@ -33,9 +34,16 @@ from rdelab import (
     zero_cylinders,
 )
 from rdelab.covercomb import global_min_subcover_count
-from rdelab.covers import CoverError, JoinSizeError, PositionedPartition, range_join
+from rdelab.covers import (
+    CoverError,
+    JoinSizeError,
+    PositionedPartition,
+    join_sequence,
+    range_join,
+)
 from rdelab.entropy import EnumerationGuardError, _min_entropy_assignment
 from rdelab.harness import gen_instance, random_word_measure
+from rdelab.instances import load_instance
 from rdelab.measures import WordMeasure, pushforward
 
 from conftest import brute_assignment_minimum
@@ -1081,3 +1089,122 @@ class TestMeasureMeetsCover:
             for nu in (mu, markov_to_word(mu, 1)):
                 with pytest.raises(ValueError, match="same bundle"):
                     cover_conditional_entropy(nu, free, mode)
+
+
+def reference_join_entropies(nu, partition, nmax):
+    """:func:`partition_conditional_entropy` of each built join of
+    :func:`join_sequence`, the path the partition reports took before they
+    read cells from labels."""
+    return [
+        partition_conditional_entropy(nu, joined)
+        for joined in join_sequence(partition, nmax)
+    ]
+
+
+def label_path_partitions():
+    """Every partition of generated instances 0-59 (windows 1 and 2, fiber
+    dependent ones, multi-point theta-cycles) with each of their measures,
+    plus the zero cylinders read at coordinate 1, and the demo partitions."""
+    cases = []
+    for seed in range(60):
+        inst = gen_instance(seed)
+        parts = [
+            (name, cov)
+            for name, cov in sorted(inst.covers.items())
+            if isinstance(cov, PositionedPartition)
+        ]
+        parts.append(("zero@1", zero_cylinders(inst.bundle, 1)))
+        for name, part in parts:
+            for mname in sorted(inst.measures):
+                cases.append((f"gen{seed}/{name}/{mname}", part, inst.measures[mname]))
+    for path in sorted(glob.glob("demos/instances/*.json")):
+        if "broken" in path:
+            continue
+        inst = load_instance(path)
+        for name, cov in sorted(inst.covers.items()):
+            if isinstance(cov, PositionedPartition):
+                for mname in sorted(inst.measures):
+                    cases.append((f"{path}/{name}/{mname}", cov, inst.measures[mname]))
+    return cases
+
+
+LABEL_CASES = label_path_partitions()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPartitionEntropiesFromLabels:
+    """Partition reports read the cells of their joins from cell labels and
+    keep every bit of the values the built joins gave."""
+
+    def test_the_cases_reach_multi_point_cycles_and_fiber_dependent_cells(self):
+        bases = [part.bundle.base for _, part, _ in LABEL_CASES]
+        assert any(len(cyc) > 1 for base in bases for cyc in base.cycles())
+        assert any(not part.product_form for _, part, _ in LABEL_CASES)
+        assert {part.length for _, part, _ in LABEL_CASES} == {1, 2}
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4, 5])
+    def test_reports_equal_built_joins(self, nmax):
+        for name, part, mu in LABEL_CASES:
+            nu = markov_to_word(mu, part.stop + nmax - 1)
+            expected = [
+                h / n
+                for n, h in enumerate(reference_join_entropies(nu, part, nmax), 1)
+            ]
+            minus = h_minus_report(mu, part, nmax)
+            report = partition_entropy_report(mu, part, nmax)
+            assert hexes(v for _, v in minus.sequence) == hexes(expected), name
+            assert report == minus, name
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4, 5])
+    def test_word_measures_equal_built_joins(self, nmax):
+        rng = np.random.default_rng(nmax)
+        for name, part, _ in LABEL_CASES:
+            nu = random_word_measure(part.bundle, part.stop + nmax - 1, rng)
+            assert hexes(entropy_module._join_entropies(nu, part, nmax)) == hexes(
+                reference_join_entropies(nu, part, nmax)
+            ), name
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4, 5])
+    def test_h_plus_candidates_equal_built_joins(self, nmax):
+        checked = 0
+        for seed in range(60):
+            inst = gen_instance(seed)
+            mu = inst.measures[sorted(inst.measures)[0]]
+            for name, cov in sorted(inst.covers.items()):
+                if not cov.product_form or product_partitions_finer(cov).count > 16:
+                    continue
+                nu = markov_to_word(mu, cov.stop + nmax - 1)
+                expected = [
+                    min(
+                        h / n
+                        for n, h in enumerate(reference_join_entropies(nu, part, nmax), 1)
+                    )
+                    for part in product_partitions_finer(cov)
+                ]
+                res = h_plus_value(mu, cov, nmax)
+                assert hexes(res.candidate_values) == hexes(expected), (seed, name)
+                assert res.value == min(expected)
+                checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda mu, u: h_minus_report(mu, u, 5), id="h-minus"),
+            pytest.param(lambda mu, u: partition_entropy_report(mu, u, 5), id="partition"),
+            pytest.param(lambda mu, u: h_plus_value(mu, u, 5), id="h-plus"),
+        ],
+    )
+    def test_over_the_cap_raises_before_any_work(self, gm, gm_measure, monkeypatch, run):
+        monkeypatch.setattr("rdelab.covers.ELEMENT_CAP", 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done past the join cap")
+
+        monkeypatch.setattr(entropy_module, "markov_to_word", refuse)
+        monkeypatch.setattr(WordMeasure, "window_masses", refuse)
+        with pytest.raises(JoinSizeError):
+            run(gm_measure, zero_cylinders(gm))

@@ -207,11 +207,17 @@ class TestSuite:
             for inst in corpus
             for cov in inst.covers.values()
         )
+        cover_pairs = sum(
+            len(inst.measures)
+            * sum(not isinstance(cov, PositionedPartition) for cov in inst.covers.values())
+            for inst in corpus
+        )
         assert joined_covers < sum(len(inst.covers) for inst in corpus)
-        # N-1 joins per h_minus_report and N-1 per non-partition cover for the
-        # complexities (a partition's are counted without joins), where one
-        # range_join per step would take N(N-1)/2 per pair
-        assert len(calls) == (pairs + joined_covers) * (n - 1)
+        # N-1 joins per h_minus_report of a non-partition cover and N-1 per
+        # such cover for the complexities (a partition's entropies and counts
+        # come from cell labels, without joins), where one range_join per
+        # step would take N(N-1)/2 per pair
+        assert len(calls) == (cover_pairs + joined_covers) * (n - 1)
         # the margins are those of one fresh range_join per step
         worst = min(
             top + harness.TOLERANCE - val * k

@@ -54,6 +54,39 @@ class TestParsing:
             gm_measure.starts[0], abs=1e-12
         )
 
+    def test_loaded_instance_round_trips(self):
+        loaded = parse_instance(golden_doc())
+        doc = dump_instance(loaded.bundle, loaded.covers, loaded.measures)
+        again = parse_instance(doc)
+        assert dump_instance(again.bundle, again.covers, again.measures) == doc
+        assert doc["measures"] == golden_doc()["measures"]
+        for name, mu in loaded.measures.items():
+            assert [q.tobytes() for q in again.measures[name].transitions] == [
+                q.tobytes() for q in mu.transitions
+            ]
+            assert [p.tobytes() for p in again.measures[name].starts] == [
+                p.tobytes() for p in mu.starts
+            ]
+
+    def test_measures_are_solved_on_first_read(self, monkeypatch):
+        import rdelab.instances as instances
+
+        calls = []
+        real = instances.stationary_starts
+        monkeypatch.setattr(
+            instances,
+            "stationary_starts",
+            lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs),
+        )
+        loaded = parse_instance(golden_doc())
+        assert calls == [] and "balanced" in loaded.measures and len(loaded.measures) == 1
+        mu = loaded.measures["balanced"]
+        assert loaded.measures["balanced"] is mu and len(calls) == 1
+        with pytest.raises(KeyError):
+            loaded.measures["nope"]
+        with pytest.raises(TypeError):
+            loaded.measures["other"] = mu
+
     @given(st.data())
     def test_cover_round_trip_keeps_the_window(self, data):
         bundle = presets.alternating_golden_mean()
