@@ -459,6 +459,7 @@ class TestMeasuresSolvedOnRead:
     their first read, so a command solves only the measure it reads."""
 
     BAD_ROWS = {"Q": {"w0": [[0.9, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}}
+    OTHER = {"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}}
 
     @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
     def test_an_unused_measure_with_bad_rows_exits_3(self, command, tmp_path):
@@ -480,14 +481,14 @@ class TestMeasuresSolvedOnRead:
         assert calls == []
 
     def test_measent_solves_the_one_measure_it_reads(self, tmp_path, monkeypatch):
-        path = golden_with(tmp_path, other={"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}})
+        path = golden_with(tmp_path, other=self.OTHER)
         calls = counting_solves(monkeypatch)
         res = run("measent", path, *FILE_COMMANDS["measent"])
         assert res.exit_code == 0
         assert len(calls) == 1
 
     def test_verify_file_solves_every_measure(self, tmp_path, monkeypatch):
-        path = golden_with(tmp_path, other={"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]], "w1": [[0.5, 0.5], [1, 0]]}})
+        path = golden_with(tmp_path, other=self.OTHER)
         calls = counting_solves(monkeypatch)
         res = run("verify", "--file", path, "--only", "measure-invariance")
         assert res.exit_code == 0
