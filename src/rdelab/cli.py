@@ -19,7 +19,6 @@ import sys
 from dataclasses import replace
 
 import click
-import numpy as np
 
 from .base import BundleError, validate
 from .covers import CoverError, PositionedPartition, zero_cylinders

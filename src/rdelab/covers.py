@@ -254,7 +254,7 @@ def _canonical_sections(
     bundle: SymbolicBundle,
     start: int,
     length: int,
-    raw: Sequence[Sequence[Iterable]],
+    raw: Sequence[Sequence[frozenset]],
 ) -> tuple[tuple[frozenset, ...], ...]:
     omega_count = bundle.base.omega_count
     adm = [
@@ -267,7 +267,7 @@ def _canonical_sections(
             raise CoverError("need one section per fiber for every element")
         out.append(
             tuple(
-                frozenset(_normalize_word(w) for w in elem[omega]) & adm[omega]
+                elem[omega] & adm[omega]
                 for omega in range(omega_count)
             )
         )

@@ -23,12 +23,12 @@ component decomposition plus branch and bound; its only caller is
 power system (on a wider hull) go through.  Sums that reach a report are
 added left to right by :func:`~rdelab.base.plain_sum`.
 
-A partition's joins are never built here.  A cell of its n-step join is the
-sequence of cells a word visits, so the step-n reports of
-:func:`h_minus_report` and :func:`h_plus_value` add the word masses per cell
-label sequence (:func:`_join_entropies`), as
-:func:`rdelab.covercomb.partition_join_counts` counts the sequences; the values
-keep the bits a built join gives.
+Every partition entropy adds its cell masses in :func:`_cell_entropy`.  The
+step-n reports of :func:`h_minus_report` and :func:`h_plus_value` build no
+partition join: a cell of the n-step join is the sequence of cells a word
+visits, so they read cells from label sequences (:func:`_join_entropies`), as
+:func:`rdelab.covercomb.partition_join_counts` counts them, with the bits a
+built join gives.  :class:`PowerSystem` still builds its joins.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -658,14 +658,22 @@ def partition_conditional_entropy(
     total = 0.0
     for omega in range(bundle.base.omega_count):
         cell_of = partition.cell_of(omega, (hs, he))
-        masses: dict[int, float] = {}
-        for w, x in nu.window_masses(omega, hs, he - hs).items():
-            if x == 0.0:
-                continue
-            c = cell_of[w]
-            masses[c] = masses.get(c, 0.0) + x
-        total += bundle.base.weights[omega] * shannon(masses.values())
+        masses = nu.window_masses(omega, hs, he - hs)
+        total += bundle.base.weights[omega] * _cell_entropy(masses, cell_of.__getitem__)
     return total
+
+
+def _cell_entropy(masses: dict, cell: Callable[[WordTuple], int]) -> float:
+    """Shannon entropy of the cells ``cell(w)`` of the words in ``masses``:
+    zero masses are skipped before ``cell`` sees them, the rest add per cell
+    in word order, and cells enter :func:`shannon` in the order first seen."""
+    sums: dict[int, float] = {}
+    for w, x in masses.items():
+        if x == 0.0:
+            continue
+        c = cell(w)
+        sums[c] = sums.get(c, 0.0) + x
+    return shannon(sums.values())
 
 
 def cover_conditional_entropy(
@@ -731,11 +739,7 @@ def cover_conditional_entropy(
     else:
         if not cover.product_form:
             raise CoverError("product mode needs a product-form cover")
-        enum = product_partitions_finer(cover)
-        if enum.count > enum_cap:
-            raise EnumerationGuardError(
-                f"product refinement family has {enum.count} members (cap {enum_cap})"
-            )
+        enum = _product_refinements(cover, enum_cap)
         choices = dict(zip(enum.words, enum.choices))
         lo, hi = cover.start - hs, cover.stop - hs
         marginals = [
@@ -751,6 +755,16 @@ def cover_conditional_entropy(
     for weight, words, pvec in problems:
         total += weight * _min_entropy_assignment(words, pvec)
     return total
+
+
+def _product_refinements(cover: PositionedCover, enum_cap: float):
+    """:func:`product_partitions_finer`, guarded by ``enum_cap``."""
+    enum = product_partitions_finer(cover)
+    if enum.count > enum_cap:
+        raise EnumerationGuardError(
+            f"product refinement family has {enum.count} members (cap {enum_cap})"
+        )
+    return enum
 
 
 def _require_invariant(mu) -> MarkovMeasure:
@@ -813,43 +827,42 @@ def _partition_report(
 
 
 def _join_entropies(
-    nu: WordMeasure, partition: PositionedPartition, nmax: int
+    nu: WordMeasure, partition: PositionedPartition, nmax: int, stride: int = 1
 ) -> list[float]:
-    """:func:`partition_conditional_entropy` of the 1..nmax-step joins of the
-    partition under ``nu``, without building the joins.
+    """:func:`partition_conditional_entropy` under ``nu`` of the join of the
+    pullbacks of the partition through steps ``0, s, ..., (n-1) s`` (``s`` the
+    stride) for ``n = 1..nmax``, without building the joins.
 
-    A cell of the n-step join is the sequence of cells its words visit: the
-    pullback through k steps has at fiber ``omega`` the section at
-    ``theta^k omega``, so a word ``w`` lies in the joined cell labelled
-    ``c_k = cell_of(theta^k omega)[w[k:k+L]]`` for ``k < n``.  The label is
-    kept as the join's flat cell index ``c_0 K^(n-1) + ... + c_(n-1)`` for
-    ``K`` cells, each word's from its prefix's one step before.  Masses add
-    per label in word order, as they add per cell of the built join, so every
-    value keeps its bits.  Callers check the join size with
-    :func:`~rdelab.covers.check_join_size` before building ``nu``, as
-    :func:`~rdelab.covers.join_sequence` checks it before any join.
+    The pullback through ``j`` steps has at fiber ``omega`` the section at
+    ``theta^j omega``, so a word lies in the joined cell labelled by the cells
+    ``c_i`` of ``cell_of(theta^(i s) omega)`` holding its blocks at offsets
+    ``i s``, ``i < n``: the join's flat cell index ``c_0 K^(n-1) + ... +
+    c_(n-1)`` for ``K`` cells, each word's from its prefix's one stride back,
+    found as :func:`_cell_entropy` adds the masses.  Callers of the unit
+    stride check the join size first, as :func:`~rdelab.covers.join_sequence`
+    does before any join.
     """
     base = partition.bundle.base
     k = partition.element_count
+    length = partition.length
     h = [0.0] * nmax
     for omega in range(base.omega_count):
         labels: dict[WordTuple, int] = {}
-        for n in range(1, nmax + 1):
-            cell_of = partition.cell_of(base.apply_theta(omega, n - 1))
+        for n in range(nmax):
+            cell_of = partition.cell_of(base.apply_theta(omega, n * stride))
             step: dict[WordTuple, int] = {}
-            masses: dict[int, float] = {}
-            span = partition.length + n - 1
-            for w, x in nu.window_masses(omega, partition.start, span).items():
-                if x == 0.0:
-                    continue
-                c = cell_of[w[n - 1 :]]
-                if n > 1:
+
+            def label(w: WordTuple) -> int:
+                c = cell_of[w[-length:]]
+                if n:
                     # a positive-mass word's prefix has positive mass
-                    c += labels[w[:-1]] * k
+                    c += labels[w[:-stride]] * k
                 step[w] = c
-                masses[c] = masses.get(c, 0.0) + x
+                return c
+
+            masses = nu.window_masses(omega, partition.start, length + n * stride)
+            h[n] += base.weights[omega] * _cell_entropy(masses, label)
             labels = step
-            h[n - 1] += base.weights[omega] * shannon(masses.values())
     return h
 
 
@@ -921,11 +934,7 @@ def h_plus_value(
     carries the argmin partition.
     """
     mu = _require_invariant(mu)
-    enum = product_partitions_finer(cover)
-    if enum.count > enum_cap:
-        raise EnumerationGuardError(
-            f"product refinement family has {enum.count} members (cap {enum_cap})"
-        )
+    enum = _product_refinements(cover, enum_cap)
     # every candidate keeps the cover's window and element count
     check_join_size(cover, nmax)
     nu = _measure_at(mu, cover, cover.stop + nmax - 1)

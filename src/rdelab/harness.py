@@ -59,6 +59,7 @@ from .entropy import (
     partition_conditional_entropy,
     partition_entropy_report,
     topological_cover_entropy,
+    _join_entropies,
 )
 from .forked import run_tasks
 from .guards import GUARDS, GenerationError
@@ -233,11 +234,12 @@ def random_word_measure(
 # ---------------------------------------------------------------------------
 
 
-# the witness horizon cap, the absolute tolerance of the hard checks and the
-# slack of the soft ones
+# the witness horizon cap, the absolute tolerance of the hard checks, the
+# slack of the soft ones and the budget of the variational search
 HORIZON_CAP = 14
 TOLERANCE = 1e-9
 SOFT_SLACK = 0.08
+SEARCH_BUDGET = 400
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,6 @@ class SuiteConfig:
     draws: int = 200
     params: GenParams = field(default_factory=GenParams)
     nmax: int = 4
-    search_budget: int = 400
     only: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -637,18 +638,14 @@ def _check_cond_entropy_laws(config, corpus):
         rng = _rng_for(config.seed, "condent", inst.seed)
         horizon = max(u.stop, v.stop) + 1
         nu = random_word_measure(b, horizon, rng)
-        for mode in ("general",):
-            hu = cover_conditional_entropy(nu, u, mode)
-            hv = cover_conditional_entropy(nu, v, mode)
-            nglob = global_min_subcover_count(u)
-            m = math.log(nglob) + tol - hu
-            bounds.record(-tol <= hu <= math.log(nglob) + tol, m, _repro(inst, mode=mode))
-            w = join(u, v)
-            hw = cover_conditional_entropy(nu, w, mode)
-            mono.record(hw >= hu - tol, hw - hu + tol, _repro(inst, mode=mode))
-            subadd.record(
-                hw <= hu + hv + tol, hu + hv + tol - hw, _repro(inst, mode=mode)
-            )
+        hu = cover_conditional_entropy(nu, u, "general")
+        hv = cover_conditional_entropy(nu, v, "general")
+        nglob = global_min_subcover_count(u)
+        m = math.log(nglob) + tol - hu
+        bounds.record(-tol <= hu <= math.log(nglob) + tol, m, _repro(inst, mode="general"))
+        hw = cover_conditional_entropy(nu, join(u, v), "general")
+        mono.record(hw >= hu - tol, hw - hu + tol, _repro(inst, mode="general"))
+        subadd.record(hw <= hu + hv + tol, hu + hv + tol - hw, _repro(inst, mode="general"))
         lhs = cover_conditional_entropy(nu, pullback(u, 1), "general")
         rhs = cover_conditional_entropy(pushforward(nu), u, "general")
         gap = abs(lhs - rhs)
@@ -847,22 +844,16 @@ def _check_hplus_trend(config, corpus):
     mu = stationary_starts(bundle, qs)
     minus = h_minus_report(mu, zero, 6).certified_upper
 
-    def stride_rate(partition, stride, kmax):
-        nu = markov_to_word(mu, (kmax - 1) * stride + partition.stop)
-        best = math.inf
-        joined = None
-        for k in range(1, kmax + 1):
-            piece = pullback(partition, (k - 1) * stride)
-            joined = piece if joined is None else join(joined, piece)
-            best = min(best, partition_conditional_entropy(nu, joined) / k)
-        return best
-
     values = []
     for m_steps in (1, 2, 3):
         blocked = range_join(zero, 0, m_steps - 1)
+        kmax = max(1, 6 // m_steps)
+        # every refinement keeps the blocked window
+        nu = markov_to_word(mu, (kmax - 1) * m_steps + blocked.stop)
         outer = min(
-            stride_rate(part, m_steps, max(1, 6 // m_steps))
+            h / k
             for part in product_partitions_finer(blocked)
+            for k, h in enumerate(_join_entropies(nu, part, kmax, m_steps), 1)
         )
         values.append(outer / m_steps)
     drift = values[-1] - minus
@@ -879,11 +870,11 @@ def _check_search_gap(config, corpus):
     t = _Tally("variational-gap", "soft")
     bundle = presets.alternating_golden_mean()
     zero = zero_cylinders(bundle)
-    res = maximize_invariant_entropy(zero, config.search_budget, config.seed)
+    res = maximize_invariant_entropy(zero, SEARCH_BUDGET, config.seed)
     t.record(
         res.gap <= SOFT_SLACK,
         SOFT_SLACK - res.gap,
-        {"value": res.value, "reference": res.reference, "budget": config.search_budget},
+        {"value": res.value, "reference": res.reference, "budget": SEARCH_BUDGET},
     )
     return t.result()
 
@@ -948,7 +939,7 @@ def run_suite(config: SuiteConfig = SuiteConfig(), instances=None) -> SuiteRepor
         "horizon_cap": HORIZON_CAP,
         "tolerance": TOLERANCE,
         "soft_slack": SOFT_SLACK,
-        "search_budget": config.search_budget,
+        "search_budget": SEARCH_BUDGET,
         "only": list(config.only),
     }
     return SuiteReport(schema_version="1", config=cfg, results=tuple(results), ok=ok)

@@ -42,9 +42,9 @@ from .entropy import (
     cover_conditional_entropy,
     partition_conditional_entropy,
     topological_cover_entropy,
+    _cell_entropy,
     _chain_rule_rate,
     _pins_coordinate,
-    shannon,
 )
 from .forked import run_tasks
 from .measures import (
@@ -181,7 +181,6 @@ def witness_measures(
     refinements = list(itertools.islice(iter(enum), min(n, enum.count)))
     if not refinements:
         raise CoverError("no product refinements available")
-    k_used = len(refinements)
     d = cover.element_count
     bundle = cover.bundle
     base = bundle.base
@@ -190,8 +189,12 @@ def witness_measures(
     pulled_refs = [pullback(r, n) for r in refinements]
 
     separated = dict(enumerate(maximal_multi_separated(pulled_refs, pulled_cover, n * n)))
-    pulled_counts = cover_count(pulled_cover, n * n)[-1]
-    full_counts = cover_count(cover, span)[-1]
+    rows = cover_count(cover, span)
+    # the pulled cover's joins at omega are the cover's at theta^n omega
+    pulled_counts = tuple(
+        rows[n * n - 1][base.apply_theta(w, n)] for w in range(base.omega_count)
+    )
+    full_counts = rows[-1]
 
     # empirical measure: uniform over separated words, split uniformly over
     # each word's admissible completions to the full horizon window
@@ -221,13 +224,10 @@ def witness_measures(
         for l, joins in enumerate(join_seqs):
             # the shifted range join is exactly the pullback of the base join
             joined = pullback(joins[-1], shift)
+            lo, hi = joined.window
             for omega in range(base.omega_count):
                 cell_of = joined.cell_of(omega)
-                masses: dict[int, float] = {}
-                for u, x in nu.weights[omega].items():
-                    c = cell_of[u[joined.start : joined.stop]]
-                    masses[c] = masses.get(c, 0.0) + x
-                lhs = shannon(masses.values())
+                lhs = _cell_entropy(nu.weights[omega], lambda u: cell_of[u[lo:hi]])
                 rhs1, vac1 = _log_floor(pulled_counts[omega] // n)
                 rhs2, vac2 = _log_floor(full_counts[omega] // (n * d**n))
                 vac = vac1 and vac2
@@ -275,7 +275,7 @@ def witness_measures(
 
     report = WitnessReport(
         n=n,
-        refinement_count=k_used,
+        refinement_count=len(refinements),
         cover_size=d,
         horizon=horizon,
         common_horizon=common_horizon,

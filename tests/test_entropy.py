@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rdelab.covers as covers_module
 import rdelab.entropy as entropy_module
+import rdelab.harness as harness
 
 from rdelab import (
     block_power_system,
@@ -31,6 +33,7 @@ from rdelab import (
     stationary_starts,
     topological_cover_entropy,
     trivial_cover,
+    witness_measures,
     zero_cylinders,
 )
 from rdelab.covercomb import global_min_subcover_count
@@ -45,6 +48,7 @@ from rdelab.entropy import EnumerationGuardError, _min_entropy_assignment
 from rdelab.harness import gen_instance, random_word_measure
 from rdelab.instances import load_instance
 from rdelab.measures import WordMeasure, pushforward
+from rdelab.guards import GUARDS
 
 from conftest import brute_assignment_minimum
 
@@ -1208,3 +1212,93 @@ class TestPartitionEntropiesFromLabels:
         monkeypatch.setattr(WordMeasure, "window_masses", refuse)
         with pytest.raises(JoinSizeError):
             run(gm_measure, zero_cylinders(gm))
+
+
+def reference_stride_entropies(nu, partition, kmax, stride):
+    """:func:`partition_conditional_entropy` of the built joins of the
+    pullbacks through ``0, stride, ..., (k-1) stride`` for ``k = 1..kmax``,
+    the loop the power-trend check ran before it read cells from labels."""
+    out = []
+    joined = None
+    for k in range(1, kmax + 1):
+        piece = pullback(partition, (k - 1) * stride)
+        joined = piece if joined is None else join(joined, piece)
+        out.append(partition_conditional_entropy(nu, joined))
+    return out
+
+
+def reference_separation_lhs(cover, n, nu):
+    """The ``lhs`` of each separation check of ``witness_measures(cover, n)``,
+    whose empirical measure is ``nu``, in report order: from built joins and
+    the inline per-cell sum the witness ran before it went through the
+    cell-mass kernel."""
+    base = cover.bundle.base
+    refinements = list(product_partitions_finer(cover))[:n]
+    lasts = [list(join_sequence(r, n * n + n))[-1] for r in refinements]
+    out = []
+    for shift in range(n + 1):
+        for last in lasts:
+            joined = pullback(last, shift)
+            for omega in range(base.omega_count):
+                cell_of = joined.cell_of(omega)
+                masses = {}
+                for u, x in nu.weights[omega].items():
+                    c = cell_of[u[joined.start : joined.stop]]
+                    masses[c] = masses.get(c, 0.0) + x
+                out.append(shannon(masses.values()))
+    return out
+
+
+class TestOneCellMassKernel:
+    """Every partition entropy goes through one cell-mass kernel and keeps
+    the bits of the built joins and loops it replaced."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_stride_joins_equal_built_joins(self, stride):
+        # windows are 1 or 2 long, so strides 2 and 3 leave gaps between
+        # the pulled windows
+        kmax = 3
+        rng = np.random.default_rng(stride)
+        for name, part, mu in LABEL_CASES:
+            horizon = part.stop + (kmax - 1) * stride
+            for nu in (markov_to_word(mu, horizon), random_word_measure(part.bundle, horizon, rng)):
+                assert hexes(entropy_module._join_entropies(nu, part, kmax, stride)) == hexes(
+                    reference_stride_entropies(nu, part, kmax, stride)
+                ), name
+
+    def test_witness_separation_equals_the_inline_sum(self):
+        covers = [
+            cov
+            for seed in range(20)
+            for _, cov in sorted(gen_instance(seed).covers.items())
+            if cov.product_form and cov.start == 0
+        ]
+        for path in sorted(glob.glob("demos/instances/*.json")):
+            if "broken" not in path:
+                covers += [c for _, c in sorted(load_instance(path).covers.items())]
+        checked = 0
+        for cov in covers:
+            for n in (1, 2):
+                try:
+                    _, nu, _, report = witness_measures(cov, n)
+                except GUARDS:
+                    continue
+                lhs = [c.lhs for c in report.separation_checks]
+                assert hexes(lhs) == hexes(reference_separation_lhs(cov, n, nu))
+                checked += 1
+        assert checked >= 60
+
+    def test_the_power_trend_builds_only_its_blocked_joins(self, monkeypatch):
+        calls = []
+        real = covers_module.join
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(covers_module, "join", counting)
+        monkeypatch.setattr(harness, "join", counting)
+        res = harness._check_hplus_trend(harness.SuiteConfig(), [])
+        # the range joins of 1, 2 and 3 steps, with 0, 1 and 2 joins
+        assert len(calls) == 3
+        assert res.passes + res.failures == 1

@@ -241,9 +241,9 @@ class TestSuite:
             # 3 range joins of 3 steps: the cover's and its 2 refinements'
             ("maximal_multi_separated", 9),
             # at n = 2: the separated sets' 3 range joins of n**2 = 4 steps,
-            # the counts' sequences of 4 and 6 steps and one sequence of 6
-            # steps per refinement
-            ("witness_measures", 12 + 3 + 5 + 2 * 5),
+            # the counts' one sequence of 6 steps (the pulled counts are its
+            # 4-step row) and one sequence of 6 steps per refinement
+            ("witness_measures", 12 + 5 + 2 * 5),
         ],
     )
     def test_each_count_builds_its_joins_once_for_all_fibers(

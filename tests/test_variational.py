@@ -70,6 +70,23 @@ class TestWitnessConstruction:
         assert rhs[(0, 1)] == pytest.approx((1 / 6) * (logdet - LN2), abs=1e-12)
         assert rhs[(0, 2)] == pytest.approx((2 / 6) * (logdet - 2 * LN2), abs=1e-12)
 
+    @pytest.mark.parametrize("partition", [False, True], ids=["cover", "partition"])
+    def test_pulled_counts_are_the_pulled_cover_counts(self, partition):
+        # four fibers on one theta-cycle whose counts differ fiber by fiber,
+        # so a count read at the wrong fiber shows
+        bundle = alphabet2_bundle((1, 2, 3, 0), [FULL, GM, GM, FULL])
+        if partition:
+            elements = [[(0, 0), (0, 1)], [(1, 0)], [(1, 1)]]
+        else:
+            elements = [[(0, 0)], [(0, 1), (1, 0)], [(0, 1), (1, 1)]]
+        cover = product_cover(bundle, elements, partition=partition)
+        moved = 0
+        for n in (1, 2):
+            *_, rep = witness_measures(cover, n)
+            assert rep.pulled_counts == cover_count(pullback(cover, n), n * n)[-1]
+            moved += rep.pulled_counts != cover_count(cover, n * n)[-1]
+        assert moved == 2
+
     def test_averaged_measure_entropy_recomputed(self, gm):
         _, _, mu, rep = witness_measures(zero_cylinders(gm), 2)
         for check in rep.averaged_checks:

@@ -1,0 +1,98 @@
+"""Fingerprint every report a checkout of rdelab writes, for byte-identity checks.
+
+    python3 tools/report_bytes.py ROOT SEED [SEED ...] > ROOT.txt
+
+``ROOT`` is a checkout (its ``src/`` and ``bench/`` are used; nothing under
+``bench/`` is written).  One line per job: a label, the exit code, the sha256
+of the job's output with its temporary directory and ``ROOT`` masked, and the
+sha256 of its ``--json`` bytes.  The jobs are:
+
+* every job of the four benchmark workloads at each ``SEED``, built by
+  ``bench/workloads.build`` and run in-process through ``bench/run.py``'s
+  ``call``;
+* ``verify`` at seeds 7 and 8, ``verify --file`` on each valid demo instance,
+  and ``witness --n 1..3`` on every cover of every demo instance;
+* the stdout of each ``demos/*.py`` script, run with ``ROOT/src`` first on
+  ``PYTHONPATH``.
+
+Two checkouts give the same reports exactly when ``diff`` of their outputs is
+empty.
+"""
+
+import glob
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def sha(data) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def masked(text: str, root: str, tmp: str = "") -> bytes:
+    if tmp:
+        text = text.replace(tmp, "<tmp>")
+    return text.replace(root, "<root>").encode()
+
+
+def main(argv) -> int:
+    if len(argv) < 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = os.path.abspath(argv[0])
+    seeds = [int(s) for s in argv[1:]]
+    sys.dont_write_bytecode = True  # leave the checkout as it is
+    sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
+    import run  # bench/run.py: pins BLAS threads, defines ``call``
+    import workloads
+
+    cli = run.import_cli()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def job(label, argv):
+            out = os.path.join(tmp, "out.json")
+            code, text = run.call(cli, argv + ["--json", out])
+            try:
+                with open(out, "rb") as fh:
+                    report = sha(fh.read())
+                os.remove(out)
+            except FileNotFoundError:
+                report = "-"
+            print(label, code, sha(masked(text, root, tmp)), report, flush=True)
+
+        for seed in seeds:
+            for name in workloads.NAMES:
+                wl = workloads.build(name, seed)
+                paths = {}
+                for doc_name, doc in wl.docs.items():
+                    paths[doc_name] = os.path.join(tmp, f"{doc_name}.json")
+                    with open(paths[doc_name], "w", encoding="utf-8") as fh:
+                        json.dump(doc, fh)
+                for w in wl.jobs:
+                    job(f"{name} {seed} {w.name}", [a.format(**paths) for a in w.argv])
+        for seed in (7, 8):
+            job(f"verify-seed {seed}", ["verify", "--seed", str(seed)])
+        demos = sorted(glob.glob(os.path.join(root, "demos", "instances", "*.json")))
+        for path in demos:
+            base = os.path.basename(path)
+            if "broken" not in base:
+                job(f"verify-file {base}", ["verify", "--file", path])
+            with open(path, encoding="utf-8") as fh:
+                covers = sorted(json.load(fh).get("covers", {}))
+            for cover in covers:
+                for n in (1, 2, 3):
+                    job(f"witness {base} {cover} {n}",
+                        ["witness", path, "--cover", cover, "--n", str(n)])
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
+        res = subprocess.run([sys.executable, demo], cwd=root, env=env,
+                             capture_output=True, text=True)
+        print(f"demo {os.path.basename(demo)}", res.returncode, sha(masked(res.stdout, root)), "-")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
