@@ -8,6 +8,13 @@ invariance of the induced fibered measure under the skew product.  A
 :class:`WordMeasure` is a horizon-limited disintegration: per fiber, a
 probability weight on the admissible words of a fixed window ``[0, H)``.
 
+:func:`stationary_starts` solves the orbit-consistency fixed point by power
+iteration.  The private :func:`_stationary_ball` bounds, without iterating,
+where that solve's answer lies: an estimate and an L1 radius from a
+Dobrushin contraction bound, which the variational search uses to reject
+proposals on chain-rule targets without solving them; no solve's result
+changes.
+
 Everything is a pure value; nothing here mutates shared state.
 """
 
@@ -332,6 +339,64 @@ def _stationary_of(
         if residual > tol:
             raise PowerIterationError("stationary vector iteration stalled", residual)
     return starts, _closed_classes(product > 0) == 1
+
+
+def _stationary_ball(cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
+    """Estimated starts along a cycle and an L1 radius around them that holds
+    the starts :func:`_stationary_of` returns for the same cycle, without
+    running its iteration.
+
+    The cycle product ``M`` comes from :func:`~rdelab.base.cycle_product`, as
+    in the solve, and ``L = (M + I)/2``.  The estimate is the uniform vector
+    through six squarings of ``L`` (``L**64``), normalised, with residual
+    ``r = |p M - p|_1``; its starts along the cycle are :func:`_along`'s.
+
+    Lemma (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
+    Chains*, 1981, ch. 3-4).  For any real matrix ``L`` and a vector ``z``
+    summing to zero, ``|z L|_1 <= tau |z|_1`` with
+    ``tau = 1/2 max_{i,j} |L_i - L_j|_1`` over pairs of rows.  For two
+    vectors ``x``, ``y`` summing to one, ``z = x - y`` is
+    ``(x - x L) - (y - y L) + z L`` and ``|x - x L|_1 = 1/2 |x M - x|_1``, so
+    ``(1 - tau) |x - y|_1 <= 1/2 (|x M - x|_1 + |y M - y|_1)``.  The solve
+    returns a vector whose residual is at most ``NORM_TOL``, so it lies
+    within ``(1/2 (NORM_TOL + r) + slack) / (1 - tau)`` of the estimate.
+    Nothing here needs ``M`` stochastic or a stationary vector to exist.
+    When ``tau >= 1`` (every reducible product, among others) the radius is
+    ``inf``.
+
+    Rounding slack.  ``tau`` is rounded up by ``4 (d + 2) 2**-52`` (the
+    rounding of ``L`` and of the row differences).  ``slack`` is
+    ``8 (d + 1) (len(cycle) + 1) 2**-52``: the rounding of the two products
+    and sums behind the computed residuals (about ``4 (d + 1) 2**-53``
+    each), the sums of the two vectors off one by a few ``d 2**-53`` (the
+    lemma's ``z`` sums to that, not zero), and each step along the cycle,
+    where both vectors are pushed through the same matrix: a checked
+    nonnegative matrix with row sums within ``NORM_TOL`` of one, so a step
+    adds its two products' rounding and scales the distance by at most
+    ``1 + NORM_TOL``, which the radius carries as ``(1 + NORM_TOL)**len``.
+    Stochastic steps do not otherwise grow it.
+    """
+    product = cycle_product(cycle, len(cycle[0]))[0]
+    d = product.shape[0]
+    lazy = 0.5 * (product + _identity(d))
+    limit = lazy
+    for _ in range(6):
+        limit = limit @ limit
+    p = np.full(d, 1.0 / d) @ limit
+    p /= p.sum()
+    starts, _ = _along(p, cycle)
+    rows = lazy.tolist()
+    spread = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            spread = max(spread, sum(abs(x - y) for x, y in zip(rows[i], rows[j])))
+    tau = 0.5 * spread + 4 * (d + 2) * 2.0**-52
+    if tau >= 1.0:
+        return starts, math.inf
+    residual = float(np.abs(p @ product - p).sum())
+    slack = 8 * (d + 1) * (len(cycle) + 1) * 2.0**-52
+    radius = (0.5 * (NORM_TOL + residual) + slack) / (1.0 - tau)
+    return starts, radius * (1.0 + NORM_TOL) ** len(cycle)
 
 
 def _along(p: np.ndarray, cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:

@@ -16,6 +16,35 @@ holds trivially); a single zero floor shows as a ``null`` ``rhs_pulled`` or
 climbing over the transition family, rows projected back onto their supported
 simplices, scored by the exact or certified entropy rate.  It is a best-effort
 optimizer; the gap to the topological reference is reported, never asserted.
+
+On a partition that pins a coordinate the score is the chain-rule rate
+``sum_w P(w) sum_a p_w(a) H(Q(w)[a, :])``, and a proposal, which changes one
+transition row and so one theta-cycle, is screened before its stationary
+solve.  :func:`~rdelab.measures._stationary_ball` gives estimated starts
+along that cycle and an L1 radius that holds the starts the solve would
+return (a Dobrushin contraction bound, stated there).  Moving the starts of a
+fiber ``w`` by at most the radius moves its term by at most ``P(w)`` times
+the radius times the largest row entropy of ``Q(w)``, so the score is at most
+the chain-rule rate at the estimated starts plus those terms.  The chain-rule
+sum adds nonnegative terms, so each evaluation rounds by a relative
+``(d + omega_count + 2) 2**-53`` at most; the bound is raised by a relative
+``(d + omega_count + 2) 2**-50`` for both evaluations and its own rounding.
+A proposal is accepted only when it scores strictly above the current value,
+so one whose bound lies below it is rejected without its solve.  The random
+draws, the projection, the acceptance rule, ``evaluations`` and every
+accepted measure are those of solving every proposal, so every report keeps
+its bytes.  Covers, and partitions that pin no coordinate, are scored by
+certified conditional-entropy rates and are not screened.
+
+A screened proposal still has its transition matrix checked
+(:func:`~rdelab.measures.check_transition`), so a bad one raises as before.
+Its solve would not have raised either: the radius is finite only when the
+contraction coefficient ``tau`` of the lazy cycle product is below one, and
+then the product has one stationary vector, toward which the lazy iteration
+contracts by ``tau`` per step; the solve's iteration reaches its residual
+tolerance, or the squaring fallback does once the iteration cap runs out.
+That is the argument in exact arithmetic; in floats the property tests run
+the solve down to ``1 - tau = 1e-6``.
 """
 
 from __future__ import annotations
@@ -45,11 +74,14 @@ from .entropy import (
     _cell_entropy,
     _chain_rule_rate,
     _pins_coordinate,
+    shannon,
 )
 from .forked import run_tasks
 from .measures import (
     MarkovMeasure,
     WordMeasure,
+    _stationary_ball,
+    check_transition,
     markov_to_word,
     mix,
     pushforward,
@@ -354,7 +386,9 @@ def maximize_invariant_entropy(
     restarts are independent tasks, run across the available CPUs in forked
     processes (:func:`~rdelab.forked.run_tasks`) and merged in restart order,
     so the result does not depend on how many CPUs there are; there is no
-    option for this.
+    option for this.  On a chain-rule target a proposal that provably scores
+    below the current value is rejected without its stationary solve (see
+    the module docstring); the result is that of solving every proposal.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -379,25 +413,36 @@ def maximize_invariant_entropy(
             m[a, supports[w * d + a]] = qrows[w * d + a]
         return m
 
-    def build(
-        qrows: list[list[float]],
-        previous: MarkovMeasure | None = None,
-        row: int | None = None,
-    ) -> MarkovMeasure:
-        if row is None:
-            qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
-        else:
-            # only row ``row`` differs from the accepted measure ``previous``:
-            # the other fibers' matrices are its arrays, byte for byte
-            qs = list(previous.transitions)
-            qs[row // d] = fiber_matrix(qrows, row // d)
-        # cycles the proposal left alone keep previous's starts instead of
-        # being solved again
-        return stationary_starts(bundle, qs, previous=previous)
+    def build(qrows: list[list[float]]) -> MarkovMeasure:
+        qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
+        return stationary_starts(bundle, qs)
+
+    cycle_of = {w: cyc for cyc in base.cycles() for w in cyc}
+    # relative rounding of a chain-rule sum of nonnegative terms, twice over,
+    # with room for the rounding of the bound itself
+    rounding = (d + base.omega_count + 2) * 2.0**-50
+
+    def below(qs: list[np.ndarray], mu: MarkovMeasure, w: int, cur: float) -> bool:
+        """Whether the proposal ``qs``, which differs from the accepted ``mu``
+        in fiber ``w`` only, provably scores below ``cur`` on a chain-rule
+        target, so its solve can be skipped; the bound is the module
+        docstring's."""
+        check_transition(bundle, w, qs[w])
+        cyc = cycle_of[w]
+        along, radius = _stationary_ball([qs[v] for v in cyc])
+        if radius == math.inf:
+            return False
+        starts = list(mu.starts)
+        spread = 0.0
+        for v, p in zip(cyc, along):
+            starts[v] = p
+            spread += base.weights[v] * max(shannon(row) for row in qs[v].tolist())
+        estimate = _chain_rule_rate(base.weights, starts, qs)
+        return (estimate + radius * spread) * (1.0 + rounding) < cur
 
     def score(mu: MarkovMeasure) -> float:
         if chain_rule:
-            return _chain_rule_rate(mu)
+            return _chain_rule_rate(base.weights, mu.starts, mu.transitions)
         horizon = target.stop + SCORE_NMAX - 1
         nu = markov_to_word(mu, horizon)
         best = math.inf
@@ -439,7 +484,16 @@ def maximize_invariant_entropy(
             noise = rng.normal(0.0, sigma, len(old)).tolist()
             proposal = _project_simplex([x + y for x, y in zip(old, noise)])
             qrows[i] = proposal
-            mu_new = build(qrows, mu, i)
+            # only fiber ``w`` differs from the accepted ``mu``: the other
+            # fibers' matrices are its arrays, byte for byte, and the cycles
+            # left alone keep its starts instead of being solved again
+            w = i // d
+            qs = list(mu.transitions)
+            qs[w] = fiber_matrix(qrows, w)
+            if chain_rule and below(qs, mu, w, cur):
+                qrows[i] = old
+                continue
+            mu_new = stationary_starts(bundle, qs, previous=mu)
             val = score(mu_new)
             if val > cur:
                 cur, mu = val, mu_new

@@ -18,7 +18,12 @@ from rdelab import (
     stationary_starts,
 )
 from rdelab.harness import gen_instance
-from rdelab.measures import MeasureError, _closed_classes, _stationary_of
+from rdelab.measures import (
+    MeasureError,
+    _closed_classes,
+    _stationary_ball,
+    _stationary_of,
+)
 
 from conftest import alphabet2_bundle
 
@@ -81,13 +86,15 @@ def previous_stationary_of(product, tol, max_iterations):
 
 
 @st.composite
-def stochastic_matrices(draw, max_d=7):
-    """Row-stochastic d x d matrices, d in 2..max_d, with zero patterns.
+def stochastic_matrices(draw, max_d=7, d=None):
+    """Row-stochastic d x d matrices, d in 2..max_d unless given, with zero
+    patterns.
 
     Zero entries make reducible, periodic and transient-state products
     common; an all-zero row becomes a fixed point.
     """
-    d = draw(st.integers(2, max_d))
+    if d is None:
+        d = draw(st.integers(2, max_d))
     entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     m = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
     for a in range(d):
@@ -271,6 +278,87 @@ class TestStationaryStarts:
         inst = gen_instance(seed)
         for mu in inst.measures.values():
             assert invariance_residual(mu) <= 1e-12
+
+
+@st.composite
+def ball_cycles(draw):
+    """Cycles of one to three stochastic d x d factors, d in 2..4.
+
+    Half the cycles have zero patterns throughout.  In the other half each
+    factor is ``(1 - eps) B + eps S``: ``B`` keeps two blocks of states
+    closed, ``S`` is positive and ``eps`` is 1e-6 to 1, so the product is
+    about ``eps`` from reducible and ``1 - tau`` goes down to about 1e-6.
+    """
+    d = draw(st.integers(2, 4))
+    length = draw(st.integers(1, 3))
+    factors = [draw(stochastic_matrices(d=d)) for _ in range(length)]
+    if draw(st.booleans()):
+        return factors
+    eps = 10.0 ** -draw(st.floats(0.0, 6.0))
+    split = draw(st.integers(1, d - 1))
+    blocks = np.zeros((d, d))
+    blocks[:split, :split] = blocks[split:, split:] = 1.0
+    near = []
+    for m in factors:
+        b = m * blocks
+        for a in range(d):
+            if b[a].sum() == 0.0:
+                b[a, a] = 1.0
+        b /= b.sum(axis=1, keepdims=True)
+        s = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d * d, max_size=d * d)))
+        s = s.reshape(d, d) / s.reshape(d, d).sum(axis=1, keepdims=True)
+        near.append((1.0 - eps) * b + eps * s)
+    return near
+
+
+def _dobrushin(cycle):
+    """``1/2 max_{i,j} |L_i - L_j|_1`` of ``L = (M + I)/2`` for the cycle
+    product ``M``, in numpy."""
+    m = np.linalg.multi_dot(cycle) if len(cycle) > 1 else cycle[0]
+    lazy = 0.5 * (m + np.eye(len(m)))
+    return 0.5 * max(np.abs(x - y).sum() for x in lazy for y in lazy)
+
+
+# a two-state product with 1 - tau(L) = 0.015: 64 lazy steps leave the
+# estimate 0.127 from the stationary (2/3, 1/3), 1/(1 - tau) times half its
+# residual, so the ball needs that factor to hold the solve's answer (the
+# radius is 7e-11 above the distance)
+SLOW_MIXING = [[0.99, 0.01], [0.02, 0.98]]
+# 1 - tau(L) = 1e-6: the iteration cap runs out and the squaring fallback
+# answers, 0.4999680 from the estimate, within a radius of 0.4999685
+NEAR_REDUCIBLE = [[1.0 - 0.5e-6, 0.5e-6], [1.5e-6, 1.0 - 1.5e-6]]
+
+
+class TestStationaryBall:
+    @settings(max_examples=60)
+    @given(ball_cycles())
+    @example([np.array(SLOW_MIXING)])
+    @example([np.array(NEAR_REDUCIBLE)])
+    def test_holds_the_solved_starts(self, cycle):
+        along, radius = _stationary_ball(cycle)
+        starts, _ = _stationary_of(cycle)
+        assert len(along) == len(starts) == len(cycle)
+        if _dobrushin(cycle) < 1.0 - 1e-9:
+            assert radius < math.inf
+        for p, q in zip(starts, along):
+            assert np.abs(p - q).sum() <= radius
+
+    def test_slow_mixing_needs_the_contraction_factor(self):
+        m = np.array(SLOW_MIXING)
+        (estimate,), radius = _stationary_ball([m])
+        (solved,), _ = _stationary_of([m])
+        gap = np.abs(solved - estimate).sum()
+        assert 0.1 < gap <= radius
+        residual = np.abs(estimate @ m - estimate).sum()
+        assert gap > 0.5 * residual * 60  # 1/(1 - tau) is about 66.7
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [[np.eye(2)], [np.eye(3)[[1, 0, 2]]], [np.array(SLOW_DRAIN[0][0])]],
+        ids=["identity", "swap-and-fixed-point", "slow-drain"],
+    )
+    def test_infinite_when_rows_of_the_lazy_product_are_disjoint(self, cycle):
+        assert _stationary_ball(cycle)[1] == math.inf
 
 
 class TestPreviousReuse:

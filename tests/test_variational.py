@@ -7,16 +7,20 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import rdelab.covers as covers
 import rdelab.forked as forked
+import rdelab.measures as measures
 import rdelab.variational as variational
 from rdelab import (
     BundleError,
     MeasureError,
     PowerIterationError,
+    ProbBase,
+    SymbolicBundle,
     cover_count,
     maximize_invariant_entropy,
     partition_conditional_entropy,
@@ -30,7 +34,7 @@ from rdelab import (
 )
 from rdelab.cli import main
 from rdelab.covers import CoverError
-from rdelab.entropy import EnumerationGuardError
+from rdelab.entropy import EnumerationGuardError, shannon
 from rdelab.guards import GUARDS
 from rdelab.instances import canonical_json
 from rdelab.variational import HorizonGuardError
@@ -216,6 +220,97 @@ class TestMaximizeReusesUnchangedCycles:
         afresh = maximize_invariant_entropy(target, 240, 5)
         assert reused.to_dict() == afresh.to_dict()
         assert reused.measure.flags == afresh.measure.flags
+
+
+# one fiber on three symbols: c is transient (it may stay or leave, and no
+# other symbol enters it), a and b form a golden mean
+TRANSIENT = SymbolicBundle(
+    base=ProbBase(weights=(1.0,), theta=(0,)),
+    alphabet=("a", "b", "c"),
+    adjacency=(np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int8),),
+)
+SCREEN_BUNDLES = dict(SEARCH_BUNDLES, **{"transient-state": TRANSIENT})
+
+
+def _unscreened(monkeypatch):
+    """Every proposal solved: a ball of infinite radius screens none."""
+    monkeypatch.setattr(variational, "_stationary_ball", lambda cycle: ([], math.inf))
+
+
+class TestScreenedProposals:
+    """Proposals whose certified bound lies below the current value are
+    rejected without their solve, and the search reports what it reports
+    with every proposal solved."""
+
+    @pytest.mark.parametrize("budget", [120, 400])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", sorted(SCREEN_BUNDLES))
+    def test_same_report_as_solving_every_proposal(self, name, seed, budget, monkeypatch):
+        target = zero_cylinders(SCREEN_BUNDLES[name])
+        screened = maximize_invariant_entropy(target, budget, seed)
+        with monkeypatch.context() as m:
+            _unscreened(m)
+            solved = maximize_invariant_entropy(target, budget, seed)
+        assert canonical_json(screened.to_dict()) == canonical_json(solved.to_dict())
+        assert screened.measure.flags == solved.measure.flags
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "name", ["golden-mean", "alternating-golden-mean", "two-cycle-and-fixed-point"]
+    )
+    def test_a_ball_off_its_centre_keeps_the_report(self, name, seed, monkeypatch):
+        # each estimated start moved by up to 2 delta in L1 toward its
+        # fiber's least uncertain row, which lowers the estimated score, and
+        # the radius grown by 2 delta: the ball still holds the solved
+        # starts, so the screen must still reject only proposals that score
+        # at most the current value; one that left out the radius would not
+        delta = 1e-3
+        target = zero_cylinders(SCREEN_BUNDLES[name])
+
+        def moved(cycle):
+            along, radius = measures._stationary_ball(cycle)
+            shifted = []
+            for p, q in zip(along, cycle):
+                corner = np.eye(len(q))[np.argmin([shannon(row) for row in q])]
+                shifted.append((1 - delta) * p + delta * corner)
+            return shifted, radius + 2 * delta
+
+        with monkeypatch.context() as m:
+            m.setattr(variational, "_stationary_ball", moved)
+            screened = maximize_invariant_entropy(target, 400, seed)
+        _unscreened(monkeypatch)
+        solved = maximize_invariant_entropy(target, 400, seed)
+        assert canonical_json(screened.to_dict()) == canonical_json(solved.to_dict())
+
+    def test_most_golden_mean_proposals_are_screened_out(self, monkeypatch):
+        target = zero_cylinders(SEARCH_BUNDLES["golden-mean"])
+        balls, solves = [], []
+
+        def ball(cycle):
+            balls.append(cycle)
+            return measures._stationary_ball(cycle)
+
+        def solve(bundle, transitions, previous=None):
+            solves.append(previous)
+            return stationary_starts(bundle, transitions, previous=previous)
+
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 1)  # count every restart here
+        monkeypatch.setattr(variational, "_stationary_ball", ball)
+        monkeypatch.setattr(variational, "stationary_starts", solve)
+        res = maximize_invariant_entropy(target, 400, 0)
+        restarts = sum(p is None for p in solves)
+        proposals = res.evaluations - restarts
+        assert len(balls) == proposals
+        # each solve of a proposal passes the accepted measure as ``previous``
+        assert len(solves) - restarts < proposals / 2
+
+    def test_a_failing_proposal_check_still_raises(self, monkeypatch):
+        target = zero_cylinders(SEARCH_BUNDLES["golden-mean"])
+        monkeypatch.setattr(
+            variational, "_project_simplex", lambda v: [float("nan")] * len(v)
+        )
+        with pytest.raises(MeasureError, match="rows must sum to 1"):
+            maximize_invariant_entropy(target, 120, 0)
 
 
 def _search(target, budget, seed, cpus, monkeypatch):

@@ -12,6 +12,9 @@ sha256 of its ``--json`` bytes.  The jobs are:
   ``call``;
 * ``verify`` at seeds 7 and 8, ``verify --file`` on each valid demo instance,
   and ``witness --n 1..3`` on every cover of every demo instance;
+* ``maximize --budget 400`` at seeds 0 and 5 on every partition
+  (``--partition``) and every other cover (``--cover``) of every valid demo
+  instance;
 * the stdout of each ``demos/*.py`` script, run with ``ROOT/src`` first on
   ``PYTHONPATH``.
 
@@ -48,6 +51,8 @@ def main(argv) -> int:
     sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
     import run  # bench/run.py: pins BLAS threads, defines ``call``
     import workloads
+    from rdelab.covers import PositionedPartition
+    from rdelab.instances import load_instance
 
     cli = run.import_cli()
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,6 +91,15 @@ def main(argv) -> int:
                 for n in (1, 2, 3):
                     job(f"witness {base} {cover} {n}",
                         ["witness", path, "--cover", cover, "--n", str(n)])
+            if "broken" not in base:
+                targets = load_instance(path).covers
+                for cover in covers:
+                    kind = isinstance(targets[cover], PositionedPartition)
+                    flag = "--partition" if kind else "--cover"
+                    for seed in (0, 5):
+                        job(f"maximize {base} {cover} {seed}",
+                            ["maximize", path, flag, cover, "--budget", "400",
+                             "--seed", str(seed)])
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         res = subprocess.run([sys.executable, demo], cwd=root, env=env,
