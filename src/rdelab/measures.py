@@ -343,8 +343,8 @@ def _stationary_of(
 
 def _stationary_ball(cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
     """Estimated starts along a cycle and an L1 radius around them that holds
-    the starts :func:`_stationary_of` returns for the same cycle, without
-    running its iteration.
+    the starts :func:`_stationary_of` returns for the same cycle at its
+    default ``tol = NORM_TOL``, without running its iteration.
 
     The cycle product ``M`` comes from :func:`~rdelab.base.cycle_product`, as
     in the solve, and ``L = (M + I)/2``.  The estimate is the uniform vector

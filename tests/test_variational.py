@@ -229,7 +229,7 @@ TRANSIENT = SymbolicBundle(
     alphabet=("a", "b", "c"),
     adjacency=(np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int8),),
 )
-SCREEN_BUNDLES = dict(SEARCH_BUNDLES, **{"transient-state": TRANSIENT})
+SCREEN_BUNDLES = {**SEARCH_BUNDLES, "transient-state": TRANSIENT}
 
 
 def _unscreened(monkeypatch):
