@@ -1,9 +1,13 @@
-"""Searching the invariant family for maximal entropy.
+"""Maximal-entropy invariant measures.
 
-Hill climbing over the transition rows (projected back onto their supported
-simplices) against the exact chain-rule rate.  On the alternating golden-mean
-system the optimum is the two-step analogue of the maximal-entropy Markov
-measure and the search closes the gap to the spectral value (1/2) ln 3.
+On a partition that pins a coordinate (here the zero cylinders) the entropy
+of an invariant Markov family is its chain-rule rate, and the random Parry
+family, built from the Perron vectors of each theta-cycle's adjacency
+product, attains the spectral rate: ``maximize_invariant_entropy`` returns it
+in one evaluation.  On the alternating golden-mean system it is the two-step
+analogue of the maximal-entropy Markov measure, at the spectral value
+(1/2) ln 3.  Covers and partitions that pin no coordinate have no such closed
+form; there the budget and seed steer a hill climb over the transition rows.
 """
 
 import math

@@ -88,6 +88,7 @@ from .measures import (
     invariance_residual,
     markov_to_word,
     mix,
+    parry_measure,
     pushforward,
     pushforward_markov,
     restrict,

@@ -235,15 +235,24 @@ def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--partition", "partition_name", default=None)
 @click.option("--cover", "cover_name", default=None)
-@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option(
+    "--budget",
+    type=click.IntRange(min=1),
+    default=2000,
+    show_default=True,
+    help="evaluations of the hill climb",
+)
+@click.option("--seed", type=int, default=0, show_default=True, help="seed of the hill climb")
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
-    """Hill-climb the invariant Markov family toward maximal entropy.
+    """An invariant Markov family of maximal entropy on the target.
 
-    The restarts run across the available CPUs in forked processes and are
-    merged in restart order, so the report does not depend on how many CPUs
-    there are; there is no option for this.
+    On a partition that pins a coordinate (such as zero_cyl) the answer is
+    the random Parry family, in one evaluation, and --budget and --seed are
+    not used.  Covers and other partitions are hill-climbed; the restarts
+    run across the available CPUs in forked processes and are merged in
+    restart order, so the report does not depend on how many CPUs there
+    are; there is no option for this.
     """
     if (partition_name is None) == (cover_name is None):
         raise click.UsageError("need exactly one of --partition / --cover")
@@ -272,7 +281,7 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
     "file_path",
     type=click.Path(exists=True, dir_okay=False),
     help="check this instance in place of generated ones (hplus-power-trend "
-    "and variational-gap always use the built-in alternating golden mean)",
+    "always uses the built-in alternating golden mean)",
 )
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=12, show_default=True)

@@ -821,7 +821,7 @@ def _partition_report(
     exact = None
     tags = [f"mode:{mode}"]
     if _pins_coordinate(partition):
-        exact = _chain_rule_rate(mu.bundle.base.weights, mu.starts, mu.transitions)
+        exact = _chain_rule_rate(mu)
         tags.append("chain-rule")
     return _report(seq, exact, tags)
 
@@ -879,29 +879,23 @@ def _pins_coordinate(partition: PositionedPartition) -> bool:
     )
 
 
-def _chain_rule_rate(
-    weights: Sequence[float],
-    starts: Sequence[np.ndarray],
-    transitions: Sequence[np.ndarray],
-) -> float:
-    """Exact word-process entropy rate of a partition that pins a coordinate,
-    for the Markov family with these per-fiber ``starts`` and
-    ``transitions`` over base points of these ``weights``.
+def _chain_rule_rate(mu: MarkovMeasure) -> float:
+    """Exact word-process entropy rate of a partition that pins a coordinate.
 
     Eligibility is the caller's test (:func:`_pins_coordinate`): at some
     window offset, all words of each cell share one symbol in every fiber.
     Then the joined cells are sandwiched between the single-coordinate
     process and the full word process, whose common rate is the chain rule
     ``sum_w P(w) sum_a p(a) H(Q(w)[a, :])``, added from left to right in
-    Python floats.  It reads arrays, not a measure, so the variational
-    search can also evaluate it at estimated starts.
+    Python floats.
     """
+    base = mu.bundle.base
     rate = 0.0
-    for weight, p, q in zip(weights, starts, transitions):
+    for omega in range(base.omega_count):
         inner = 0.0
-        for pa, row in zip(p.tolist(), q.tolist()):
+        for pa, row in zip(mu.starts[omega].tolist(), mu.transitions[omega].tolist()):
             inner += pa * shannon(row)
-        rate += weight * inner
+        rate += base.weights[omega] * inner
     return rate
 
 

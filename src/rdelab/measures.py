@@ -9,11 +9,9 @@ invariance of the induced fibered measure under the skew product.  A
 probability weight on the admissible words of a fixed window ``[0, H)``.
 
 :func:`stationary_starts` solves the orbit-consistency fixed point by power
-iteration.  The private :func:`_stationary_ball` bounds, without iterating,
-where that solve's answer lies: an estimate and an L1 radius from a
-Dobrushin contraction bound, which the variational search uses to reject
-proposals on chain-rule targets without solving them; no solve's result
-changes.
+iteration.  :func:`parry_measure` builds the random Parry family, the
+Markov family of maximal fiber entropy, in closed form from the Perron
+vectors of each theta-cycle's adjacency product.
 
 Everything is a pure value; nothing here mutates shared state.
 """
@@ -40,6 +38,7 @@ __all__ = [
     "MarkovMeasure",
     "WordMeasure",
     "stationary_starts",
+    "parry_measure",
     "invariance_residual",
     "markov_to_word",
     "pushforward",
@@ -341,64 +340,6 @@ def _stationary_of(
     return starts, _closed_classes(product > 0) == 1
 
 
-def _stationary_ball(cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """Estimated starts along a cycle and an L1 radius around them that holds
-    the starts :func:`_stationary_of` returns for the same cycle at its
-    default ``tol = NORM_TOL``, without running its iteration.
-
-    The cycle product ``M`` comes from :func:`~rdelab.base.cycle_product`, as
-    in the solve, and ``L = (M + I)/2``.  The estimate is the uniform vector
-    through six squarings of ``L`` (``L**64``), normalised, with residual
-    ``r = |p M - p|_1``; its starts along the cycle are :func:`_along`'s.
-
-    Lemma (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
-    Chains*, 1981, ch. 3-4).  For any real matrix ``L`` and a vector ``z``
-    summing to zero, ``|z L|_1 <= tau |z|_1`` with
-    ``tau = 1/2 max_{i,j} |L_i - L_j|_1`` over pairs of rows.  For two
-    vectors ``x``, ``y`` summing to one, ``z = x - y`` is
-    ``(x - x L) - (y - y L) + z L`` and ``|x - x L|_1 = 1/2 |x M - x|_1``, so
-    ``(1 - tau) |x - y|_1 <= 1/2 (|x M - x|_1 + |y M - y|_1)``.  The solve
-    returns a vector whose residual is at most ``NORM_TOL``, so it lies
-    within ``(1/2 (NORM_TOL + r) + slack) / (1 - tau)`` of the estimate.
-    Nothing here needs ``M`` stochastic or a stationary vector to exist.
-    When ``tau >= 1`` (every reducible product, among others) the radius is
-    ``inf``.
-
-    Rounding slack.  ``tau`` is rounded up by ``4 (d + 2) 2**-52`` (the
-    rounding of ``L`` and of the row differences).  ``slack`` is
-    ``8 (d + 1) (len(cycle) + 1) 2**-52``: the rounding of the two products
-    and sums behind the computed residuals (about ``4 (d + 1) 2**-53``
-    each), the sums of the two vectors off one by a few ``d 2**-53`` (the
-    lemma's ``z`` sums to that, not zero), and each step along the cycle,
-    where both vectors are pushed through the same matrix: a checked
-    nonnegative matrix with row sums within ``NORM_TOL`` of one, so a step
-    adds its two products' rounding and scales the distance by at most
-    ``1 + NORM_TOL``, which the radius carries as ``(1 + NORM_TOL)**len``.
-    Stochastic steps do not otherwise grow it.
-    """
-    product = cycle_product(cycle, len(cycle[0]))[0]
-    d = product.shape[0]
-    lazy = 0.5 * (product + _identity(d))
-    limit = lazy
-    for _ in range(6):
-        limit = limit @ limit
-    p = np.full(d, 1.0 / d) @ limit
-    p /= p.sum()
-    starts, _ = _along(p, cycle)
-    rows = lazy.tolist()
-    spread = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            spread = max(spread, sum(abs(x - y) for x, y in zip(rows[i], rows[j])))
-    tau = 0.5 * spread + 4 * (d + 2) * 2.0**-52
-    if tau >= 1.0:
-        return starts, math.inf
-    residual = float(np.abs(p @ product - p).sum())
-    slack = 8 * (d + 1) * (len(cycle) + 1) * 2.0**-52
-    radius = (0.5 * (NORM_TOL + residual) + slack) / (1.0 - tau)
-    return starts, radius * (1.0 + NORM_TOL) ** len(cycle)
-
-
 def _along(p: np.ndarray, cycle: Sequence[np.ndarray]) -> tuple[list[np.ndarray], float]:
     """The starts ``p, p Q_0, p Q_0 Q_1, ..`` along ``cycle = (Q_0, .., Q_{L-1})``
     and the L1 gap by which the last one pushed through ``Q_{L-1}`` misses
@@ -529,6 +470,83 @@ def stationary_starts(
     mu = MarkovMeasure._adopt(bundle, tuple(qs), tuple(starts), tuple(flags))
     mu._validate_starts()
     return mu
+
+
+def parry_measure(bundle: SymbolicBundle) -> MarkovMeasure:
+    """The random Parry family: an invariant Markov family whose chain-rule
+    rate is the integrated spectral rate of
+    :func:`~rdelab.base.cycle_growth_rate`, the largest fiber entropy any
+    invariant Markov family has (Parry, "Intrinsic Markov chains", TAMS
+    1964; Bogenschuetz and Gundlach, ETDS 1995).
+
+    Per theta-cycle ``(w_0, .., w_{L-1})`` with adjacency matrices ``A_i``,
+    the cycle product ``M = A_0 .. A_{L-1}`` comes from
+    :func:`~rdelab.base.cycle_product`.  Among its strongly connected blocks
+    the one of largest radius ``rho`` is taken (numpy ``eig``; ties go to
+    the first block in component order), with its right and left Perron
+    vectors ``r`` and ``l``, zero off the block.  ``r_0 = r`` is carried
+    backward, ``r_i`` proportional to ``A_i r_{i+1}`` (indices mod ``L``),
+    and ``l_0 = l`` forward, ``l_i`` proportional to ``l_{i-1} A_{i-1}``.
+    The transitions are ``Q_i(a, b) = A_i(a, b) r_{i+1}(b) / (A_i r_{i+1})(a)``
+    and the start at ``w_i`` is ``l_i r_i``, normalised.  Once round the
+    cycle ``r`` becomes ``M r`` and ``l`` becomes ``l M``; on the block these
+    are ``rho r`` and ``rho l``, and off it they meet a zero of ``l`` or
+    ``r``, so the starts are orbit consistent.  A row whose denominator is
+    zero has no start mass and gets its uniform admissible row.  Each cycle
+    then has chain-rule rate ``(1/L) ln rho``.
+
+    The result comes from the checking :class:`MarkovMeasure` constructor,
+    so support, row sums and the orbit residual are checked.
+    """
+    d = bundle.alphabet_size
+    transitions: list[np.ndarray | None] = [None] * bundle.base.omega_count
+    starts: list[np.ndarray | None] = [None] * bundle.base.omega_count
+    for cyc in bundle.base.cycles():
+        mats = [bundle.adjacency[w].astype(float) for w in cyc]
+        r, l = _perron_pair(cycle_product(mats, d)[0])
+        rs = [r] * len(cyc)
+        for i in range(len(cyc) - 1, 0, -1):
+            rs[i] = _normalised(mats[i] @ rs[(i + 1) % len(cyc)])
+        ls = [l]
+        for a in mats[:-1]:
+            ls.append(_normalised(ls[-1] @ a))
+        for i, w in enumerate(cyc):
+            weighted = mats[i] * rs[(i + 1) % len(cyc)]
+            mass = weighted.sum(axis=1, keepdims=True)
+            q = mats[i] / mats[i].sum(axis=1, keepdims=True)
+            np.divide(weighted, mass, out=q, where=mass > 0)
+            transitions[w] = q
+            starts[w] = _normalised(ls[i] * rs[i])
+    return MarkovMeasure(bundle=bundle, transitions=tuple(transitions), starts=tuple(starts))
+
+
+def _perron_pair(product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left Perron vectors, normalised and zero elsewhere, of the
+    strongly connected block of ``product`` with the largest radius; ties
+    go to the first block in component order."""
+    radius, block = -math.inf, None
+    for comp in strongly_connected_components(product > 0):
+        values = np.linalg.eigvals(product[np.ix_(comp, comp)])
+        if values.real.max() > radius:
+            radius, block = values.real.max(), comp
+    sub = product[np.ix_(block, block)]
+    r = np.zeros(product.shape[0])
+    l = np.zeros(product.shape[0])
+    r[block] = _perron_vector(sub)
+    l[block] = _perron_vector(sub.T)
+    return r, l
+
+
+def _perron_vector(block: np.ndarray) -> np.ndarray:
+    """The nonnegative eigenvector, summing to one, of the eigenvalue of
+    largest real part of an irreducible nonnegative matrix: its Perron
+    root."""
+    values, vectors = np.linalg.eig(block)
+    return _normalised(np.abs(vectors[:, np.argmax(values.real)].real))
+
+
+def _normalised(v: np.ndarray) -> np.ndarray:
+    return v / v.sum()
 
 
 def invariance_residual(mu: MarkovMeasure) -> float:

@@ -12,39 +12,16 @@ floors: its ``vacuous`` flag is set only when both are zero (the check then
 holds trivially); a single zero floor shows as a ``null`` ``rhs_pulled`` or
 ``rhs_submult`` in the JSON report, and that side is not tested.
 
-``maximize_invariant_entropy`` is the search half: random-restart hill
-climbing over the transition family, rows projected back onto their supported
-simplices, scored by the exact or certified entropy rate.  It is a best-effort
-optimizer; the gap to the topological reference is reported, never asserted.
-
-On a partition that pins a coordinate the score is the chain-rule rate
-``sum_w P(w) sum_a p_w(a) H(Q(w)[a, :])``, and a proposal, which changes one
-transition row and so one theta-cycle, is screened before its stationary
-solve.  :func:`~rdelab.measures._stationary_ball` gives estimated starts
-along that cycle and an L1 radius that holds the starts the solve would
-return (a Dobrushin contraction bound, stated there).  Moving the starts of a
-fiber ``w`` by at most the radius moves its term by at most ``P(w)`` times
-the radius times the largest row entropy of ``Q(w)``, so the score is at most
-the chain-rule rate at the estimated starts plus those terms.  The chain-rule
-sum adds nonnegative terms, so each evaluation rounds by a relative
-``(d + omega_count + 2) 2**-53`` at most; the bound is raised by a relative
-``(d + omega_count + 2) 2**-50`` for both evaluations and its own rounding.
-A proposal is accepted only when it scores strictly above the current value,
-so one whose bound lies below it is rejected without its solve.  The random
-draws, the projection, the acceptance rule, ``evaluations`` and every
-accepted measure are those of solving every proposal, so every report keeps
-its bytes.  Covers, and partitions that pin no coordinate, are scored by
-certified conditional-entropy rates and are not screened.
-
-A screened proposal still has its transition matrix checked
-(:func:`~rdelab.measures.check_transition`), so a bad one raises as before.
-Its solve would not have raised either: the radius is finite only when the
-contraction coefficient ``tau`` of the lazy cycle product is below one, and
-then the product has one stationary vector, toward which the lazy iteration
-contracts by ``tau`` per step; the solve's iteration reaches its residual
-tolerance, or the squaring fallback does once the iteration cap runs out.
-That is the argument in exact arithmetic; in floats the property tests run
-the solve down to ``1 - tau = 1e-6``.
+``maximize_invariant_entropy`` is the variational half.  On a partition
+that pins a coordinate the score of a Markov family is its chain-rule rate,
+whose supremum over invariant Markov families is the integrated spectral
+rate, attained by the random Parry family
+(:func:`~rdelab.measures.parry_measure`); that family is the answer there.
+On covers and on partitions that pin no coordinate no closed form is known,
+and the search is random-restart hill climbing over the transition family,
+rows projected back onto their supported simplices, scored by the certified
+conditional-entropy rate.  It is a best-effort optimizer; the gap to the
+topological reference is reported, never asserted.
 """
 
 from __future__ import annotations
@@ -74,16 +51,14 @@ from .entropy import (
     _cell_entropy,
     _chain_rule_rate,
     _pins_coordinate,
-    shannon,
 )
 from .forked import run_tasks
 from .measures import (
     MarkovMeasure,
     WordMeasure,
-    _stationary_ball,
-    check_transition,
     markov_to_word,
     mix,
+    parry_measure,
     pushforward,
     restrict,
     stationary_starts,
@@ -375,23 +350,52 @@ REFERENCE_NMAX = 8
 def maximize_invariant_entropy(
     target: PositionedCover, budget: int, seed: int
 ) -> MaximizeResult:
-    """Search the invariant Markov family for a high entropy rate on the target.
+    """An invariant Markov family of high entropy rate on the target.
 
-    Partitions are scored with :func:`partition_entropy_report` (exact chain
-    rule when available, certified upper bound otherwise); covers are scored
-    with the step-:data:`SCORE_NMAX` certified conditional-entropy rate, in
-    the fiber-dependent (``"general"``) infimum class.  The reference is the
-    topological rate over :data:`REFERENCE_NMAX` steps.  Hill climbing
-    restarts from deterministic seeds derived from ``(seed, restart)``.  The
-    restarts are independent tasks, run across the available CPUs in forked
-    processes (:func:`~rdelab.forked.run_tasks`) and merged in restart order,
-    so the result does not depend on how many CPUs there are; there is no
-    option for this.  On a chain-rule target a proposal that provably scores
-    below the current value is rejected without its stationary solve (see
-    the module docstring); the result is that of solving every proposal.
+    On a partition that pins a coordinate the answer is the random Parry
+    family (:func:`~rdelab.measures.parry_measure`), valued by its chain-rule
+    rate in one evaluation; ``budget`` and ``seed`` steer only the hill
+    climb.  Other targets go to :func:`_hill_climb`.  The reference is the
+    topological rate over :data:`REFERENCE_NMAX` steps.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
+    if isinstance(target, PositionedPartition) and _pins_coordinate(target):
+        measure = parry_measure(target.bundle)
+        value = _chain_rule_rate(measure)
+        evaluations = 1
+    else:
+        measure, value, evaluations = _hill_climb(target, budget, seed)
+    ref_report = topological_cover_entropy(target, REFERENCE_NMAX)
+    reference = (
+        ref_report.exact_rate
+        if ref_report.exact_rate is not None
+        else ref_report.certified_upper
+    )
+    return MaximizeResult(
+        measure=measure,
+        value=value,
+        reference=reference,
+        gap=reference - value,
+        evaluations=evaluations,
+    )
+
+
+def _hill_climb(
+    target: PositionedCover, budget: int, seed: int
+) -> tuple[MarkovMeasure, float, int]:
+    """The best measure, its value and the evaluations spent by a hill climb
+    on a cover or on a partition that pins no coordinate.
+
+    A measure scores the step-:data:`SCORE_NMAX` certified
+    conditional-entropy rate, in the fiber-dependent (``"general"``)
+    infimum class.  Hill climbing restarts from deterministic seeds derived
+    from ``(seed, restart)``.  The restarts are independent tasks, run
+    across the available CPUs in forked processes
+    (:func:`~rdelab.forked.run_tasks`) and merged in restart order, so the
+    result does not depend on how many CPUs there are; there is no option
+    for this.
+    """
     bundle = target.bundle
     base = bundle.base
     d = bundle.alphabet_size
@@ -401,11 +405,7 @@ def maximize_invariant_entropy(
         for a in range(d)
     ]
     free_rows = [i for i, s in enumerate(supports) if len(s) > 1]
-
-    chain_rule = isinstance(target, PositionedPartition) and _pins_coordinate(target)
-    joined_targets = None
-    if not chain_rule:
-        joined_targets = list(join_sequence(target, SCORE_NMAX))
+    joined_targets = list(join_sequence(target, SCORE_NMAX))
 
     def fiber_matrix(qrows: list[list[float]], w: int) -> np.ndarray:
         m = np.zeros((d, d))
@@ -417,39 +417,12 @@ def maximize_invariant_entropy(
         qs = [fiber_matrix(qrows, w) for w in range(base.omega_count)]
         return stationary_starts(bundle, qs)
 
-    cycle_of = {w: cyc for cyc in base.cycles() for w in cyc}
-    # relative rounding of a chain-rule sum of nonnegative terms, twice over,
-    # with room for the rounding of the bound itself
-    rounding = (d + base.omega_count + 2) * 2.0**-50
-
-    def below(qs: list[np.ndarray], mu: MarkovMeasure, w: int, cur: float) -> bool:
-        """Whether the proposal ``qs``, which differs from the accepted ``mu``
-        in fiber ``w`` only, provably scores below ``cur`` on a chain-rule
-        target, so its solve can be skipped; the bound is the module
-        docstring's."""
-        check_transition(bundle, w, qs[w])
-        cyc = cycle_of[w]
-        along, radius = _stationary_ball([qs[v] for v in cyc])
-        if radius == math.inf:
-            return False
-        starts = list(mu.starts)
-        spread = 0.0
-        for v, p in zip(cyc, along):
-            starts[v] = p
-            spread += base.weights[v] * max(shannon(row) for row in qs[v].tolist())
-        estimate = _chain_rule_rate(base.weights, starts, qs)
-        return (estimate + radius * spread) * (1.0 + rounding) < cur
-
     def score(mu: MarkovMeasure) -> float:
-        if chain_rule:
-            return _chain_rule_rate(base.weights, mu.starts, mu.transitions)
-        horizon = target.stop + SCORE_NMAX - 1
-        nu = markov_to_word(mu, horizon)
-        best = math.inf
-        for k, joined in enumerate(joined_targets, start=1):
-            h = cover_conditional_entropy(nu, joined)
-            best = min(best, h / k)
-        return best
+        nu = markov_to_word(mu, target.stop + SCORE_NMAX - 1)
+        return min(
+            cover_conditional_entropy(nu, joined) / k
+            for k, joined in enumerate(joined_targets, start=1)
+        )
 
     def uniform_rows() -> list[list[float]]:
         return [[1.0 / len(s)] * len(s) for s in supports]
@@ -482,17 +455,13 @@ def maximize_invariant_entropy(
             i = free_rows[int(rng.integers(len(free_rows)))]
             old = qrows[i]
             noise = rng.normal(0.0, sigma, len(old)).tolist()
-            proposal = _project_simplex([x + y for x, y in zip(old, noise)])
-            qrows[i] = proposal
+            qrows[i] = _project_simplex([x + y for x, y in zip(old, noise)])
             # only fiber ``w`` differs from the accepted ``mu``: the other
             # fibers' matrices are its arrays, byte for byte, and the cycles
             # left alone keep its starts instead of being solved again
             w = i // d
             qs = list(mu.transitions)
             qs[w] = fiber_matrix(qrows, w)
-            if chain_rule and below(qs, mu, w, cur):
-                qrows[i] = old
-                continue
             mu_new = stationary_starts(bundle, qs, previous=mu)
             val = score(mu_new)
             if val > cur:
@@ -514,17 +483,4 @@ def maximize_invariant_entropy(
                 a.setflags(write=False)
             best_value = value
             best_measure = MarkovMeasure._adopt(bundle, transitions, starts, flags)
-
-    ref_report = topological_cover_entropy(target, REFERENCE_NMAX)
-    reference = (
-        ref_report.exact_rate
-        if ref_report.exact_rate is not None
-        else ref_report.certified_upper
-    )
-    return MaximizeResult(
-        measure=best_measure,
-        value=best_value,
-        reference=reference,
-        gap=reference - best_value,
-        evaluations=evaluations,
-    )
+    return best_measure, best_value, evaluations

@@ -59,6 +59,17 @@ def alphabet2_bundle(theta, adjacencies):
     )
 
 
+def diagonal_partition(bundle):
+    """Two-symbol words split into repeats and changes: a partition that pins
+    no coordinate, so ``maximize`` hill-climbs on it."""
+    words = list(itertools.product(range(bundle.alphabet_size), repeat=2))
+    return product_cover(
+        bundle,
+        [[w for w in words if w[0] == w[1]], [w for w in words if w[0] != w[1]]],
+        partition=True,
+    )
+
+
 def enumerate_words(bundle, omega, start, length):
     """Independent admissibility oracle: filter the full product alphabet."""
     out = []

@@ -6,8 +6,16 @@ import pytest
 import numpy as np
 from click.testing import CliRunner
 
-from rdelab import ProbBase, SymbolicBundle, stationary_starts, zero_cylinders
-from rdelab.cli import main
+import rdelab.harness as harness
+import rdelab.variational as variational
+from rdelab import (
+    ProbBase,
+    SymbolicBundle,
+    cycle_growth_rate,
+    stationary_starts,
+    zero_cylinders,
+)
+from rdelab.cli import _default_measures, main
 from rdelab.covers import PositionedPartition
 from rdelab.harness import gen_instance
 from rdelab.instances import dump_instance, load_instance
@@ -113,13 +121,22 @@ class TestMaximize:
         assert res.exit_code == 0
         assert "best value 0.69" in res.output
 
-    def test_long_search_on_the_golden_mean(self):
-        # one solve of this search closed its cycle only after its cycle
-        # product's residual had passed (TestStationaryStarts in
-        # test_measures.py has its transition family)
+    def test_long_search_on_the_golden_mean(self, monkeypatch):
+        # thousands of solves of the two-fiber cycle, each closing its orbit
+        # within the constructor's tolerance; one solve of a search like this
+        # once closed it only after its cycle product's residual had passed
+        # (TestStationaryStarts in test_measures.py has its transition family)
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
+        res = run("maximize", GOLDEN, "--cover", "overlap", "--budget", "12000")
+        assert res.exit_code == 0
+        assert "evaluations 12000" in res.output
+
+    def test_a_chain_rule_target_gets_the_parry_family(self):
         res = run("maximize", GOLDEN, "--partition", "zero_cyl", "--budget", "50000")
         assert res.exit_code == 0
-        assert "evaluations 50000" in res.output
+        assert "best value 0.549306" in res.output
+        assert "gap        0.000000" in res.output
+        assert "evaluations 1\n" in res.output
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one_is_a_usage_error(self, budget):
@@ -319,6 +336,37 @@ class TestVerify:
             checks[name] = [r["check"] for r in json.loads(out.read_text())["results"]]
         # every check ran
         assert checks["own"] == checks["added"]
+
+    @pytest.mark.parametrize("source", ["golden", "generated"])
+    def test_variational_gap_checks_the_files_bundle(self, source, tmp_path, monkeypatch):
+        # the check is exact: the Parry family's chain-rule rate is the
+        # file's spectral rate, and a family that falls short fails it
+        path = GOLDEN if source == "golden" else generated_file(tmp_path, 5)
+        rate = cycle_growth_rate(load_instance(path).bundle).integrated
+        if source == "generated":
+            assert abs(rate - 0.5 * math.log(3)) > 0.01
+
+        def gap_check(name):
+            out = tmp_path / name
+            res = run("verify", "--file", path, "--only", "variational-gap", "--json", str(out))
+            (result,) = json.loads(out.read_text())["results"]
+            assert result["kind"] == "exact"
+            return res, result
+
+        res, result = gap_check("parry.json")
+        assert res.exit_code == 0
+        assert (result["passes"], result["failures"]) == (1, 0)
+
+        def uniform_rows(bundle):
+            return _default_measures(bundle)["uniform"]
+
+        monkeypatch.setattr(harness, "parry_measure", uniform_rows)
+        res, result = gap_check("uniform.json")
+        assert res.exit_code == 1
+        assert "suite FAILED" in res.output
+        (repro,) = result["failure_bundles"]
+        assert repro["reference"] == rate
+        assert repro["value"] < rate - 0.01
 
     def test_schema_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -200,12 +200,7 @@ class TestRunTasks:
         assert not thread.is_alive()
 
 
-@pytest.fixture
-def small(monkeypatch):
-    """A small suite config, with the search budget cut to 100 for the
-    parent and the children it forks."""
-    monkeypatch.setattr(harness, "SEARCH_BUDGET", 100)
-    return SuiteConfig(seed=3, instances=3, draws=30)
+SMALL = SuiteConfig(seed=3, instances=3, draws=30)
 
 
 def _with_checks(monkeypatch, **replaced):
@@ -221,12 +216,11 @@ class TestSuiteAcrossProcesses:
     """The suite's checks spread over forked children give the serial report."""
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_same_report_as_one_process(self, n, cpus, small):
+    def test_same_report_as_one_process(self, n, cpus):
         cpus(1)
-        serial = canonical_json(run_suite(small).to_dict())
-        assert '"search_budget":100' in serial
+        serial = canonical_json(run_suite(SMALL).to_dict())
         cpus(n)
-        assert canonical_json(run_suite(small).to_dict()) == serial
+        assert canonical_json(run_suite(SMALL).to_dict()) == serial
         _assert_no_child_left()
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -273,7 +267,7 @@ class TestSuiteAcrossProcesses:
         assert "guard exceeded: reduced instance too big" in forked_run.output
         _assert_no_child_left()
 
-    def test_the_lower_catalog_index_wins(self, cpus, monkeypatch, small):
+    def test_the_lower_catalog_index_wins(self, cpus, monkeypatch):
         def late(config, corpus):
             time.sleep(0.3)
             raise MeasureError("fekete-tail")
@@ -286,7 +280,7 @@ class TestSuiteAcrossProcesses:
         for n in (1, 2, 4):
             cpus(n)
             with pytest.raises(MeasureError, match="^fekete-tail$"):
-                run_suite(small)
+                run_suite(SMALL)
         _assert_no_child_left()
 
     def test_verify_only_one_check_forks_nothing(self, cpus, monkeypatch):
