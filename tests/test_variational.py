@@ -16,12 +16,16 @@ import rdelab.forked as forked
 import rdelab.variational as variational
 from rdelab import (
     BundleError,
+    MarkovMeasure,
     MeasureError,
     PowerIterationError,
     ProbBase,
     SymbolicBundle,
+    cover_conditional_entropy,
     cover_count,
     cycle_growth_rate,
+    invariance_residual,
+    markov_to_word,
     maximize_invariant_entropy,
     parry_measure,
     partition_conditional_entropy,
@@ -35,10 +39,11 @@ from rdelab import (
     zero_cylinders,
 )
 from rdelab.cli import main
-from rdelab.covers import CoverError
+from rdelab.covers import CoverError, join_sequence
 from rdelab.entropy import VALUE_TOL, EnumerationGuardError, _chain_rule_rate
 from rdelab.guards import GUARDS
 from rdelab.instances import canonical_json
+from rdelab.measures import NORM_TOL
 from rdelab.variational import HorizonGuardError
 
 from conftest import alphabet2_bundle, diagonal_partition, rebuilt_pullback
@@ -262,6 +267,54 @@ class TestMaximizeReusesUnchangedCycles:
         assert reused.evaluations == 240
         assert reused.to_dict() == afresh.to_dict()
         assert reused.measure.flags == afresh.measure.flags
+
+
+def _climb_target(name):
+    """A target ``maximize`` hill-climbs on: the diagonal partition of a
+    named bundle, or the ``overlap`` cover of the alternating golden mean."""
+    if name == "overlap":
+        return product_cover(presets.alternating_golden_mean(), [[(0,), (1,)], [(1,)]])
+    return diagonal_partition(SEARCH_BUNDLES.get(name, TRANSIENT))
+
+
+CLIMB_NAMES = sorted(SEARCH_BUNDLES) + ["transient-state"]
+
+
+class TestHillClimb:
+    """What the hill climb hands back, on the targets it still runs on."""
+
+    @pytest.mark.parametrize("name", CLIMB_NAMES + ["overlap"])
+    def test_value_is_the_score_of_its_measure(self, name, monkeypatch):
+        target = _climb_target(name)
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
+        res = maximize_invariant_entropy(target, 120, 5)
+        nu = markov_to_word(res.measure, target.stop + 2)
+        again = min(
+            cover_conditional_entropy(nu, joined) / k
+            for k, joined in enumerate(join_sequence(target, 3), start=1)
+        )
+        assert res.value == again
+        assert res.gap == res.reference - res.value
+
+    @pytest.mark.parametrize("name", CLIMB_NAMES + ["overlap"])
+    def test_its_measure_passes_the_checking_constructor(self, name, monkeypatch):
+        # the best measure is adopted from a restart's arrays unchecked
+        target = _climb_target(name)
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
+        mu = maximize_invariant_entropy(target, 120, 5).measure
+        again = MarkovMeasure(mu.bundle, mu.transitions, mu.starts, mu.flags)
+        assert invariance_residual(again) <= NORM_TOL
+        assert again.bundle is target.bundle
+
+    @pytest.mark.parametrize("name", CLIMB_NAMES)
+    def test_never_beats_the_parry_family_on_a_chain_rule_target(self, name, monkeypatch):
+        # climbed as if it pinned no coordinate; the chain-rule rate of what
+        # it finds stays under the family ``maximize`` answers with there
+        bundle = SEARCH_BUNDLES.get(name, TRANSIENT)
+        monkeypatch.setattr(variational, "SCORE_NMAX", 3)
+        mu, _, evaluations = variational._hill_climb(zero_cylinders(bundle), 120, 5)
+        assert evaluations == 120
+        assert _chain_rule_rate(mu) <= _chain_rule_rate(parry_measure(bundle)) + VALUE_TOL
 
 
 def _search(target, budget, seed, cpus, monkeypatch):
