@@ -253,6 +253,11 @@ def maximize_cmd(file, partition_name, cover_name, budget, seed, json_path):
     run across the available CPUs in forked processes and are merged in
     restart order, so the report does not depend on how many CPUs there
     are; there is no option for this.
+
+    On a hill-climbed target the value is the measure's certified upper
+    bound at step 4, not its entropy, and the reference is the topological
+    rate's bound at step 8: the gap compares two upper bounds and can be
+    negative.
     """
     if (partition_name is None) == (cover_name is None):
         raise click.UsageError("need exactly one of --partition / --cover")

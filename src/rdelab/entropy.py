@@ -20,7 +20,11 @@ assignment masses, so the minimum over all measurable refinements is attained
 at such an integral assignment.  The assignment minimum is computed exactly by
 component decomposition plus branch and bound; its only caller is
 :func:`cover_conditional_entropy`, which the step-n reports and the block
-power system (on a wider hull) go through.  Sums that reach a report are
+power system (on a wider hull) go through.  General mode poses one problem
+per fiber and product mode one over all fibers, so every general-mode
+problem and every product-mode problem on a one-fiber bundle has one fiber:
+those are searched on plain floats, with the bits and the search nodes the
+per-fiber lists that product mode on several fibers keeps would give.  Sums that reach a report are
 added left to right by :func:`~rdelab.base.plain_sum`.
 
 Every partition entropy adds its cell masses in :func:`_cell_entropy`.  The
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -312,21 +317,22 @@ def _min_entropy_assignment(
     fibers: BLAS may fuse or reorder those products, which a Python loop
     would not reproduce, and a changed order changes the result's last bits.
 
-    The search's lower bound is incremental, with the same bits as one built
-    from scratch at every node:
+    Everything up to the greedy incumbent is one piece of code for any
+    fiber count: the mass check, the common-candidate shortcut, forced
+    words, grouping, components and the incumbent.  The branch and bound
+    then takes one of two forms, chosen by the fiber count:
 
-    * a cell's terms (its cap ``U``, ``U ln U``, ``-ln U`` and the linear
-      terms of the mass it holds) are a function of the lists ``ms[k]`` and
-      ``pending[i][k]``, which are never mutated once built, so the terms are
-      keyed by the identities of those two lists: between a node and its
-      parent only the previous word's candidates hold other lists, and only
-      those cells and the words that can reach them are recomputed;
-    * each fiber's heaviest cell mass is carried down the search as a running
-      maximum, which is exact because ``max`` does no rounding;
-    * every sum of the bound is still added term by term in its from-scratch
-      order (cells in slot order, then words by depth), so each node prunes
-      exactly when a from-scratch bound would, and the search visits the same
-      nodes.
+    * on one fiber (every general-mode problem, and product mode on a
+      one-fiber bundle) :func:`_search_one_fiber` holds each mass, cap and
+      bound term as a plain float.  On one fiber an elementwise sum of
+      lists is one float addition and a loop over fibers adds one term to
+      ``0.0`` (kept as ``0.0 + x``, so even the sign of a zero matches), so
+      it does the same float operations in the same order as the list form:
+      it returns the same bits, visits the same nodes and trips
+      ``node_cap`` at the same count with the same partial minimum, without
+      the lists' allocations and loops;
+    * on two or more fibers (product mode only) :func:`_search_fibers` holds
+      per-fiber lists.
 
     Raises :class:`EnumerationGuardError` with the best value found so far
     and the node count once more than ``node_cap`` search nodes are visited.
@@ -347,35 +353,51 @@ def _min_entropy_assignment(
         if common:
             return 0.0
 
-    def vadd(a, b) -> list[float]:
-        return [x + y for x, y in zip(a, b)]
-
-    def g(vec) -> float:
-        # P-weighted -M ln M summed over fibers
-        s = 0.0
-        for p, x in zip(pv, vec):
-            s += p * (x * log(x) if x > 0.0 else 0.0)
-        return -s
-
     if dim == 1:
         p0 = pv[0]
+        words = [(mass[0], cands) for mass, cands in words]
+        zero = 0.0
+        add = operator.add
+        sub = operator.sub
+        search = _search_one_fiber
+
+        def g(x) -> float:
+            # the several-fiber g below on one fiber: one term added to 0.0
+            return -(0.0 + p0 * (x * log(x) if x > 0.0 else 0.0))
 
         # a one-term dot product is a single rounded product
-        def weight(vec) -> float:
-            return p0 * vec[0]
+        def weight(x) -> float:
+            return p0 * x
 
     else:
+        zero = [0.0] * dim
+        search = _search_fibers
+
+        def add(a, b) -> list[float]:
+            return [x + y for x, y in zip(a, b)]
+
+        def sub(a, b) -> list[float]:
+            return [x - y for x, y in zip(a, b)]
+
+        def g(vec) -> float:
+            # P-weighted -M ln M summed over fibers
+            s = 0.0
+            for p, x in zip(pv, vec):
+                s += p * (x * log(x) if x > 0.0 else 0.0)
+            return -s
+
         parr = np.array(pv)
 
         def weight(vec) -> float:
             return float(parr @ np.array(vec))
 
-    base: dict[int, list[float]] = {}
-    grouped: dict[tuple, tuple[list[float], tuple[int, ...]]] = {}
+    # masses are never mutated: every sum below builds a new one
+    base: dict[int, object] = {}
+    grouped: dict[tuple, tuple[object, tuple[int, ...]]] = {}
     for mass, cands in words:
         if len(cands) == 1:
             e = cands[0]
-            base[e] = vadd(base[e], mass) if e in base else list(mass)
+            base[e] = add(base[e], mass) if e in base else mass
         elif len(cands) == 0:
             raise CoverError("a positive-mass word has no containing element")
         else:
@@ -386,9 +408,9 @@ def _min_entropy_assignment(
             # point different ways may be apart at every optimum
             key = cands if dim == 1 else (cands, _direction(mass))
             if key in grouped:
-                grouped[key] = (vadd(grouped[key][0], mass), cands)
+                grouped[key] = (add(grouped[key][0], mass), cands)
             else:
-                grouped[key] = (list(mass), cands)
+                grouped[key] = (mass, cands)
     free = list(grouped.values())
 
     if not free:
@@ -411,7 +433,7 @@ def _min_entropy_assignment(
     for _, cands in free:
         for e in cands[1:]:
             union(cands[0], e)
-    comp_words: dict[int, list[tuple[list[float], tuple[int, ...]]]] = {}
+    comp_words: dict[int, list] = {}
     for mass, cands in free:
         comp_words.setdefault(find(cands[0]), []).append((mass, cands))
     comp_elems: dict[int, set[int]] = {}
@@ -422,7 +444,6 @@ def _min_entropy_assignment(
     total = plain_sum(g(v) for e, v in base.items() if e not in touched)
 
     nodes = 0
-    zero = [0.0] * dim
     for root, wlist in comp_words.items():
         elems = sorted(comp_elems[root])
         # cells are addressed by their slot in ``elems``, which keeps the
@@ -431,198 +452,336 @@ def _min_entropy_assignment(
         wlist = sorted(wlist, key=lambda mc: (-weight(mc[0]), mc[1]))
         wl = [(mass, tuple(slot[e] for e in cands)) for mass, cands in wlist]
         n_words = len(wl)
-        # per word, the fibers it has mass in: (fiber, weight, mass, weight * mass)
-        terms = [
-            [(f, pv[f], m, pv[f] * m) for f, m in enumerate(mass) if m > 0.0]
-            for mass, _ in wl
-        ]
         ms = [base.get(e, zero) for e in elems]
         # pending[i][k]: total mass of words at depth >= i that can reach k
-        pending: list[list[list[float]]] = [[]] * n_words + [[zero] * len(elems)]
+        pending: list[list] = [[]] * n_words + [[zero] * len(elems)]
         suffix = [zero] * (n_words + 1)
         for i in range(n_words - 1, -1, -1):
             mass, cands = wl[i]
             row = list(pending[i + 1])
             for k in cands:
-                row[k] = vadd(row[k], mass)
+                row[k] = add(row[k], mass)
             pending[i] = row
-            suffix[i] = vadd(suffix[i + 1], mass)
+            suffix[i] = add(suffix[i + 1], mass)
 
         # incumbent: greedy concentration, then single-move local search
         choice = []
         trial = list(ms)
         for mass, cands in wl:
             target = max(cands, key=lambda k: weight(trial[k]))
-            trial[target] = vadd(trial[target], mass)
+            trial[target] = add(trial[target], mass)
             choice.append(target)
         for _ in range(30):
             improved = False
             for j, (mass, cands) in enumerate(wl):
                 here = choice[j]
-                trial[here] = [x - y for x, y in zip(trial[here], mass)]
-                val_here = g(vadd(trial[here], mass)) - g(trial[here])
+                trial[here] = sub(trial[here], mass)
+                val_here = g(add(trial[here], mass)) - g(trial[here])
                 better, gain = here, val_here
                 for k in cands:
                     if k == here:
                         continue
-                    v = g(vadd(trial[k], mass)) - g(trial[k])
+                    v = g(add(trial[k], mass)) - g(trial[k])
                     if v < gain - 1e-15:
                         better, gain = k, v
-                trial[better] = vadd(trial[better], mass)
+                trial[better] = add(trial[better], mass)
                 if better != here:
                     choice[j] = better
                     improved = True
             if not improved:
                 break
-        best = plain_sum(map(g, trial))
-        # g of every cell's current mass, kept in step with ``ms``
-        gs = [g(v) for v in ms]
-        # per depth, the words at or after it that reach the previous word's
-        # candidates, found on the first visit
-        dirty_at: list = [None] * n_words
-
-        def cell_terms(k: int, i: int):
-            """Cell k at depth i: its cap U, U ln U and -ln U per fiber (0
-            unless 0 < U < 1), and the linear terms of the mass it holds."""
-            held = ms[k]
-            cap = [x + y for x, y in zip(held, pending[i][k])]
-            xl = []
-            nl = []
-            held_terms = []
-            for f, c in enumerate(cap):
-                if c > 0.0:
-                    lc = log(c)
-                    xl.append(c * lc)
-                    nl.append(-lc if c < 1.0 else 0.0)
-                    if held[f] > 0.0:
-                        held_terms.append(pv[f] * held[f] * nl[f])
-                else:
-                    xl.append(0.0)
-                    nl.append(0.0)
-            return cap, xl, nl, held_terms
-
-        def word_cost(j: int, cells):
-            """Word j's cheapest increment at the cap and its cheapest
-            linear term over its candidate cells."""
-            cheapest = math.inf
-            cheapest_lin = math.inf
-            word_terms = terms[j]
-            for k in wl[j][1]:
-                cap, xl, nl, _ = cells[k]
-                inc = 0.0
-                lin = 0.0
-                for f, p, m, pm in word_terms:
-                    # the cap holds this word, so U >= m > 0
-                    r = cap[f] - m
-                    inc -= p * (xl[f] - (r * log(r) if r > 0.0 else 0.0))
-                    lin += pm * nl[f]
-                if inc < cheapest:
-                    cheapest = inc
-                if lin < cheapest_lin:
-                    cheapest_lin = lin
-            return cheapest, cheapest_lin
-
-        def dfs(i: int, cur: float, cells, incs, lins, top):
-            """Search from depth ``i``.  ``cells`` holds the parent node's
-            :func:`cell_terms`, ``incs`` and ``lins`` its :func:`word_cost`
-            pairs, and ``top`` each fiber's heaviest cell mass at this node."""
-            nonlocal nodes, best
-            nodes += 1
-            if nodes > node_cap:
-                raise EnumerationGuardError(
-                    f"assignment search exceeded node cap {node_cap}",
-                    partial_minimum=total + best,
-                    nodes=nodes,
-                )
-            if i == n_words:
-                if cur < best:
-                    best = cur
-                return
-            # Prune on the cheapest-possible completion cost.  Three valid
-            # relaxations; the node is pruned when any one reaches the
-            # threshold (the margin sits at float resolution, far below value
-            # tolerances).  Dump: all remaining mass of a fiber lands on its
-            # heaviest cell.
-            threshold = best - 1e-13
-            dump = 0.0
-            for f in range(dim):
-                r = suffix[i][f]
-                if r <= 0.0:
-                    continue
-                mx = top[f]
-                dump += pv[f] * (_xlnx(mx) - _xlnx(mx + r))
-            if cur + dump >= threshold:
-                return
-            # Only the previous word's candidates hold other lists than at the
-            # parent node, so only they and the words reaching them change.
-            if i:
-                cells = list(cells)
-                incs = list(incs)
-                lins = list(lins)
-                touched = wl[i - 1][1]
-                for k in touched:
-                    cells[k] = cell_terms(k, i)
-                dirty = dirty_at[i]
-                if dirty is None:
-                    dirty = dirty_at[i] = [
-                        j
-                        for j in range(i, n_words)
-                        if any(k in touched for k in wl[j][1])
-                    ]
-                for j in dirty:
-                    incs[j], lins[j] = word_cost(j, cells)
-            # Increments: each remaining word pays at least its entropy
-            # increment evaluated at the cap (the increment decreases in the
-            # base mass and increments telescope per cell).
-            by_word = 0.0
-            for x in incs[i:]:
-                by_word += x
-            if cur + by_word >= threshold:
-                return
-            # Linearization: every final cell mass M_e is at most its cap U_e,
-            # so ``-M ln M >= -M ln U_e`` bounds the objective by a per-word
-            # minimum.
-            linear = 0.0
-            for cell in cells:
-                for x in cell[3]:
-                    linear += x
-            for x in lins[i:]:
-                linear += x
-            if linear >= threshold:
-                return
-            mass = wl[i][0]
-            scored = []
-            for k in wl[i][1]:
-                new = vadd(ms[k], mass)
-                g_new = g(new)
-                scored.append((g_new - gs[k], k, new, g_new))
-            scored.sort()
-            for delta, k, new, g_new in scored:
-                old, g_old = ms[k], gs[k]
-                ms[k], gs[k] = new, g_new
-                # cell masses only grow, so the heaviest is the old one or k
-                dfs(
-                    i + 1,
-                    cur + delta,
-                    cells,
-                    incs,
-                    lins,
-                    [y if y > x else x for x, y in zip(top, new)],
-                )
-                ms[k], gs[k] = old, g_old
-
-        cells = [cell_terms(k, 0) for k in range(len(elems))]
-        costs = [word_cost(j, cells) for j in range(n_words)]
-        dfs(
-            0,
-            plain_sum(map(g, ms)),
-            cells,
-            [inc for inc, _ in costs],
-            [lin for _, lin in costs],
-            [max(v[f] for v in ms) for f in range(dim)],
+        best, nodes = search(
+            wl, ms, pending, suffix, pv, g, plain_sum(map(g, trial)), total, nodes, node_cap
         )
         total += best
     return total
+
+
+# Both searches below are the branch and bound of _min_entropy_assignment on
+# one component.  They take its words in search order with their candidate
+# slots (``wl``), the forced mass of each cell (``ms``, reused as the search's
+# cell masses), ``pending`` and ``suffix``, the fiber weights, the weighted
+# ``-M ln M`` of a cell mass (``g``), the incumbent's value, the total of the
+# components before (for a tripped guard's partial minimum), the nodes
+# visited so far and the cap; they return the component's minimum and the
+# nodes visited.  The lower bound is incremental, with the same bits as one
+# built from scratch at every node:
+#
+# * a cell's terms (its cap U, U ln U, -ln U and the linear terms of the mass
+#   it holds) are a function of ``ms[k]`` and ``pending[i][k]``, which are
+#   never mutated once built: between a node and its parent only the previous
+#   word's candidates hold other masses, and only those cells and the words
+#   that can reach them are recomputed;
+# * each fiber's heaviest cell mass is carried down the search as a running
+#   maximum, which is exact because ``max`` does no rounding;
+# * every sum of the bound is still added term by term in its from-scratch
+#   order (cells in slot order, then words by depth), so each node prunes
+#   exactly when a from-scratch bound would, and the search visits the same
+#   nodes.
+#
+# Pruning uses three valid relaxations of the cheapest completion; a node is
+# pruned when any one reaches the incumbent less a margin at float
+# resolution, far below value tolerances:
+#
+# * dump: all remaining mass of a fiber lands on its heaviest cell;
+# * increments: each remaining word pays at least its entropy increment at
+#   the cap (the increment decreases in the base mass and increments
+#   telescope per cell);
+# * linearization: every final cell mass M is at most its cap U, so
+#   ``-M ln M >= -M ln U`` bounds the objective by a per-word minimum.
+
+
+def _search_one_fiber(wl, ms, pending, suffix, pv, g, best, total, nodes, node_cap):
+    """The branch and bound on one fiber, every mass a plain float.  A cell's
+    terms are ``(U, U ln U, -ln U, linear term of its mass)``: ``-ln U`` is 0
+    unless ``0 < U < 1``, the other two are 0 where ``U`` or the mass is 0,
+    and a word of zero mass costs nothing."""
+    log = math.log
+    p = pv[0]
+    n_words = len(wl)
+    masses = [m for m, _ in wl]
+    slots = [c for _, c in wl]
+    gs = [g(x) for x in ms]
+    dirty_at: list = [None] * n_words
+
+    def cell_terms(k: int, i: int):
+        held = ms[k]
+        cap = held + pending[i][k]
+        if cap > 0.0:
+            lc = log(cap)
+            nl = -lc if cap < 1.0 else 0.0
+            return cap, cap * lc, nl, p * held * nl if held > 0.0 else 0.0
+        return cap, 0.0, 0.0, 0.0
+
+    def word_cost(j: int, cells):
+        m = masses[j]
+        if not m > 0.0:
+            return 0.0, 0.0
+        pm = p * m
+        cheapest = math.inf
+        cheapest_lin = math.inf
+        for k in slots[j]:
+            cap, xl, nl, _ = cells[k]
+            # the cap holds this word, so U >= m > 0
+            r = cap - m
+            inc = 0.0 - p * (xl - (r * log(r) if r > 0.0 else 0.0))
+            lin = 0.0 + pm * nl
+            if inc < cheapest:
+                cheapest = inc
+            if lin < cheapest_lin:
+                cheapest_lin = lin
+        return cheapest, cheapest_lin
+
+    def dfs(i: int, cur: float, cells, incs, lins, top: float):
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > node_cap:
+            raise EnumerationGuardError(
+                f"assignment search exceeded node cap {node_cap}",
+                partial_minimum=total + best,
+                nodes=nodes,
+            )
+        if i == n_words:
+            if cur < best:
+                best = cur
+            return
+        threshold = best - 1e-13
+        r = suffix[i]
+        if r <= 0.0:
+            dump = 0.0
+        else:
+            s = top + r
+            dump = 0.0 + p * (
+                (top * log(top) if top > 0.0 else 0.0) - (s * log(s) if s > 0.0 else 0.0)
+            )
+        if cur + dump >= threshold:
+            return
+        if i:
+            cells = list(cells)
+            incs = list(incs)
+            lins = list(lins)
+            touched = slots[i - 1]
+            for k in touched:
+                cells[k] = cell_terms(k, i)
+            dirty = dirty_at[i]
+            if dirty is None:
+                dirty = dirty_at[i] = [
+                    j for j in range(i, n_words) if any(k in touched for k in slots[j])
+                ]
+            for j in dirty:
+                incs[j], lins[j] = word_cost(j, cells)
+        by_word = 0.0
+        for x in incs[i:]:
+            by_word += x
+        if cur + by_word >= threshold:
+            return
+        linear = 0.0
+        for cell in cells:
+            linear += cell[3]
+        for x in lins[i:]:
+            linear += x
+        if linear >= threshold:
+            return
+        mass = masses[i]
+        scored = []
+        for k in slots[i]:
+            new = ms[k] + mass
+            g_new = g(new)
+            scored.append((g_new - gs[k], k, new, g_new))
+        scored.sort()
+        for delta, k, new, g_new in scored:
+            old, g_old = ms[k], gs[k]
+            ms[k], gs[k] = new, g_new
+            dfs(i + 1, cur + delta, cells, incs, lins, new if new > top else top)
+            ms[k], gs[k] = old, g_old
+
+    cells = [cell_terms(k, 0) for k in range(len(ms))]
+    costs = [word_cost(j, cells) for j in range(n_words)]
+    dfs(
+        0,
+        plain_sum(map(g, ms)),
+        cells,
+        [inc for inc, _ in costs],
+        [lin for _, lin in costs],
+        max(ms),
+    )
+    return best, nodes
+
+
+def _search_fibers(wl, ms, pending, suffix, pv, g, best, total, nodes, node_cap):
+    """The branch and bound on two or more fibers, every mass a list indexed
+    by fiber.  A cell's terms are its cap, ``U ln U`` and ``-ln U`` per fiber
+    (0 unless ``0 < U < 1``) and the linear terms of the mass it holds."""
+    log = math.log
+    dim = len(pv)
+    n_words = len(wl)
+    # per word, the fibers it has mass in: (fiber, weight, mass, weight * mass)
+    terms = [
+        [(f, pv[f], m, pv[f] * m) for f, m in enumerate(mass) if m > 0.0]
+        for mass, _ in wl
+    ]
+    gs = [g(v) for v in ms]
+    dirty_at: list = [None] * n_words
+
+    def cell_terms(k: int, i: int):
+        held = ms[k]
+        cap = [x + y for x, y in zip(held, pending[i][k])]
+        xl = []
+        nl = []
+        held_terms = []
+        for f, c in enumerate(cap):
+            if c > 0.0:
+                lc = log(c)
+                xl.append(c * lc)
+                nl.append(-lc if c < 1.0 else 0.0)
+                if held[f] > 0.0:
+                    held_terms.append(pv[f] * held[f] * nl[f])
+            else:
+                xl.append(0.0)
+                nl.append(0.0)
+        return cap, xl, nl, held_terms
+
+    def word_cost(j: int, cells):
+        cheapest = math.inf
+        cheapest_lin = math.inf
+        word_terms = terms[j]
+        for k in wl[j][1]:
+            cap, xl, nl, _ = cells[k]
+            inc = 0.0
+            lin = 0.0
+            for f, p, m, pm in word_terms:
+                # the cap holds this word, so U >= m > 0
+                r = cap[f] - m
+                inc -= p * (xl[f] - (r * log(r) if r > 0.0 else 0.0))
+                lin += pm * nl[f]
+            if inc < cheapest:
+                cheapest = inc
+            if lin < cheapest_lin:
+                cheapest_lin = lin
+        return cheapest, cheapest_lin
+
+    def dfs(i: int, cur: float, cells, incs, lins, top):
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > node_cap:
+            raise EnumerationGuardError(
+                f"assignment search exceeded node cap {node_cap}",
+                partial_minimum=total + best,
+                nodes=nodes,
+            )
+        if i == n_words:
+            if cur < best:
+                best = cur
+            return
+        threshold = best - 1e-13
+        dump = 0.0
+        for f in range(dim):
+            r = suffix[i][f]
+            if r <= 0.0:
+                continue
+            mx = top[f]
+            dump += pv[f] * (_xlnx(mx) - _xlnx(mx + r))
+        if cur + dump >= threshold:
+            return
+        if i:
+            cells = list(cells)
+            incs = list(incs)
+            lins = list(lins)
+            touched = wl[i - 1][1]
+            for k in touched:
+                cells[k] = cell_terms(k, i)
+            dirty = dirty_at[i]
+            if dirty is None:
+                dirty = dirty_at[i] = [
+                    j for j in range(i, n_words) if any(k in touched for k in wl[j][1])
+                ]
+            for j in dirty:
+                incs[j], lins[j] = word_cost(j, cells)
+        by_word = 0.0
+        for x in incs[i:]:
+            by_word += x
+        if cur + by_word >= threshold:
+            return
+        linear = 0.0
+        for cell in cells:
+            for x in cell[3]:
+                linear += x
+        for x in lins[i:]:
+            linear += x
+        if linear >= threshold:
+            return
+        mass = wl[i][0]
+        scored = []
+        for k in wl[i][1]:
+            new = [x + y for x, y in zip(ms[k], mass)]
+            g_new = g(new)
+            scored.append((g_new - gs[k], k, new, g_new))
+        scored.sort()
+        for delta, k, new, g_new in scored:
+            old, g_old = ms[k], gs[k]
+            ms[k], gs[k] = new, g_new
+            # cell masses only grow, so the heaviest is the old one or k
+            dfs(
+                i + 1,
+                cur + delta,
+                cells,
+                incs,
+                lins,
+                [y if y > x else x for x, y in zip(top, new)],
+            )
+            ms[k], gs[k] = old, g_old
+
+    cells = [cell_terms(k, 0) for k in range(len(ms))]
+    costs = [word_cost(j, cells) for j in range(n_words)]
+    dfs(
+        0,
+        plain_sum(map(g, ms)),
+        cells,
+        [inc for inc, _ in costs],
+        [lin for _, lin in costs],
+        [max(v[f] for v in ms) for f in range(dim)],
+    )
+    return best, nodes
 
 
 def _measure_at(mu, cover: PositionedCover, horizon: int) -> WordMeasure:

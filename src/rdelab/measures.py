@@ -30,6 +30,7 @@ from .base import (
     SymbolicBundle,
     admissible_tuples,
     cycle_product,
+    plain_sum,
     strongly_connected_components,
 )
 
@@ -651,7 +652,8 @@ def mix(measures: Sequence[WordMeasure], coefficients: Sequence[float]) -> WordM
     if len(coefficients) != len(measures):
         raise MeasureError("need one coefficient per measure")
     coeffs = [float(c) for c in coefficients]
-    if any(c < 0 for c in coeffs) or abs(sum(coeffs) - 1.0) > NORM_TOL:
+    # written so that a NaN coefficient fails too
+    if any(not c >= 0 for c in coeffs) or not abs(plain_sum(coeffs) - 1.0) <= NORM_TOL:
         raise MeasureError("coefficients must lie on the probability simplex")
     bundle = measures[0].bundle
     tables: list[dict[WordTuple, float]] = [dict() for _ in range(bundle.base.omega_count)]

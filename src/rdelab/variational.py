@@ -357,6 +357,12 @@ def maximize_invariant_entropy(
     rate in one evaluation; ``budget`` and ``seed`` steer only the hill
     climb.  Other targets go to :func:`_hill_climb`.  The reference is the
     topological rate over :data:`REFERENCE_NMAX` steps.
+
+    On a hill-climb target ``value`` is the returned measure's certified
+    upper bound at step :data:`SCORE_NMAX`, not its entropy, so ``gap``
+    compares two upper bounds and can be negative: on the diagonal
+    partition of the one-fiber golden mean (budget 400, seed 0) it is
+    -0.0474.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -389,7 +395,8 @@ def _hill_climb(
 
     A measure scores the step-:data:`SCORE_NMAX` certified
     conditional-entropy rate, in the fiber-dependent (``"general"``)
-    infimum class.  Hill climbing restarts from deterministic seeds derived
+    infimum class: ``min_k H_k / k`` over ``k <= SCORE_NMAX``, an upper
+    bound on the measure's entropy, which the returned value is.  Hill climbing restarts from deterministic seeds derived
     from ``(seed, restart)``.  The restarts are independent tasks, run
     across the available CPUs in forked processes
     (:func:`~rdelab.forked.run_tasks`) and merged in restart order, so the

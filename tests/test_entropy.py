@@ -727,6 +727,30 @@ def refine_shaped_instance():
     return [((m[0] / scale,), c) for m, c in words], 14, (1.0,)
 
 
+# a one-fiber problem of the ``refine`` benchmark's slowest jobs (``measent
+# --cover U1 --nmax 4 --kind minus --mode general``, seed 17): 13 words, 11 of
+# them free with 2 to 4 candidates, and masses equal up to their last bits
+REFINE_TAIL_WORDS = (
+    [
+        ((0.08835801369955097,), (10, 11, 14, 15)),
+        ((0.0845169028111137,), (10, 14)),
+        ((0.08451690281111368,), (9, 11)),
+        ((0.0413195101114775,), (8, 9)),
+        ((0.03952326307571036,), (8,)),
+        ((0.17287491651059217,), (5, 7, 13, 15)),
+        ((0.08451690281107825,), (4, 5, 12, 13)),
+        ((0.08084277318715395,), (4, 12)),
+        ((0.08451690281107824,), (2, 3, 6, 7)),
+        ((0.08084277318715394,), (2, 6)),
+        ((0.08084277318715395,), (1, 3)),
+        ((0.039523263075693774,), (0, 1)),
+        ((0.03780510272112947,), (0,)),
+    ],
+    16,
+    (1.0,),
+)
+
+
 # branch-and-bound nodes the search visits on that instance (of 2**16 - 1 in
 # the full binary tree); without any one of the three relaxations in the
 # lower bound it visits more
@@ -756,6 +780,7 @@ class TestMinEntropyAssignment:
     @settings(max_examples=300)
     @example(TIED_WEIGHT_WORDS)
     @example(refine_shaped_instance())
+    @example(REFINE_TAIL_WORDS)
     @example(([((0.25,), (0,)), ((0.25,), (1,)), ((0.5,), (0,))], 2, (1.0,)))
     @example(
         (
@@ -775,6 +800,7 @@ class TestMinEntropyAssignment:
     @example(TIED_WEIGHT_WORDS)
     @example(fifteen_bit_instance())
     @example(refine_shaped_instance())
+    @example(REFINE_TAIL_WORDS)
     def test_visits_the_reference_nodes(self, inputs):
         # the kernel's incremental bound prunes where the reference's
         # from-scratch bound does: a cap at the reference's node count is
@@ -895,8 +921,7 @@ class TestMinEntropyAssignment:
             got = kernel(words, pvec)
             expect = reference_min_entropy_assignment(words, pvec)
             assert got.hex() == float(expect).hex()
-            free = sum(1 for _, cands in words if len(cands) > 1)
-            seen.append((len(pvec), free > 1))
+            seen.append((len(pvec), sum(1 for _, cands in words if len(cands) > 1)))
             return got
 
         monkeypatch.setattr(entropy_module, "_min_entropy_assignment", both)
@@ -911,7 +936,60 @@ class TestMinEntropyAssignment:
                 cov = inst.covers[name]
                 if not isinstance(cov, PositionedPartition):
                     cover_conditional_entropy(mu, cov, "general")
-        assert (1, True) in seen and (2, True) in seen
+        assert any(d == 1 and free > 1 for d, free in seen)
+        assert any(d == 2 and free > 1 for d, free in seen)
+        # an overlapping cover at nmax 4 poses one-fiber searches of 8 and
+        # more free words, as the ``refine`` benchmark's widest jobs do
+        seen.clear()
+        overlapping = product_cover(gm, [[(0, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
+        h_minus_report(gm_measure, overlapping, 4, "general")
+        assert any(d == 1 and free >= 8 for d, free in seen)
+
+    @pytest.mark.parametrize("fibers", [1, 2])
+    def test_product_mode_takes_the_search_of_its_fiber_count(
+        self, fibers, full2, gm, gm_measure, monkeypatch
+    ):
+        # one fiber goes to the plain-float search, two to the per-fiber
+        # lists; either way the reference's bits and nodes come back
+        if fibers == 1:
+            bundle = full2
+            mu = stationary_starts(full2, [np.array([[0.7, 0.3], [0.4, 0.6]])])
+        else:
+            bundle, mu = gm, gm_measure
+        u = product_cover(bundle, [[(0, 0), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)]])
+        kernel = _min_entropy_assignment
+        problems = []
+        taken = []
+
+        def record(words, pvec):
+            problems.append((words, pvec))
+            return kernel(words, pvec)
+
+        def spy(name):
+            search = getattr(entropy_module, name)
+
+            def run(*args):
+                taken.append(name)
+                return search(*args)
+
+            return run
+
+        monkeypatch.setattr(entropy_module, "_min_entropy_assignment", record)
+        for name in ("_search_one_fiber", "_search_fibers"):
+            monkeypatch.setattr(entropy_module, name, spy(name))
+        h_minus_report(mu, u, 2, "product")
+        assert {len(pvec) for _, pvec in problems} == {fibers}
+        assert set(taken) == {"_search_one_fiber" if fibers == 1 else "_search_fibers"}
+        assert max(sum(1 for _, c in words if len(c) > 1) for words, _ in problems) == 6
+        for words, pvec in problems:
+            visited = []
+            expect = reference_min_entropy_assignment(words, pvec, visited=visited)
+            (nodes,) = visited
+            assert kernel(words, pvec, node_cap=nodes).hex() == float(expect).hex()
+            if nodes:
+                with pytest.raises(EnumerationGuardError) as tripped:
+                    kernel(words, pvec, node_cap=nodes - 1)
+                assert tripped.value.nodes == nodes
 
 
 def test_kernel_rejects_fibers_holding_more_than_one():

@@ -562,6 +562,16 @@ class TestMixAndRestrict:
         with pytest.raises(MeasureError, match="simplex"):
             mix([nu, nu], [0.7, 0.7])
 
+    @pytest.mark.parametrize(
+        "coefficients", [[math.nan], [math.nan, 1.0], [0.5, math.nan]]
+    )
+    def test_mix_rejects_a_nan_coefficient(self, gm_measure, coefficients):
+        # a NaN passed both comparisons of the simplex check and failed
+        # later, on the mixed weights
+        nu = markov_to_word(gm_measure, 2)
+        with pytest.raises(MeasureError, match="probability simplex"):
+            mix([nu] * len(coefficients), coefficients)
+
     def test_restrict_marginalizes_right(self, gm_measure):
         nu = markov_to_word(gm_measure, 4)
         short = restrict(nu, 2)

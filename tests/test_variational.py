@@ -24,6 +24,7 @@ from rdelab import (
     cover_conditional_entropy,
     cover_count,
     cycle_growth_rate,
+    h_minus_report,
     invariance_residual,
     markov_to_word,
     maximize_invariant_entropy,
@@ -315,6 +316,16 @@ class TestHillClimb:
         mu, _, evaluations = variational._hill_climb(zero_cylinders(bundle), 120, 5)
         assert evaluations == 120
         assert _chain_rule_rate(mu) <= _chain_rule_rate(parry_measure(bundle)) + VALUE_TOL
+
+    def test_value_is_an_upper_bound_so_the_gap_can_be_negative(self):
+        # the value is the returned measure's certified upper bound at step
+        # SCORE_NMAX, the reference the topological one at REFERENCE_NMAX:
+        # on the one-fiber golden mean the first lies above the second
+        target = diagonal_partition(SEARCH_BUNDLES["golden-mean"])
+        res = maximize_invariant_entropy(target, 400, 0)
+        bound = h_minus_report(res.measure, target, variational.SCORE_NMAX)
+        assert res.value == bound.certified_upper
+        assert res.gap == pytest.approx(-0.0474, abs=5e-5)
 
 
 def _search(target, budget, seed, cpus, monkeypatch):
