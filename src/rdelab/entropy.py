@@ -22,10 +22,11 @@ component decomposition plus branch and bound; its only caller is
 :func:`cover_conditional_entropy`, which the step-n reports and the block
 power system (on a wider hull) go through.  General mode poses one problem
 per fiber and product mode one over all fibers, so every general-mode
-problem and every product-mode problem on a one-fiber bundle has one fiber:
-those are searched on plain floats, with the bits and the search nodes the
-per-fiber lists that product mode on several fibers keeps would give.  Sums that reach a report are
-added left to right by :func:`~rdelab.base.plain_sum`.
+problem, and every product-mode problem on a one-fiber bundle, has one
+fiber.  Those are searched on plain floats, which give the bits and visit
+the nodes that per-fiber lists give; only product mode on several fibers
+keeps the lists.  Sums that reach a report are added left to right by
+:func:`~rdelab.base.plain_sum`.
 
 Every partition entropy adds its cell masses in :func:`_cell_entropy`.  The
 step-n reports of :func:`h_minus_report` and :func:`h_plus_value` build no
@@ -490,8 +491,9 @@ def _min_entropy_assignment(
                     improved = True
             if not improved:
                 break
+        incumbent = plain_sum(map(g, trial))
         best, nodes = search(
-            wl, ms, pending, suffix, pv, g, plain_sum(map(g, trial)), total, nodes, node_cap
+            wl, ms, pending, suffix, pv, g, incumbent, total, nodes, node_cap
         )
         total += best
     return total
@@ -587,13 +589,7 @@ def _search_one_fiber(wl, ms, pending, suffix, pv, g, best, total, nodes, node_c
             return
         threshold = best - 1e-13
         r = suffix[i]
-        if r <= 0.0:
-            dump = 0.0
-        else:
-            s = top + r
-            dump = 0.0 + p * (
-                (top * log(top) if top > 0.0 else 0.0) - (s * log(s) if s > 0.0 else 0.0)
-            )
+        dump = 0.0 if r <= 0.0 else 0.0 + p * (_xlnx(top) - _xlnx(top + r))
         if cur + dump >= threshold:
             return
         if i:

@@ -396,8 +396,9 @@ def _hill_climb(
     A measure scores the step-:data:`SCORE_NMAX` certified
     conditional-entropy rate, in the fiber-dependent (``"general"``)
     infimum class: ``min_k H_k / k`` over ``k <= SCORE_NMAX``, an upper
-    bound on the measure's entropy, which the returned value is.  Hill climbing restarts from deterministic seeds derived
-    from ``(seed, restart)``.  The restarts are independent tasks, run
+    bound on the measure's entropy, which the returned value is.  Hill
+    climbing restarts from deterministic seeds derived from
+    ``(seed, restart)``.  The restarts are independent tasks, run
     across the available CPUs in forked processes
     (:func:`~rdelab.forked.run_tasks`) and merged in restart order, so the
     result does not depend on how many CPUs there are; there is no option

@@ -772,6 +772,20 @@ TIED_WEIGHT_WORDS = (
 )
 
 
+def assert_visits_the_reference_nodes(kernel, words, pvec):
+    # the kernel's incremental bound prunes where the reference's
+    # from-scratch bound does: a cap at the reference's node count is
+    # enough, one less trips the guard at exactly that count
+    visited = []
+    expect = reference_min_entropy_assignment(words, pvec, visited=visited)
+    (nodes,) = visited
+    assert kernel(words, pvec, node_cap=nodes).hex() == float(expect).hex()
+    if nodes:
+        with pytest.raises(EnumerationGuardError) as tripped:
+            kernel(words, pvec, node_cap=nodes - 1)
+        assert tripped.value.nodes == nodes
+
+
 class TestMinEntropyAssignment:
     """The plain-float kernel returns the reference's bits and visits the
     reference's nodes."""
@@ -802,19 +816,8 @@ class TestMinEntropyAssignment:
     @example(refine_shaped_instance())
     @example(REFINE_TAIL_WORDS)
     def test_visits_the_reference_nodes(self, inputs):
-        # the kernel's incremental bound prunes where the reference's
-        # from-scratch bound does: a cap at the reference's node count is
-        # enough, one less trips the guard at exactly that count
         words, _, pvec = inputs
-        visited = []
-        expect = reference_min_entropy_assignment(words, pvec, visited=visited)
-        (nodes,) = visited
-        got = _min_entropy_assignment(words, pvec, node_cap=nodes)
-        assert got.hex() == float(expect).hex()
-        if nodes:
-            with pytest.raises(EnumerationGuardError) as tripped:
-                _min_entropy_assignment(words, pvec, node_cap=nodes - 1)
-            assert tripped.value.nodes == nodes
+        assert_visits_the_reference_nodes(_min_entropy_assignment, words, pvec)
 
     @given(assignment_inputs())
     @settings(max_examples=100)
@@ -982,14 +985,7 @@ class TestMinEntropyAssignment:
         assert set(taken) == {"_search_one_fiber" if fibers == 1 else "_search_fibers"}
         assert max(sum(1 for _, c in words if len(c) > 1) for words, _ in problems) == 6
         for words, pvec in problems:
-            visited = []
-            expect = reference_min_entropy_assignment(words, pvec, visited=visited)
-            (nodes,) = visited
-            assert kernel(words, pvec, node_cap=nodes).hex() == float(expect).hex()
-            if nodes:
-                with pytest.raises(EnumerationGuardError) as tripped:
-                    kernel(words, pvec, node_cap=nodes - 1)
-                assert tripped.value.nodes == nodes
+            assert_visits_the_reference_nodes(kernel, words, pvec)
 
 
 def test_kernel_rejects_fibers_holding_more_than_one():
