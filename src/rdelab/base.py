@@ -241,11 +241,12 @@ def _base_violations(base: ProbBase) -> list[Violation]:
         out.append(Violation("weight-not-finite", "weights must be finite numbers"))
     if any(w <= 0 for w in base.weights):
         out.append(Violation("weight-not-positive", "weights must be strictly positive"))
-    if abs(sum(base.weights) - 1.0) > WEIGHT_TOL:
+    total = plain_sum(base.weights)
+    if abs(total - 1.0) > WEIGHT_TOL:
         out.append(
             Violation(
                 "weights-not-normalized",
-                f"weights sum to {sum(base.weights)!r}, expected 1 within {WEIGHT_TOL}",
+                f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}",
             )
         )
     for w in range(n):

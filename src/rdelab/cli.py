@@ -144,7 +144,7 @@ def topent_cmd(file, cover_name, nmax, json_path):
     show_default=True,
 )
 @click.option("--nmax", type=click.IntRange(min=1), default=6, show_default=True)
-@click.option("--enum-max", type=int, default=10**5, show_default=True)
+@click.option("--enum-max", type=click.IntRange(min=1), default=10**5, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def measent_cmd(
     file, measure_name, partition_name, cover_name, mode, kind, nmax, enum_max, json_path
@@ -193,7 +193,7 @@ def measent_cmd(
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--cover", "cover_name", required=True)
 @click.option("--n", "steps", type=click.IntRange(min=1), required=True)
-@click.option("--horizon-cap", type=int, default=24, show_default=True)
+@click.option("--horizon-cap", type=click.IntRange(min=1), default=24, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def witness_cmd(file, cover_name, steps, horizon_cap, json_path):
     """Separated-set witness measures and their counting certificates."""

@@ -5,6 +5,8 @@ set per fiber ("its section") over a common coordinate window.  Sections are
 stored canonically as admissible words only, sorted, so cover equality is
 decidable bit-exactly.  Empty sections are kept: an element empty in one fiber
 may be nonempty in another, and index arithmetic must line up across fibers.
+A join stores only its elements that are nonempty in some fiber, in the order
+of their index pairs.
 
 Product-form covers additionally carry one defining word set per element,
 shared by all fibers; the per-fiber sections are the defining sets cut down to
@@ -14,18 +16,20 @@ its fiber sections, and that union is the one place defining sets come from
 the fibers, which keeps the union).
 
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
-incremental loop, :func:`join_sequence`, which checks the element cap
-:data:`ELEMENT_CAP` (:func:`check_join_size`) before building anything.  The
-nonempty-cell counts and conditional entropies of a partition's joins need
-no join at all: :func:`rdelab.covercomb.partition_join_counts` and the
-partition reports of :mod:`rdelab.entropy` read them from the cell labels of
-admissible words, under the same cap check.
+incremental loop, :func:`join_sequence`, which checks the cap
+:data:`ELEMENT_CAP` on index tuples (:func:`check_join_size`) before building
+anything.  The nonempty-cell counts and conditional entropies of a
+partition's joins need no join at all:
+:func:`rdelab.covercomb.partition_join_counts` and the partition reports of
+:mod:`rdelab.entropy` read them from the cell labels of admissible words,
+under the same cap check.
 
 Covers are frozen dataclasses and every operation returns a new cover, with
-one exception: each cover memoizes its ``membership``/``cell_of`` maps in a
-per-object dict (``_mcache``, excluded from equality), which grows with every
-distinct fiber and hull queried.  Iterators returned by the enumeration below
-are independent per caller.
+one exception: each cover memoizes, in a per-object dict (``_mcache``,
+excluded from equality), one membership map per fiber on its own window, and a
+partition one cell map per fiber too.  A wider hull's map is read from those
+and not kept.  Iterators returned by the enumeration below are independent per
+caller.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ __all__ = [
 
 WordTuple = tuple[int, ...]
 
-#: Most index tuples an n-step join may hold; :func:`check_join_size` reads it
-#: at call time.
+#: Most index tuples, stored or empty, an n-step join may have;
+#: :func:`check_join_size` reads it at call time.
 ELEMENT_CAP = 10**6
 
 
@@ -85,8 +89,8 @@ class PositionedCover:
     ``product_sections``, set on product-form covers only, holds each
     element's defining set: the union of its fiber sections, with an empty
     one stored as the shared empty frozenset.  Fields are frozen;
-    ``_mcache`` is the one mutable part, a memo of the membership maps keyed
-    by fiber and hull.
+    ``_mcache`` is the one mutable part, a memo of the own-window membership
+    (and, on a partition, cell) maps keyed by fiber.
     """
 
     bundle: SymbolicBundle
@@ -152,39 +156,41 @@ class PositionedCover:
 
         With ``hull=None`` the cover's own window is used.  Containment of a
         hull word means its restriction to the cover window lies in the
-        element's section.  The fiber's sections are inverted once, so the
-        cost is the total section size plus the number of hull words.
+        element's section.  The fiber's sections are inverted once into the
+        memoized own-window map, and a wider hull's map is read from it, so
+        the cost is the total section size plus the number of hull words.
         """
+        own = self._mcache.get(omega)
+        if own is None:
+            inv = _invert(elem[omega] for elem in self.sections)
+            own = self._mcache[omega] = {
+                w: tuple(inv.get(w, ()))
+                for w in admissible_tuples(self.bundle, omega, self.start, self.length)
+            }
+        return self._on_hull(own, omega, hull)
+
+    def _on_hull(self, own: dict, omega: int, hull: tuple[int, int] | None) -> dict:
+        """``own``, a map on the admissible window words, read on the admissible
+        words of ``hull`` through their restrictions to the window; not
+        memoized unless ``hull`` is the window itself."""
         hs, he = hull if hull is not None else self.window
         if hs > self.start or he < self.stop:
             raise ValueError("hull must contain the cover window")
-        key = (omega, hs, he)
-        hit = self._mcache.get(key)
-        if hit is not None:
-            return hit
+        if (hs, he) == self.window:
+            return own
         lo = self.start - hs
         hi = lo + self.length
-        inv = _invert(elem[omega] for elem in self.sections)
-        out = {
-            w: tuple(inv.get(w[lo:hi], ()))
-            for w in admissible_tuples(self.bundle, omega, hs, he - hs)
-        }
-        self._mcache[key] = out
-        return out
+        return {w: own[w[lo:hi]] for w in admissible_tuples(self.bundle, omega, hs, he - hs)}
 
 
 class PositionedPartition(PositionedCover):
     """A positioned cover whose sections are pairwise disjoint in every fiber."""
 
     def membership(self, omega: int, hull: tuple[int, int] | None = None) -> dict:
-        hs, he = hull if hull is not None else self.window
-        key = (omega, hs, he)
-        hit = self._mcache.get(key)
-        if hit is not None:
-            return hit
-        out = {w: (e,) for w, e in self.cell_of(omega, hull).items()}
-        self._mcache[key] = out
-        return out
+        own = self._mcache.get(omega)
+        if own is None:
+            own = self._mcache[omega] = {w: (e,) for w, e in self.cell_of(omega).items()}
+        return self._on_hull(own, omega, hull)
 
     def _validate_extra(self):
         for omega in range(self.bundle.base.omega_count):
@@ -201,31 +207,18 @@ class PositionedPartition(PositionedCover):
     def cell_of(self, omega: int, hull: tuple[int, int] | None = None) -> dict:
         """Map each admissible hull word to the unique cell index containing it.
 
-        Disjointness lets the sections be inverted directly, so the cost is
-        the total section size rather than words times elements.
+        Disjointness lets the sections be inverted directly into the memoized
+        own-window map, so the cost is the total section size rather than
+        words times elements, plus the number of hull words on a wider hull.
         """
-        hs, he = hull if hull is not None else self.window
-        if hs > self.start or he < self.stop:
-            raise ValueError("hull must contain the cover window")
-        key = ("cell", omega, hs, he)
-        hit = self._mcache.get(key)
-        if hit is not None:
-            return hit
-        by_word = {
-            w: ids[0]
-            for w, ids in _invert(elem[omega] for elem in self.sections).items()
-        }
-        if hs == self.start and he == self.stop:
-            out = by_word
-        else:
-            lo = self.start - hs
-            hi = lo + self.length
-            out = {
-                w: by_word[w[lo:hi]]
-                for w in admissible_tuples(self.bundle, omega, hs, he - hs)
+        key = ("cell", omega)
+        own = self._mcache.get(key)
+        if own is None:
+            own = self._mcache[key] = {
+                w: ids[0]
+                for w, ids in _invert(elem[omega] for elem in self.sections).items()
             }
-        self._mcache[key] = out
-        return out
+        return self._on_hull(own, omega, hull)
 
 
 _EMPTY: frozenset = frozenset()
@@ -394,14 +387,14 @@ def is_finer(u: PositionedCover, v: PositionedCover) -> bool:
 def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
     """Pairwise-intersection cover on the window hull.
 
-    Element ``(i, j)`` of the result is stored at flat index ``i * len(v) + j``;
-    all index pairs are kept even when empty in every fiber.  The result is a
+    Only the index pairs ``(i, j)`` whose intersection is nonempty in some
+    fiber are stored, in ascending ``i * len(v) + j`` order.  The result is a
     partition whenever both inputs are, and product-form whenever both inputs
     are.  One pass over each fiber's hull words adds every word to the cells of
     the element pairs containing it, found from the membership maps of ``u``
     and ``v``; the defining sets are the unions of the joined sections.  So the
     cost is the total section size of the inputs and of the result plus the
-    number of hull words plus the ``len(u) * len(v)`` stored elements.
+    number of hull words.
     """
     if u.bundle is not v.bundle:
         raise ValueError("covers must live on the same bundle")
@@ -409,7 +402,7 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
     hull = _hull(u, v)
     hs, he = hull
     omega_count = bundle.base.omega_count
-    ku, kv = u.element_count, v.element_count
+    kv = v.element_count
     filled: dict[int, list[set]] = {}
     for omega in range(omega_count):
         mu = u.membership(omega, hull)
@@ -422,12 +415,9 @@ def join(u: PositionedCover, v: PositionedCover) -> PositionedCover:
                     if cell is None:
                         cell = filled[row + j] = [set() for _ in range(omega_count)]
                     cell[omega].add(w)
-    empty = (_EMPTY,) * omega_count
     sections = tuple(
         tuple(frozenset(per) if per else _EMPTY for per in filled[f])
-        if f in filled
-        else empty
-        for f in range(ku * kv)
+        for f in sorted(filled)
     )
     product = u.product_form and v.product_form
     cls = (
@@ -477,8 +467,9 @@ def pullback(u: PositionedCover, i: int) -> PositionedCover:
 
 
 def check_join_size(u: PositionedCover, steps: int) -> None:
-    """Raise :class:`JoinSizeError` when the ``steps``-step join of ``u`` would
-    hold more than :data:`ELEMENT_CAP` index tuples."""
+    """Raise :class:`JoinSizeError` when the ``steps``-step join of ``u`` has
+    more than :data:`ELEMENT_CAP` index tuples, stored or not, so the bound
+    does not depend on which elements turn out empty."""
     if u.element_count**steps > ELEMENT_CAP:
         raise JoinSizeError(
             f"join would create {u.element_count}^{steps} elements "
@@ -490,8 +481,9 @@ def join_sequence(u: PositionedCover, steps: int) -> Iterator[PositionedCover]:
     """Joins of the pullbacks of ``u`` through steps ``0..k-1`` for
     ``k = 1..steps``, each the one before joined with one more pullback.
 
-    The cap guards the last join's ``len(u) ** steps`` index tuples (kept even
-    when empty), so :class:`JoinSizeError` comes before any join is built.
+    The cap guards the last join's ``len(u) ** steps`` index tuples, stored or
+    not (empty ones are dropped), so :class:`JoinSizeError` comes before any
+    join is built.
     """
     check_join_size(u, steps)
     out = u

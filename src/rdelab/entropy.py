@@ -178,7 +178,7 @@ def mass_shift_entropy_check(
         errors.append("p entries must lie strictly inside (0, 1)")
     if any(p[i] > p[i + 1] for i in range(k - 1)):
         errors.append("p must be sorted ascending")
-    if sum(p) > 1.0 + EXACT_TOL:
+    if plain_sum(p) > 1.0 + EXACT_TOL:
         errors.append("p must sum to at most 1")
     if d and p and not 0.0 < d[0] < p[0]:
         errors.append("delta[0] must satisfy 0 < delta[0] < p[0] (strictly)")
@@ -186,7 +186,7 @@ def mass_shift_entropy_check(
         for i in range(1, k):
             if not 0.0 <= d[i] < 1.0 - p[i]:
                 errors.append(f"delta[{i}] must lie in [0, 1 - p[{i}])")
-        if abs(sum(d[1:]) - d[0]) > EXACT_TOL:
+        if abs(plain_sum(d[1:]) - d[0]) > EXACT_TOL:
             errors.append("sum(delta[1:]) must equal delta[0]")
     if errors:
         return MassShiftCheck(tuple(errors), None, None, None, None)
@@ -944,7 +944,9 @@ def h_minus_report(
     Requires an invariant measure, which makes the raw sequence subadditive
     and the running minimum a certified upper bound for its limit.  A
     partition's joins are not built: :func:`_join_entropies` reads their
-    cells from cell labels, with the bits the joins would give.
+    cells from cell labels, with the bits the joins would give.  Window masses
+    are added from the words of horizon ``stop + nmax - 1``, so a step's value
+    can move in its last bits with ``nmax``.
     """
     mu = _require_invariant(mu)
     if nmax < 1:
@@ -991,9 +993,10 @@ def _join_entropies(
     The pullback through ``j`` steps has at fiber ``omega`` the section at
     ``theta^j omega``, so a word lies in the joined cell labelled by the cells
     ``c_i`` of ``cell_of(theta^(i s) omega)`` holding its blocks at offsets
-    ``i s``, ``i < n``: the join's flat cell index ``c_0 K^(n-1) + ... +
-    c_(n-1)`` for ``K`` cells, each word's from its prefix's one stride back,
-    found as :func:`_cell_entropy` adds the masses.  Callers of the unit
+    ``i s``, ``i < n``: the label ``c_0 K^(n-1) + ... + c_(n-1)`` for ``K``
+    cells, the cell's place among all ``K^n`` index tuples (a built join
+    stores only the nonempty ones, in this order), each word's from its
+    prefix's one stride back, found as :func:`_cell_entropy` adds the masses.  Callers of the unit
     stride check the join size first, as :func:`~rdelab.covers.join_sequence`
     does before any join.
     """

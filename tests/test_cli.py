@@ -167,6 +167,28 @@ def test_horizon_below_one_is_a_usage_error(args, option, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (
+            ["measent", GOLDEN, "--measure", "balanced", "--cover", "overlap",
+             "--mode", "product", "--enum-max"],
+            "--enum-max",
+        ),
+        (["witness", GOLDEN, "--cover", "zero_cyl", "--n", "2", "--horizon-cap"],
+         "--horizon-cap"),
+    ],
+)
+def test_cap_below_one_is_a_usage_error(args, option, value, tmp_path):
+    # exit 4 means a guard tripped on the input; a cap below one is a usage error
+    out = tmp_path / "report.json"
+    res = run(*args, value, "--json", str(out))
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert not out.exists()
+
+
 class TestNaNMeasure:
     """``json`` reads ``NaN``; a measure holding one is a schema error."""
 
@@ -389,10 +411,10 @@ def compensated_sum(values, start=0):
 
 
 def report_jobs(path):
-    """topent and measent (general and product minus, partition) runs on
-    every cover and measure of an instance file."""
-    inst = load_instance(path)
-    jobs = []
+    """validate, then topent and measent (general and product minus,
+    partition) runs on every cover and measure of an instance file."""
+    inst = load_instance(path, check=False)
+    jobs = [["validate", path]]
     for c, cover in sorted(inst.covers.items()):
         jobs.append(["topent", path, "--cover", c, "--nmax", "3"])
         for m in sorted(inst.measures):
@@ -410,6 +432,22 @@ def report_jobs(path):
 
 
 def generated_file(tmp_path, seed):
+    path = tmp_path / f"gen{seed}.json"
+    if seed == "ten-fixed-points":
+        # ten fixed points whose weights add up to 1 + 4e-12 left to right,
+        # a bundle validate rejects with the sum in its message: compensated,
+        # that sum prints as 1.0000000000040001
+        labels = [f"w{i}" for i in range(10)]
+        doc = {
+            "alphabet": ["a", "b"],
+            "omega": labels,
+            "theta": list(range(10)),
+            "P": [0.1] * 9 + [0.1 + 4e-12],
+            "adjacency": {w: [[1, 1], [1, 1]] for w in labels},
+            "covers": {"zero_cyl": {"window": 1, "product": [["a"], ["b"]]}},
+        }
+        path.write_text(json.dumps(doc))
+        return str(path)
     if seed == "six-cycle":
         # one theta-cycle of six points of weight 1/6: added left to right
         # the cycle's mass is 0x1.fffffffffffffp-1, compensated it is 1.0
@@ -425,7 +463,6 @@ def generated_file(tmp_path, seed):
     else:
         inst = gen_instance(seed)
         bundle, covers, measures = inst.bundle, inst.covers, inst.measures
-    path = tmp_path / f"gen{seed}.json"
     path.write_text(json.dumps(dump_instance(bundle, covers, measures)))
     return str(path)
 
@@ -439,7 +476,10 @@ class TestReportsDoNotDependOnSum:
 
     @pytest.mark.parametrize(
         "source",
-        [GOLDEN, FULL, "demos/instances/two_fixed_points.json", 4, 5, 10, "six-cycle"],
+        [
+            GOLDEN, FULL, "demos/instances/two_fixed_points.json", 4, 5, 10,
+            "six-cycle", "ten-fixed-points",
+        ],
     )
     def test_same_bytes_with_a_compensated_sum(self, source, tmp_path, monkeypatch):
         path = str(source)
@@ -452,8 +492,9 @@ class TestReportsDoNotDependOnSum:
                 monkeypatch.setattr(builtins, "sum", summation)
                 res = run(*job, "--json", str(out))
                 monkeypatch.setattr(builtins, "sum", PLAIN_SUM)
-                written = out.read_bytes() if res.exit_code == 0 else None
-                reports.append((res.exit_code, written))
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                reports.append((res.exit_code, res.output, written))
             assert reports[0] == reports[1], job
 
 

@@ -28,7 +28,7 @@ from rdelab.covers import (
 )
 from rdelab.harness import gen_instance
 
-from conftest import rebuilt_pullback, small_cover
+from conftest import diagonal_partition, rebuilt_pullback, small_cover
 
 
 class TestConstruction:
@@ -72,15 +72,13 @@ class TestIsFiner:
 
 class TestJoin:
     def test_join_with_self_keeps_cells(self, gm):
+        # the off-diagonal pairs are empty in every fiber, so only the
+        # diagonal (a, a), (b, b) is stored
         u = zero_cylinders(gm)
         j = join(u, u)
         assert isinstance(j, PositionedPartition)
-        diag = {tuple(sorted(j.sections[i * 2 + i][om])) for i in range(2) for om in range(2)}
-        assert diag == {((0,),), ((1,),)}
-        for i in range(2):
-            for k in range(2):
-                if i != k:
-                    assert all(not j.sections[i * 2 + k][om] for om in range(2))
+        assert j.sections == u.sections
+        assert j.product_sections == u.product_sections
 
     def test_two_step_join_has_empty_bb_cell(self, gm):
         u = zero_cylinders(gm)
@@ -309,11 +307,24 @@ def reference_join(u, v):
 
 
 def assert_join_matches_reference(u, v):
+    """``join(u, v)`` holds the reference's elements that are nonempty in some
+    fiber, in the reference's order; every element it drops is empty in every
+    fiber."""
     got = join(u, v)
     sections, product_sections, cls = reference_join(u, v)
     assert type(got) is cls
-    assert got.sections == sections
-    assert got.product_sections == product_sections
+    kept = []
+    for f, elem in enumerate(sections):
+        if len(kept) < got.element_count and got.sections[len(kept)] == elem:
+            kept.append(f)
+        else:
+            assert not any(elem), f
+    assert len(kept) == got.element_count
+    assert all(any(elem) for elem in got.sections)
+    if product_sections is None:
+        assert got.product_sections is None
+    else:
+        assert got.product_sections == tuple(product_sections[f] for f in kept)
     assert got.window == (min(u.start, v.start), max(u.stop, v.stop))
     for cover in (u, v, got):
         wide = (max(cover.start - 1, 0), cover.stop + 1)
@@ -368,7 +379,10 @@ class TestJoinMatchesReference:
         out = u
         for k in range(1, 5):
             out = assert_join_matches_reference(out, pullback(u, k))
-        assert out.element_count == 2**5
+        # b b is forbidden from odd steps in fiber 0 and from even steps in
+        # fiber 1: 9 of the 2**5 index tuples put the element {b} on both
+        # sides of such a step in each fiber, so they are empty in both
+        assert out.element_count == 2**5 - 9
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_fuzzed_instances(self, seed):
@@ -398,6 +412,100 @@ class TestJoinMatchesReferenceOnRandomCovers:
         u, v = pair
         assert_join_matches_reference(u, v)
         assert_join_matches_reference(v, u)
+
+
+# ---------------------------------------------------------------------------
+# stored join elements: nonempty in some fiber, in index-tuple order
+# ---------------------------------------------------------------------------
+
+
+def dense_join_sections(u, steps):
+    """Sections of the ``steps``-step join of ``u`` for every index tuple, in
+    lexicographic order and empty ones included, by filtering hull words."""
+    bundle = u.bundle
+    pulled = [pullback(u, t) for t in range(steps)]
+    out = []
+    for indices in itertools.product(range(u.element_count), repeat=steps):
+        out.append(
+            tuple(
+                frozenset(
+                    w
+                    for w in admissible_tuples(bundle, omega, u.start, u.length + steps - 1)
+                    if all(
+                        w[t : t + u.length] in pulled[t].sections[e][omega]
+                        for t, e in enumerate(indices)
+                    )
+                )
+                for omega in range(bundle.base.omega_count)
+            )
+        )
+    return out
+
+
+def assert_stores_nonempty_in_order(joined, dense):
+    assert all(any(elem) for elem in joined.sections)
+    assert joined.sections == tuple(elem for elem in dense if any(elem))
+
+
+def assert_join_sequence_stores_nonempty_in_order(u, steps):
+    # the first cover of the sequence is ``u`` itself, which is no join
+    joins = itertools.islice(join_sequence(u, steps), 1, None)
+    for k, joined in enumerate(joins, 2):
+        assert_stores_nonempty_in_order(joined, dense_join_sections(u, k))
+
+
+def conftest_covers(bundle):
+    return [
+        zero_cylinders(bundle),
+        overlap_cover(bundle),
+        split_cover(bundle),
+        full_word_partition(bundle, 0, 2),
+        diagonal_partition(bundle),
+    ]
+
+
+class TestJoinStoresNonemptyElementsInOrder:
+    @given(cover_pairs())
+    def test_random_pairs(self, pair):
+        u, v = pair
+        for a, b in ((u, v), (v, u)):
+            sections = reference_join(a, b)[0]
+            assert_stores_nonempty_in_order(join(a, b), sections)
+
+    @pytest.mark.parametrize("name", ["gm", "full2", "id2"])
+    def test_join_sequences_of_conftest_covers(self, name, request):
+        for u in conftest_covers(request.getfixturevalue(name)):
+            steps = 4 if u.element_count <= 2 else 3
+            assert_join_sequence_stores_nonempty_in_order(u, steps)
+
+    @given(st.sampled_from(BUNDLES).flatmap(small_cover), st.integers(2, 3))
+    def test_join_sequences_of_random_covers(self, u, steps):
+        assert_join_sequence_stores_nonempty_in_order(u, steps)
+
+
+# ---------------------------------------------------------------------------
+# the membership memo keeps only the cover's own-window maps
+# ---------------------------------------------------------------------------
+
+
+class TestMembershipMemo:
+    @pytest.mark.parametrize("name", ["gm", "full2", "id2"])
+    def test_wider_hulls_are_not_kept(self, name, request):
+        bundle = request.getfixturevalue(name)
+        omega_count = bundle.base.omega_count
+        for cover in [pullback(c, 2) for c in conftest_covers(bundle)]:
+            hulls = (None, (cover.start - 1, cover.stop), (cover.start - 2, cover.stop + 1))
+            for omega in range(omega_count):
+                for hull in hulls:
+                    member = reference_membership(cover, omega, hull)
+                    assert cover.membership(omega, hull) == member
+                    if cover.is_partition:
+                        cells = {w: ids[0] for w, ids in member.items()}
+                        assert cover.cell_of(omega, hull) == cells
+            maps = 2 * omega_count if cover.is_partition else omega_count
+            assert len(cover._mcache) <= maps
+            for omega in range(omega_count):
+                assert cover.membership(omega) is cover.membership(omega)
 
 
 # ---------------------------------------------------------------------------

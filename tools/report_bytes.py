@@ -15,6 +15,11 @@ sha256 of its ``--json`` bytes.  The jobs are:
 * ``maximize --budget 400`` at seeds 0 and 5 on every partition
   (``--partition``) and every other cover (``--cover``) of every valid demo
   instance;
+* ``topent --nmax 6`` on every cover, and ``measent --nmax 4`` (``--kind
+  minus`` in ``--mode general`` and ``--mode product``, and ``--kind plus``)
+  on every cover and measure, of every valid demo instance: product mode on
+  the two-fiber demo is the path most sensitive to the order of join
+  elements;
 * the stdout of each ``demos/*.py`` script, run with ``ROOT/src`` first on
   ``PYTHONPATH``.
 
@@ -86,7 +91,9 @@ def main(argv) -> int:
             if "broken" not in base:
                 job(f"verify-file {base}", ["verify", "--file", path])
             with open(path, encoding="utf-8") as fh:
-                covers = sorted(json.load(fh).get("covers", {}))
+                doc = json.load(fh)
+            covers = sorted(doc.get("covers", {}))
+            measures = sorted(doc.get("measures", {}))
             for cover in covers:
                 for n in (1, 2, 3):
                     job(f"witness {base} {cover} {n}",
@@ -100,6 +107,14 @@ def main(argv) -> int:
                         job(f"maximize {base} {cover} {seed}",
                             ["maximize", path, flag, cover, "--budget", "400",
                              "--seed", str(seed)])
+                    job(f"topent {base} {cover}",
+                        ["topent", path, "--cover", cover, "--nmax", "6"])
+                    for measure in measures:
+                        for kind in (["minus", "--mode", "general"],
+                                     ["minus", "--mode", "product"], ["plus"]):
+                            job(f"measent {base} {cover} {measure} {' '.join(kind)}",
+                                ["measent", path, "--measure", measure, "--cover",
+                                 cover, "--nmax", "4", "--kind", *kind])
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         res = subprocess.run([sys.executable, demo], cwd=root, env=env,
