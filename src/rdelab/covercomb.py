@@ -21,9 +21,9 @@ The count and separated-set routines serve every fiber at once: each
 The branch-and-bound memo is per call.  Two tables outlive a call, both on
 objects the caller passes in: :func:`partition_join_counts` memoizes through
 :meth:`~rdelab.covers.PositionedPartition.cell_of` into the partition's
-``_mcache``, one own-window cell map per fiber, and :func:`_section_masks` enumerates words through
-:func:`~rdelab.base.admissible_tuples`, which memoizes them in the bundle's
-``_word_cache``.
+``_mcache``, one own-window cell map per fiber, and :func:`_section_masks`
+enumerates words through :func:`~rdelab.base.admissible_tuples`, which
+memoizes them in the bundle's ``_word_cache``.
 """
 
 from __future__ import annotations

@@ -996,9 +996,9 @@ def _join_entropies(
     ``i s``, ``i < n``: the label ``c_0 K^(n-1) + ... + c_(n-1)`` for ``K``
     cells, the cell's place among all ``K^n`` index tuples (a built join
     stores only the nonempty ones, in this order), each word's from its
-    prefix's one stride back, found as :func:`_cell_entropy` adds the masses.  Callers of the unit
-    stride check the join size first, as :func:`~rdelab.covers.join_sequence`
-    does before any join.
+    prefix's one stride back, found as :func:`_cell_entropy` adds the
+    masses.  Callers of the unit stride check the join size first, as
+    :func:`~rdelab.covers.join_sequence` does before any join.
     """
     base = partition.bundle.base
     k = partition.element_count
