@@ -491,11 +491,13 @@ def spectral_radius(
     of a nonnegative matrix is the maximum over its irreducible diagonal
     blocks); each block is handled by power iteration, which converges
     geometrically there.  A radius past the float range raises
-    :class:`OverflowError`.
+    :class:`OverflowError`; a negative or non-finite entry, :class:`ValueError`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("matrix must be nonnegative")
     best = 0.0

@@ -51,7 +51,7 @@ from .base import (
     admissible_tuples,
     cycle_growth_rate,
     plain_sum,
-    transfer_count,
+    word_count,
 )
 from .covercomb import cover_count
 from .covers import (
@@ -134,8 +134,8 @@ def shannon(p: Iterable[float]) -> float:
     """Shannon entropy ``-sum p ln p`` in nats, with ``0 ln 0 = 0``."""
     total = 0.0
     for x in p:
-        if x < 0:
-            raise ValueError(f"negative probability entry {x!r}")
+        if not x >= 0:  # NaN fails too
+            raise ValueError(f"probability entries must be nonnegative, got {x!r}")
         total -= _xlnx(float(x))
     return total
 
@@ -1092,6 +1092,8 @@ def h_plus_value(
     carries the argmin partition.
     """
     mu = _require_invariant(mu)
+    if nmax < 1:
+        raise ValueError("need nmax >= 1")
     enum = _product_refinements(cover, enum_cap)
     # every candidate keeps the cover's window and element count
     check_join_size(cover, nmax)
@@ -1118,16 +1120,15 @@ class PowerSystem:
     """The M-step system in its non-overlapping block presentation.
 
     The driving permutation becomes ``theta^M``; the fiber alphabet at a base
-    point is its set of admissible M-blocks, with adjacency given by the
-    junction transition between consecutive blocks.  A block word of length k
-    decodes to a base word of length ``k*M``, so block counts and entropies
-    can be cross-checked against the base system at stride M.
+    point is its set of admissible M-blocks, and two blocks are adjacent when
+    the base transition joins the last symbol of one to the first of the
+    next.  A block word of length k is the base word of length ``k*M`` it
+    decodes to, so block counts are base word counts, read from the bundle,
+    and block entropies match the base system at stride M.
     """
 
     cover: PositionedCover
     steps: int
-    block_vocab: tuple[tuple[WordTuple, ...], ...]
-    junctions: tuple[np.ndarray, ...]
 
     @property
     def block_window(self) -> int:
@@ -1135,16 +1136,17 @@ class PowerSystem:
         return -(-(self.steps + self.cover.length - 1) // self.steps)
 
     def block_alphabet_sizes(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.block_vocab)
+        bundle = self.cover.bundle
+        return tuple(
+            word_count(bundle, omega, self.steps)
+            for omega in range(bundle.base.omega_count)
+        )
 
     def block_word_count(self, omega: int, k: int) -> int:
         """Number of admissible k-block words starting in fiber ``omega``."""
         if k < 1:
             raise ValueError("need k >= 1")
-        base = self.cover.bundle.base
-        points = [base.apply_theta(omega, j * self.steps) for j in range(k)]
-        mats = [self.junctions[point] for point in points[:-1]]
-        return transfer_count(mats, len(self.block_vocab[points[-1]]))
+        return word_count(self.cover.bundle, omega, k * self.steps)
 
     def h_value_sequence(self, mu, kmax: int, mode: str = "general") -> EntropyReport:
         """Conditional cover entropies of the power system, per block step.
@@ -1161,6 +1163,8 @@ class PowerSystem:
         of the assignment search and of the joins bound the work.
         """
         mu = _require_invariant(mu)
+        if kmax < 1:
+            raise ValueError("need kmax >= 1")
         joins = itertools.islice(
             join_sequence(self.cover, kmax * self.steps),
             self.steps - 1,
@@ -1183,43 +1187,16 @@ class PowerSystem:
         return _report(seq, None, [f"mode:{mode}", f"block:{self.steps}"])
 
 
-# most M-blocks (alphabet size ** M) a power presentation may enumerate
-_BLOCK_CAP = 4096
-
-
 def block_power_system(cover: PositionedCover, steps: int) -> PowerSystem:
     """Re-block the cover's bundle into its M-step power presentation.
 
-    ``steps == 1`` reproduces the base system verbatim (alphabet per fiber,
-    adjacency as junctions).  The cover must start at coordinate 0.
+    ``steps == 1`` reproduces the base system verbatim.  Nothing is
+    enumerated: block counts are read from the base bundle as they are asked
+    for, and only the joins of :meth:`PowerSystem.h_value_sequence` are
+    guarded.  The cover must start at coordinate 0.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
     if cover.start != 0:
         raise CoverError("power presentation expects a cover anchored at 0")
-    bundle = cover.bundle
-    if bundle.alphabet_size**steps > _BLOCK_CAP:
-        raise EnumerationGuardError(
-            f"block alphabet would have up to {bundle.alphabet_size}**{steps} symbols"
-        )
-    base = bundle.base
-    vocab = tuple(
-        admissible_tuples(bundle, omega, 0, steps) for omega in range(base.omega_count)
-    )
-    junctions = []
-    for omega in range(base.omega_count):
-        nxt = base.apply_theta(omega, steps)
-        glue = bundle.matrix_at(omega, steps - 1)
-        mat = np.zeros((len(vocab[omega]), len(vocab[nxt])), dtype=np.int8)
-        for i, u in enumerate(vocab[omega]):
-            for j, v in enumerate(vocab[nxt]):
-                if glue[u[-1], v[0]]:
-                    mat[i, j] = 1
-        mat.setflags(write=False)
-        junctions.append(mat)
-    return PowerSystem(
-        cover=cover,
-        steps=steps,
-        block_vocab=vocab,
-        junctions=tuple(junctions),
-    )
+    return PowerSystem(cover=cover, steps=steps)

@@ -185,6 +185,14 @@ class TestGrowthRates:
             with pytest.raises(OverflowError, match="5.100e\\+308 exceeds the float range"):
                 spectral_radius(np.full((3, 3), 1.7e308))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spectral_radius_rejects_non_finite_entries(self, bad):
+        # unchecked, a NaN entry would read as a missing edge and an inf one
+        # would run every power step before the iteration gave up
+        for m in ([[1.0, bad], [1.0, 1.0]], [[bad]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                spectral_radius(np.array(m))
+
     def test_rate_certifies_counts(self, gm):
         # the spectral value is the growth rate of the brute-force counts
         rate = cycle_growth_rate(gm).integrated

@@ -34,8 +34,11 @@ from rdelab import (
     topological_cover_entropy,
     trivial_cover,
     witness_measures,
+    word_count,
     zero_cylinders,
 )
+from rdelab import presets
+from rdelab.base import admissible_tuples, transfer_count
 from rdelab.covercomb import global_min_subcover_count
 from rdelab.covers import (
     CoverError,
@@ -69,6 +72,10 @@ class TestShannon:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             shannon([0.5, -0.1])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            shannon([math.nan, 1.0])
 
 
 class TestMassShiftCheck:
@@ -450,6 +457,112 @@ class TestPowerSystem:
         prod = h_minus_report(gm_measure, u, 4, "product")
         for (_, gv), (_, pv) in zip(gen.sequence, prod.sequence):
             assert pv >= gv - 1e-12
+
+
+def reference_block_counts(bundle, steps, kmax):
+    """Block alphabet sizes and k-block word counts (``k = 1..kmax``) as the
+    power system counted them before it read them from the base bundle: each
+    fiber's admissible M-blocks, 0/1 junction matrices joining a block's last
+    symbol to the next block's first, and their transfer products."""
+    base = bundle.base
+    vocab = [admissible_tuples(bundle, omega, 0, steps) for omega in range(base.omega_count)]
+    junctions = []
+    for omega in range(base.omega_count):
+        nxt = base.apply_theta(omega, steps)
+        glue = bundle.matrix_at(omega, steps - 1)
+        mat = np.zeros((len(vocab[omega]), len(vocab[nxt])), dtype=np.int8)
+        for i, u in enumerate(vocab[omega]):
+            for j, v in enumerate(vocab[nxt]):
+                if glue[u[-1], v[0]]:
+                    mat[i, j] = 1
+        junctions.append(mat)
+    counts = {}
+    for omega in range(base.omega_count):
+        for k in range(1, kmax + 1):
+            points = [base.apply_theta(omega, j * steps) for j in range(k)]
+            mats = [junctions[point] for point in points[:-1]]
+            counts[omega, k] = transfer_count(mats, len(vocab[points[-1]]))
+    return tuple(len(v) for v in vocab), counts
+
+
+class TestPowerSystemCounts:
+    """Block counts are base word counts, read from the bundle."""
+
+    @staticmethod
+    def assert_counts_match_reference(ps):
+        sizes, counts = reference_block_counts(ps.cover.bundle, ps.steps, 3)
+        assert ps.block_alphabet_sizes() == sizes
+        for (omega, k), count in counts.items():
+            assert ps.block_word_count(omega, k) == count, (omega, k)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_covers_match_the_junction_counts(self, seed):
+        inst = gen_instance(seed)
+        for name, cover in sorted(inst.covers.items()):
+            for steps in (1, 2, 3):
+                self.assert_counts_match_reference(block_power_system(cover, steps))
+
+    @pytest.mark.parametrize("name", ["full2", "id2", "gm"])
+    def test_conftest_bundles_match_the_junction_counts(self, name, request):
+        bundle = request.getfixturevalue(name)
+        for steps in (1, 2, 3):
+            self.assert_counts_match_reference(block_power_system(zero_cylinders(bundle), steps))
+
+    def test_k_below_one_is_refused(self, gm):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            block_power_system(zero_cylinders(gm), 2).block_word_count(0, 0)
+
+    @staticmethod
+    def past_the_old_block_cap(gm, gm_measure):
+        # 2**13 and 3**8 M-blocks per fiber, too many to enumerate; the
+        # zero cylinders' joins over two blocks are past the join cap
+        full3 = presets.full_shift(3)
+        return [
+            (gm, 13, gm_measure),
+            (full3, 8, stationary_starts(full3, [np.full((3, 3), 1 / 3)])),
+        ]
+
+    def test_past_the_old_block_cap_counts_are_word_counts(self, gm, gm_measure):
+        for bundle, steps, _ in self.past_the_old_block_cap(gm, gm_measure):
+            ps = block_power_system(zero_cylinders(bundle), steps)
+            omegas = range(bundle.base.omega_count)
+            assert ps.block_alphabet_sizes() == tuple(
+                word_count(bundle, omega, steps) for omega in omegas
+            )
+            for omega in omegas:
+                for k in (1, 2, 3):
+                    assert ps.block_word_count(omega, k) == word_count(bundle, omega, k * steps)
+
+    def test_past_the_old_block_cap_the_join_guard_fires_first(
+        self, gm, gm_measure, monkeypatch
+    ):
+        def refuse(u, v):
+            raise AssertionError("a join was built")
+
+        monkeypatch.setattr(covers_module, "join", refuse)
+        for bundle, steps, mu in self.past_the_old_block_cap(gm, gm_measure):
+            ps = block_power_system(zero_cylinders(bundle), steps)
+            for mode in ("general", "product"):
+                with pytest.raises(JoinSizeError):
+                    ps.h_value_sequence(mu, 2, mode)
+
+
+class TestStepsBelowOne:
+    """A step count below 1 is refused with the report's own message."""
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_h_plus_value(self, gm, gm_measure, nmax):
+        # window 1 and window 2: the count is refused before any horizon is
+        # formed or any join sized
+        for cover in (zero_cylinders(gm), full_word_partition(gm, 0, 2)):
+            with pytest.raises(ValueError, match=r"^need nmax >= 1$"):
+                h_plus_value(gm_measure, cover, nmax)
+
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_h_value_sequence(self, gm, gm_measure, kmax):
+        for cover in (zero_cylinders(gm), full_word_partition(gm, 0, 2)):
+            with pytest.raises(ValueError, match=r"^need kmax >= 1$"):
+                block_power_system(cover, 2).h_value_sequence(gm_measure, kmax)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ sha256 of its ``--json`` bytes.  The jobs are:
 * the stdout of each ``demos/*.py`` script, run with ``ROOT/src`` first on
   ``PYTHONPATH``.
 
+Before the demo scripts' lines, one ``power`` line per valid demo instance,
+cover and block step ``M`` in 1..3 reads ``block_power_system(cover, M)``
+directly: its ``block_alphabet_sizes()``, ``block_word_count(omega, k)`` for
+every fiber and ``k`` in 1..3, and the ``float.hex`` values of
+``h_value_sequence(mu, 2, mode)`` for every measure in both modes, or the type
+name of the error a call raises.
+
 Two checkouts give the same reports exactly when ``diff`` of their outputs is
 empty.
 """
@@ -46,6 +53,15 @@ def masked(text: str, root: str, tmp: str = "") -> bytes:
     return text.replace(root, "<root>").encode()
 
 
+def hex_sequence(ps, mu, mode):
+    """``float.hex`` of each value of ``ps.h_value_sequence(mu, 2, mode)``, or
+    the type name of the error it raises."""
+    try:
+        return [v.hex() for _, v in ps.h_value_sequence(mu, 2, mode).sequence]
+    except Exception as exc:  # the line records which error, not its text
+        return type(exc).__name__
+
+
 def main(argv) -> int:
     if len(argv) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -57,6 +73,7 @@ def main(argv) -> int:
     import run  # bench/run.py: pins BLAS threads, defines ``call``
     import workloads
     from rdelab.covers import PositionedPartition
+    from rdelab.entropy import block_power_system
     from rdelab.instances import load_instance
 
     cli = run.import_cli()
@@ -115,6 +132,19 @@ def main(argv) -> int:
                             job(f"measent {base} {cover} {measure} {' '.join(kind)}",
                                 ["measent", path, "--measure", measure, "--cover",
                                  cover, "--nmax", "4", "--kind", *kind])
+    for path in demos:
+        if "broken" in os.path.basename(path):
+            continue
+        inst = load_instance(path)
+        for cover in sorted(inst.covers):
+            for steps in (1, 2, 3):
+                ps = block_power_system(inst.covers[cover], steps)
+                counts = [[ps.block_word_count(omega, k) for k in (1, 2, 3)]
+                          for omega in range(inst.bundle.base.omega_count)]
+                values = [f"{m}/{mode}={hex_sequence(ps, inst.measures[m], mode)}"
+                          for m in sorted(inst.measures) for mode in ("general", "product")]
+                print("power", os.path.basename(path), cover, steps,
+                      ps.block_alphabet_sizes(), counts, *values, flush=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         res = subprocess.run([sys.executable, demo], cwd=root, env=env,
