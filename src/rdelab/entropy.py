@@ -1190,10 +1190,8 @@ class PowerSystem:
 def block_power_system(cover: PositionedCover, steps: int) -> PowerSystem:
     """Re-block the cover's bundle into its M-step power presentation.
 
-    ``steps == 1`` reproduces the base system verbatim.  Nothing is
-    enumerated: block counts are read from the base bundle as they are asked
-    for, and only the joins of :meth:`PowerSystem.h_value_sequence` are
-    guarded.  The cover must start at coordinate 0.
+    ``steps == 1`` reproduces the base system verbatim.  No block is
+    enumerated, so no cap applies here.  The cover must start at coordinate 0.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
