@@ -30,6 +30,7 @@ from .base import (
     SymbolicBundle,
     ValidationReport,
     Word,
+    WordListSizeError,
     admissible_words,
     cycle_growth_rate,
     spectral_radius,

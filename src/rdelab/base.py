@@ -24,11 +24,14 @@ from decimal import Decimal
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+WORD_CAP = 10**6
 
 __all__ = [
     "WEIGHT_TOL",
+    "WORD_CAP",
     "BundleError",
     "PowerIterationError",
+    "WordListSizeError",
     "ProbBase",
     "SymbolicBundle",
     "Word",
@@ -44,6 +47,7 @@ __all__ = [
     "CycleRates",
     "cycle_product",
     "cycle_growth_rate",
+    "perron_block",
     "spectral_radius",
 ]
 
@@ -53,7 +57,8 @@ class BundleError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the requested residual."""
+    """An iteration failed to reach the requested residual; raised only by
+    the stationary solver's fallback (:func:`rdelab.measures.stationary_starts`)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
@@ -63,6 +68,10 @@ class PowerIterationError(RuntimeError):
     def __reduce__(self):
         # rebuilt from the constructor's arguments, so it survives pickling
         return type(self), (self.message, self.residual), self.__dict__
+
+
+class WordListSizeError(RuntimeError):
+    """A window has more admissible words than :data:`WORD_CAP`."""
 
 
 @dataclass(frozen=True)
@@ -327,7 +336,10 @@ def admissible_tuples(
     """Sorted tuple of admissible symbol blocks on [start, start+length) in fiber omega.
 
     A block ``w`` qualifies when every consecutive pair is allowed by the
-    matrix read at the pair's left coordinate.  Cached on the bundle.
+    matrix read at the pair's left coordinate.  Cached on the bundle.  The
+    words are counted first (:func:`transfer_count`), and a window with more
+    than :data:`WORD_CAP` of them raises :class:`WordListSizeError` before
+    any is built.
     """
     if length < 1:
         raise ValueError("span must contain at least one coordinate")
@@ -339,9 +351,16 @@ def admissible_tuples(
     if hit is not None:
         return hit
     d = bundle.alphabet_size
+    mats = [bundle.matrix_at(omega, start + c) for c in range(length - 1)]
+    count = transfer_count(mats, d)
+    if count > WORD_CAP:
+        raise WordListSizeError(
+            f"window [{start}, {start + length}) of fiber "
+            f"{bundle.base.labels[omega]} has {count} admissible words "
+            f"(cap {WORD_CAP})"
+        )
     words: list[tuple[int, ...]] = [(a,) for a in range(d)]
-    for offset in range(length - 1):
-        mat = bundle.matrix_at(omega, start + offset)
+    for mat in mats:
         words = [w + (b,) for w in words for b in range(d) if mat[w[-1], b]]
     result = tuple(sorted(words))
     cache[key] = result
@@ -437,74 +456,45 @@ def strongly_connected_components(support: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def _power_radius_irreducible(
-    matrix: np.ndarray, tol: float, max_iterations: int
-) -> float:
-    """Power iteration on an irreducible nonnegative block.
+def perron_block(matrix: np.ndarray) -> tuple[float, list[int]]:
+    """The largest real part of an eigenvalue of a nonnegative matrix, and the
+    strongly connected block that has it.
 
-    Iterates on ``matrix + I`` (same Perron vector, radius shifted by one),
-    which is primitive, so convergence is geometric; the Rayleigh quotient is
-    returned once the residual drops below ``tol``.  The block is divided by
-    its entry sum; if that sum overflows, the block is first divided by a
-    power of two ``2**e`` (exact) and ``e`` is put back into the result.
-    Raises :class:`OverflowError` when the radius itself is past the float
-    range.
+    The radius of a nonnegative matrix is the largest over its irreducible
+    diagonal blocks, and the Perron root of each block is its eigenvalue of
+    largest real part.  Each block's eigenvalues come from numpy ``eigvals``;
+    ties go to the first block in component order.  No input checks: see
+    :func:`spectral_radius`.
     """
-    n = matrix.shape[0]
-    if n == 1:
-        return float(matrix[0, 0])
-    shifted = matrix + np.eye(n)
-    with np.errstate(over="ignore"):
-        scale = shifted.sum()
-    exponent = 0
-    if not math.isfinite(scale):
-        exponent = math.frexp(float(shifted.max()))[1]
-        shifted = np.ldexp(shifted, -exponent)
-        scale = shifted.sum()
-    shifted = shifted / scale
-    vec = np.full(n, 1.0 / math.sqrt(n))
-    residual = math.inf
-    for _ in range(max_iterations):
-        nxt = shifted @ vec
-        nxt /= float(np.linalg.norm(nxt))
-        lam = float(nxt @ (shifted @ nxt))
-        residual = float(np.linalg.norm(shifted @ nxt - lam * nxt))
-        vec = nxt
-        if residual <= tol:
-            with np.errstate(over="ignore"):
-                radius = np.ldexp(lam * scale, exponent) - 1.0
-            if not math.isfinite(radius):
-                approx = Decimal(lam * scale) * 2**exponent
-                raise OverflowError(
-                    f"spectral radius about {approx:.3e} exceeds the float range"
-                )
-            return radius
-    raise PowerIterationError("power iteration did not converge", residual=residual)
+    radius, block = -math.inf, None
+    for comp in strongly_connected_components(matrix > 0):
+        values = np.linalg.eigvals(matrix[np.ix_(comp, comp)])
+        if values.real.max() > radius:
+            radius, block = values.real.max(), comp
+    return float(radius), block
 
 
-def spectral_radius(
-    matrix: np.ndarray, tol: float = 1e-12, max_iterations: int = 100_000
-) -> float:
-    """Spectral radius of a nonnegative matrix by power iteration.
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Spectral radius of a nonnegative matrix, read from :func:`perron_block`.
 
-    The matrix is first split into strongly connected components (the radius
-    of a nonnegative matrix is the maximum over its irreducible diagonal
-    blocks); each block is handled by power iteration, which converges
-    geometrically there.  A radius past the float range raises
-    :class:`OverflowError`; a negative or non-finite entry, :class:`ValueError`.
+    A radius past the float range raises :class:`OverflowError`; its message
+    gives the radius of the matrix divided by a power of two ``2**e``
+    (exact), times ``2**e``.  A negative or non-finite entry, or an empty
+    matrix, raises :class:`ValueError`.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectral radius needs a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError("spectral radius needs a nonempty square matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("matrix must be nonnegative")
-    best = 0.0
-    for comp in strongly_connected_components(m > 0):
-        sub = m[np.ix_(comp, comp)]
-        best = max(best, _power_radius_irreducible(sub, tol, max_iterations))
-    return best
+    radius = perron_block(m)[0]
+    if not math.isfinite(radius):
+        exponent = math.frexp(float(m.max()))[1]
+        approx = Decimal(perron_block(np.ldexp(m, -exponent))[0]) * 2**exponent
+        raise OverflowError(f"spectral radius about {approx:.3e} exceeds the float range")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -561,9 +551,11 @@ def cycle_growth_rate(bundle: SymbolicBundle) -> CycleRates:
 
     For a cycle of length ``L`` through ``omega`` the rate is
     ``(1/L) * ln(spectral radius of A(omega) ... A(theta^{L-1} omega))``; the
-    integrated rate weights each cycle by its total probability mass.  On long
-    cycles the product is rescaled by :func:`cycle_product` and ``e * ln 2``
-    is added back to the log radius.
+    integrated rate weights each cycle by its total probability mass.  The
+    radius is :func:`spectral_radius`, the per-block ``eigvals`` of
+    :func:`perron_block`, which :func:`rdelab.measures.parry_measure` reads
+    too.  On long cycles the product is rescaled by :func:`cycle_product` and
+    ``e * ln 2`` is added back to the log radius.
     """
     cycles = []
     integrated = 0.0

@@ -7,7 +7,7 @@ nor failed.
 
 from __future__ import annotations
 
-from .base import PowerIterationError
+from .base import PowerIterationError, WordListSizeError
 from .covercomb import SetCoverSizeError, UncoveredUniverseError
 from .covers import JoinSizeError
 from .entropy import EnumerationGuardError
@@ -28,4 +28,5 @@ GUARDS = (
     PowerIterationError,
     GenerationError,
     UncoveredUniverseError,
+    WordListSizeError,
 )

@@ -11,7 +11,9 @@ probability weight on the admissible words of a fixed window ``[0, H)``.
 :func:`stationary_starts` solves the orbit-consistency fixed point by power
 iteration.  :func:`parry_measure` builds the random Parry family, the
 Markov family of maximal fiber entropy, in closed form from the Perron
-vectors of each theta-cycle's adjacency product.
+vectors of each theta-cycle's adjacency product, on the block that
+:func:`~rdelab.base.perron_block` also picks for the spectral rate of
+:func:`~rdelab.base.cycle_growth_rate`.
 
 Everything is a pure value; nothing here mutates shared state.
 """
@@ -30,6 +32,7 @@ from .base import (
     SymbolicBundle,
     admissible_tuples,
     cycle_product,
+    perron_block,
     plain_sum,
     strongly_connected_components,
 )
@@ -482,14 +485,16 @@ def parry_measure(bundle: SymbolicBundle) -> MarkovMeasure:
 
     Per theta-cycle ``(w_0, .., w_{L-1})`` with adjacency matrices ``A_i``,
     the cycle product ``M = A_0 .. A_{L-1}`` comes from
-    :func:`~rdelab.base.cycle_product`.  Among its strongly connected blocks
-    the one of largest radius ``rho`` is taken (numpy ``eig``; ties go to
-    the first block in component order), with its right and left Perron
-    vectors ``r`` and ``l``, zero off the block.  ``r_0 = r`` is carried
-    backward, ``r_i`` proportional to ``A_i r_{i+1}`` (indices mod ``L``),
-    and ``l_0 = l`` forward, ``l_i`` proportional to ``l_{i-1} A_{i-1}``.
-    The transitions are ``Q_i(a, b) = A_i(a, b) r_{i+1}(b) / (A_i r_{i+1})(a)``
-    and the start at ``w_i`` is ``l_i r_i``, normalised.  Once round the
+    :func:`~rdelab.base.cycle_product`.  Its strongly connected block of
+    largest radius ``rho`` comes from :func:`~rdelab.base.perron_block`, the
+    routine behind :func:`~rdelab.base.spectral_radius` (per-block numpy
+    ``eigvals``; ties go to the first block in component order), and its
+    right and left Perron vectors ``r`` and ``l`` (numpy ``eig``) are zero
+    off the block.  ``r_0 = r`` is carried backward, ``r_i`` proportional
+    to ``A_i r_{i+1}`` (indices mod ``L``), and ``l_0 = l`` forward,
+    ``l_i`` proportional to ``l_{i-1} A_{i-1}``.  The transitions are
+    ``Q_i(a, b) = A_i(a, b) r_{i+1}(b) / (A_i r_{i+1})(a)`` and the start at
+    ``w_i`` is ``l_i r_i``, normalised.  Once round the
     cycle ``r`` becomes ``M r`` and ``l`` becomes ``l M``; on the block these
     are ``rho r`` and ``rho l``, and off it they meet a zero of ``l`` or
     ``r``, so the starts are orbit consistent.  A row whose denominator is
@@ -504,7 +509,13 @@ def parry_measure(bundle: SymbolicBundle) -> MarkovMeasure:
     starts: list[np.ndarray | None] = [None] * bundle.base.omega_count
     for cyc in bundle.base.cycles():
         mats = [bundle.adjacency[w].astype(float) for w in cyc]
-        r, l = _perron_pair(cycle_product(mats, d)[0])
+        product = cycle_product(mats, d)[0]
+        block = perron_block(product)[1]
+        sub = product[np.ix_(block, block)]
+        r = np.zeros(d)
+        l = np.zeros(d)
+        r[block] = _perron_vector(sub)
+        l[block] = _perron_vector(sub.T)
         rs = [r] * len(cyc)
         for i in range(len(cyc) - 1, 0, -1):
             rs[i] = _normalised(mats[i] @ rs[(i + 1) % len(cyc)])
@@ -519,23 +530,6 @@ def parry_measure(bundle: SymbolicBundle) -> MarkovMeasure:
             transitions[w] = q
             starts[w] = _normalised(ls[i] * rs[i])
     return MarkovMeasure(bundle=bundle, transitions=tuple(transitions), starts=tuple(starts))
-
-
-def _perron_pair(product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left Perron vectors, normalised and zero elsewhere, of the
-    strongly connected block of ``product`` with the largest radius; ties
-    go to the first block in component order."""
-    radius, block = -math.inf, None
-    for comp in strongly_connected_components(product > 0):
-        values = np.linalg.eigvals(product[np.ix_(comp, comp)])
-        if values.real.max() > radius:
-            radius, block = values.real.max(), comp
-    sub = product[np.ix_(block, block)]
-    r = np.zeros(product.shape[0])
-    l = np.zeros(product.shape[0])
-    r[block] = _perron_vector(sub)
-    l[block] = _perron_vector(sub.T)
-    return r, l
 
 
 def _perron_vector(block: np.ndarray) -> np.ndarray:

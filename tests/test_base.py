@@ -1,5 +1,7 @@
+import glob
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,20 @@ from rdelab import (
     validate,
     word_count,
 )
-from rdelab.base import BundleError, Word, plain_sum, theta_cycles
+import rdelab.base as base_module
+from rdelab.base import (
+    BundleError,
+    Word,
+    WordListSizeError,
+    admissible_tuples,
+    cycle_product,
+    perron_block,
+    plain_sum,
+    strongly_connected_components,
+    theta_cycles,
+)
+from rdelab.harness import gen_instance
+from rdelab.instances import load_instance
 
 from conftest import enumerate_words
 
@@ -117,6 +132,23 @@ class TestAdmissibleWords:
     def test_matches_bruteforce_enumeration(self, gm, omega, span):
         got = [w.symbols for w in admissible_words(gm, omega, span)]
         assert got == enumerate_words(gm, omega, span[0], span[1] - span[0])
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_word_cap_trips_one_word_above_the_count(self, gm, monkeypatch, start):
+        # the window's words are counted through the matrices read from
+        # ``start`` on, and the cap is checked before any word is built
+        count = word_count(gm, gm.base.apply_theta(0, start), 5)
+        for cap in (count, count - 1):
+            fresh = SymbolicBundle(
+                base=gm.base, alphabet=gm.alphabet, adjacency=gm.adjacency
+            )
+            monkeypatch.setattr(base_module, "WORD_CAP", cap)
+            if cap == count:
+                assert len(admissible_tuples(fresh, 0, start, 5)) == count
+            else:
+                with pytest.raises(WordListSizeError, match=f"has {count} admissible"):
+                    admissible_tuples(fresh, 0, start, 5)
+                assert fresh._word_cache == {}
 
 
 class TestWordCount:
@@ -227,6 +259,95 @@ class TestGrowthRates:
         assert cycle_growth_rate(swapped).integrated == pytest.approx(
             cycle_growth_rate(gm).integrated, abs=1e-12
         )
+
+
+def _theta_cycles_under_test():
+    """``(bundle, cycle)`` for every theta-cycle of ``gen_instance`` seeds
+    0-199 and of the valid demo instances."""
+    bundles = [gen_instance(seed).bundle for seed in range(200)]
+    for path in sorted(glob.glob("demos/instances/*.json")):
+        if "broken" not in path:
+            bundles.append(load_instance(path).bundle)
+    for bundle in bundles:
+        for cyc in bundle.base.cycles():
+            yield bundle, cyc
+
+
+def _int_product(bundle, cyc):
+    """The cycle product ``A(w_0) .. A(w_{L-1})`` in Python ints."""
+    d = bundle.alphabet_size
+    prod = [[int(i == j) for j in range(d)] for i in range(d)]
+    for w in cyc:
+        a = bundle.adjacency[w].tolist()
+        prod = [[sum(x * a[k][j] for k, x in enumerate(row)) for j in range(d)] for row in prod]
+    return prod
+
+
+def _collatz_wielandt(prod):
+    """Exact ``[max_b min_i (Bx)_i/x_i, max_b max_i (Bx)_i/x_i]`` over the
+    strongly connected blocks ``B`` of the integer matrix ``prod``, with ``x``
+    the block's numpy Perron vector read as a positive ``Fraction`` vector."""
+    lo = hi = Fraction(0)
+    for comp in strongly_connected_components(np.array(prod) > 0):
+        block = np.array([[prod[i][j] for j in comp] for i in comp], dtype=float)
+        values, vectors = np.linalg.eig(block)
+        x = [Fraction(float(v)) for v in np.abs(vectors[:, np.argmax(values.real)].real)]
+        assert min(x) > 0
+        ratios = [
+            sum(prod[i][j] * xj for j, xj in zip(comp, x)) / xi
+            for i, xi in zip(comp, x)
+        ]
+        lo, hi = max(lo, min(ratios)), max(hi, max(ratios))
+    return lo, hi
+
+
+def test_spectral_radius_lies_in_the_exact_collatz_wielandt_bracket():
+    outside = []
+    for bundle, cyc in _theta_cycles_under_test():
+        prod = _int_product(bundle, cyc)
+        lo, hi = _collatz_wielandt(prod)
+        radius = Fraction(spectral_radius(np.array(prod, dtype=float)))
+        slack = Fraction(16 * math.ulp(float(hi)))
+        if not lo - slack <= radius <= hi + slack:
+            outside.append((cyc, float(radius), float(lo), float(hi)))
+    assert outside == []
+
+
+def test_parry_block_radius_is_the_cycle_rate():
+    # the Parry family's block and the spectral rate come from one routine,
+    # so the block's radius gives the cycle rate bit for bit
+    rates = {}
+    for bundle, cyc in _theta_cycles_under_test():
+        if id(bundle) not in rates:
+            rates[id(bundle)] = {c.omegas: c.rate for c in cycle_growth_rate(bundle).cycles}
+        mats = [bundle.adjacency[w].astype(float) for w in cyc]
+        prod, exponent = cycle_product(mats, bundle.alphabet_size)
+        radius = perron_block(prod)[0]
+        log_rho = math.log(radius) + exponent * math.log(2) if radius > 0 else -math.inf
+        assert log_rho / len(cyc) == rates[id(bundle)][cyc]
+
+
+class TestPerronBlock:
+    def test_an_exact_tie_goes_to_the_first_block_in_component_order(self):
+        # Tarjan closes the block {1} before {0}; both have radius 1
+        m = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert strongly_connected_components(m > 0) == [[1], [0]]
+        assert perron_block(m) == (1.0, [1])
+
+    def test_a_strict_top_block_of_a_block_triangular_matrix(self):
+        m = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        radius, block = perron_block(m)
+        assert block == [1, 2]
+        assert radius == pytest.approx(2.0, rel=1e-15)
+
+    def test_a_zero_block_has_radius_zero(self):
+        assert perron_block(np.zeros((1, 1))) == (0.0, [0])
+        assert spectral_radius(np.zeros((1, 1))) == 0.0
+        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+    def test_spectral_radius_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            spectral_radius(np.zeros((0, 0)))
 
 
 def test_plain_sum_adds_left_to_right():

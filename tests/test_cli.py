@@ -335,6 +335,27 @@ class TestVerify:
         assert res.exit_code == 0
         assert "suite ok" in res.output
 
+    def test_words_vs_counts_trips_the_word_cap_on_a_large_alphabet(self, tmp_path):
+        # a one-fiber full shift on 40 symbols has 40**4 > WORD_CAP words of
+        # length 4; the check lists them, so the count stops it before any
+        # is built
+        d = 40
+        doc = {
+            "alphabet": [f"s{i}" for i in range(d)],
+            "omega": ["w0"],
+            "theta": [0],
+            "P": [1.0],
+            "adjacency": {"w0": [[1] * d] * d},
+        }
+        path = tmp_path / "full40.json"
+        path.write_text(json.dumps(doc))
+        res = run("verify", "--file", str(path), "--only", "words-vs-counts")
+        assert res.exit_code == 4
+        assert (
+            "guard exceeded: window [0, 4) of fiber w0 has 2560000 admissible "
+            "words (cap 1000000)" in res.output
+        )
+
     def test_file_driven_corpus(self):
         res = run(
             "verify", "--file", GOLDEN, "--only",

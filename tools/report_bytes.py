@@ -28,7 +28,11 @@ cover and block step ``M`` in 1..3 reads ``block_power_system(cover, M)``
 directly: its ``block_alphabet_sizes()``, ``block_word_count(omega, k)`` for
 every fiber and ``k`` in 1..3, and the ``float.hex`` values of
 ``h_value_sequence(mu, 2, mode)`` for every measure in both modes, or the type
-name of the error a call raises.
+name of the error a call raises.  Then one ``perron`` line per valid demo
+instance and per ``harness.gen_instance`` seed 0..19: the ``float.hex`` of
+every cycle rate of ``cycle_growth_rate``, and the sha256 of the transition
+and of the start bytes of ``parry_measure``, or the type name of the error
+it raises.
 
 Two checkouts give the same reports exactly when ``diff`` of their outputs is
 empty.
@@ -62,6 +66,22 @@ def hex_sequence(ps, mu, mode):
         return type(exc).__name__
 
 
+def perron_line(label, bundle):
+    """The ``perron`` line of one bundle: its cycle rates as ``float.hex`` and
+    the sha256 of its Parry family's transitions and starts."""
+    from rdelab.base import cycle_growth_rate
+    from rdelab.measures import parry_measure
+
+    rates = [c.rate.hex() for c in cycle_growth_rate(bundle).cycles]
+    try:
+        mu = parry_measure(bundle)
+        family = [sha(b"".join(m.tobytes() for m in part))
+                  for part in (mu.transitions, mu.starts)]
+    except Exception as exc:  # the line records which error, not its text
+        family = [type(exc).__name__]
+    print("perron", label, rates, *family, flush=True)
+
+
 def main(argv) -> int:
     if len(argv) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -74,6 +94,7 @@ def main(argv) -> int:
     import workloads
     from rdelab.covers import PositionedPartition
     from rdelab.entropy import block_power_system
+    from rdelab.harness import gen_instance
     from rdelab.instances import load_instance
 
     cli = run.import_cli()
@@ -145,6 +166,11 @@ def main(argv) -> int:
                           for m in sorted(inst.measures) for mode in ("general", "product")]
                 print("power", os.path.basename(path), cover, steps,
                       ps.block_alphabet_sizes(), counts, *values, flush=True)
+    for path in demos:
+        if "broken" not in os.path.basename(path):
+            perron_line(os.path.basename(path), load_instance(path).bundle)
+    for seed in range(20):
+        perron_line(f"gen_instance {seed}", gen_instance(seed).bundle)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for demo in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         res = subprocess.run([sys.executable, demo], cwd=root, env=env,
