@@ -352,19 +352,26 @@ def admissible_tuples(
         return hit
     d = bundle.alphabet_size
     mats = [bundle.matrix_at(omega, start + c) for c in range(length - 1)]
-    count = transfer_count(mats, d)
-    if count > WORD_CAP:
-        raise WordListSizeError(
-            f"window [{start}, {start + length}) of fiber "
-            f"{bundle.base.labels[omega]} has {count} admissible words "
-            f"(cap {WORD_CAP})"
-        )
+    _check_word_count(bundle, omega, start, length, transfer_count(mats, d))
     words: list[tuple[int, ...]] = [(a,) for a in range(d)]
     for mat in mats:
         words = [w + (b,) for w in words for b in range(d) if mat[w[-1], b]]
     result = tuple(sorted(words))
     cache[key] = result
     return result
+
+
+def _check_word_count(
+    bundle: SymbolicBundle, omega: int, start: int, length: int, count: int
+) -> None:
+    """Raise :class:`WordListSizeError` when ``count``, the number of admissible
+    words on [start, start+length) in fiber ``omega``, exceeds :data:`WORD_CAP`."""
+    if count > WORD_CAP:
+        raise WordListSizeError(
+            f"window [{start}, {start + length}) of fiber "
+            f"{bundle.base.labels[omega]} has {count} admissible words "
+            f"(cap {WORD_CAP})"
+        )
 
 
 def admissible_words(

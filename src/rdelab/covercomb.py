@@ -13,17 +13,24 @@ construction over the cell labels of admissible words, without building the
 joins; :mod:`rdelab.entropy` reads a partition's join entropies from the same
 labels, so a partition's joins are never built.
 
-The count and separated-set routines serve every fiber at once: each
-``(cover, n)`` has one join, built once.  :func:`cover_count` returns, for
-``n = 1..nmax``, one tuple of per-fiber minimal subcover counts of the
-``n``-step join, and :func:`maximal_multi_separated` one word tuple per fiber.
+The count and separated-set routines serve every fiber at once.
+:func:`cover_count` returns, for ``n = 1..nmax``, one tuple of per-fiber
+minimal subcover counts of the ``n``-step join, and neither kind of cover
+builds a join to count: a cover's joined elements are walked as bitmasks over
+the joined window's words in colex order, step by step.
+:func:`min_subcover_count` counts a cover it is given, built joins included,
+and :func:`maximal_multi_separated` builds its joins, each once for all fibers,
+and returns one word tuple per fiber.
 
 The branch-and-bound memo is per call.  Two tables outlive a call, both on
-objects the caller passes in: :func:`partition_join_counts` memoizes through
-:meth:`~rdelab.covers.PositionedPartition.cell_of` into the partition's
-``_mcache``, one own-window cell map per fiber, and :func:`_section_masks`
-enumerates words through :func:`~rdelab.base.admissible_tuples`, which
-memoizes them in the bundle's ``_word_cache``.
+objects the caller passes in: :func:`partition_join_counts` and the cover
+walk memoize through :meth:`~rdelab.covers.PositionedPartition.cell_of` and
+:meth:`~rdelab.covers.PositionedCover.membership` into the cover's
+``_mcache``, one own-window map per fiber, and :func:`_section_masks` and the
+walk enumerate the cover window's words through
+:func:`~rdelab.base.admissible_tuples`, which memoizes them in the bundle's
+``_word_cache``.  The walk counts its joined windows' words without listing
+them.
 """
 
 from __future__ import annotations
@@ -31,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .base import admissible_tuples
+from .base import _check_word_count, admissible_tuples
 from .covers import (
     PositionedCover,
     PositionedPartition,
     check_join_size,
     is_finer,
-    join_sequence,
     range_join,
 )
 
@@ -288,25 +294,124 @@ def partition_join_counts(p: PositionedPartition, omega: int, steps: int) -> lis
     return counts
 
 
+def _extend(runs: list, mat: list) -> tuple[list, list]:
+    """One step of the colex walk: the runs of the next window, and the moves
+    that lift a mask over the window's words onto the next window's.
+
+    ``runs`` lists ``[suffix, count]`` in colex order (last symbol first): the
+    window's words grouped by their last cover-length symbols, each group
+    contiguous.  The next window's words ending in ``b`` are, for each ``a``
+    with ``mat[a][b]`` in turn, the words ending in ``a`` with ``b``
+    appended, in order; a move ``(offset, full, position)`` carries that
+    block of bits.
+    """
+    blocks: dict = {}  # last symbol -> [offset, count, runs], in symbol order
+    pos = 0
+    for run in runs:
+        block = blocks.setdefault(run[0][-1], [pos, 0, []])
+        block[1] += run[1]
+        block[2].append(run)
+        pos += run[1]
+    out: list = []
+    moves = []
+    pos = 0
+    for b in range(len(mat)):
+        for a, (off, count, block) in blocks.items():
+            if not mat[a][b]:
+                continue
+            moves.append((off, (1 << count) - 1, pos))
+            pos += count
+            for s, c in block:
+                t = s[1:] + (b,)
+                if out and out[-1][0] == t:
+                    out[-1][1] += c  # runs that differ in their first symbol only
+                else:
+                    out.append([t, c])
+    return out, moves
+
+
+def _run_masks(runs: list, membership: dict, k: int) -> list[int]:
+    """The nonzero masks of the ``k`` cover elements over words in ``runs``,
+    an element holding a word when its section holds the word's suffix."""
+    masks = [0] * k
+    pos = 0
+    for s, c in runs:
+        bits = ((1 << c) - 1) << pos
+        for e in membership[s]:
+            masks[e] |= bits
+        pos += c
+    return [m for m in masks if m]
+
+
+def _walk_counts(cover: PositionedCover, nmax: int) -> list[tuple[int, ...]]:
+    """:func:`cover_count` of a cover that is not a partition, with no join
+    built.
+
+    The join size is checked first, and step 0 is :func:`min_subcover_count`
+    of the cover itself.  After it, each
+    fiber keeps the runs of its joined window (see :func:`_extend`) and one
+    mask per joined element nonempty in the fiber, its words as bits in colex
+    order.  Step ``k`` lifts each mask onto the next window and ANDs it with
+    the element masks of the cover at ``theta^k omega``, read on the words'
+    last cover-length symbols (admissible words transport).  These are the
+    built join's masks up to one bit permutation, so every count and guard is
+    that of the join: each window's word count is checked in every fiber
+    before the step's counts, then each fiber is counted in turn.
+    """
+    check_join_size(cover, nmax)
+    bundle = cover.bundle
+    fibers = range(bundle.base.omega_count)
+    k = cover.element_count
+    rows = [tuple(min_subcover_count(cover, omega) for omega in fibers)]
+    walks = []
+    for omega in fibers:
+        words = admissible_tuples(bundle, omega, cover.start, cover.length)
+        runs = [[w, 1] for w in sorted(words, key=lambda w: w[::-1])]
+        walks.append((runs, _run_masks(runs, cover.membership(omega), k)))
+    for step in range(1, nmax):
+        stop = cover.stop + step
+        grown = []
+        for omega in fibers:
+            mat = bundle.matrix_at(omega, stop - 2).tolist()
+            runs, moves = _extend(walks[omega][0], mat)
+            size = sum(c for _, c in runs)
+            _check_word_count(bundle, omega, cover.start, stop - cover.start, size)
+            grown.append((runs, moves, size))
+        row = []
+        for omega, (runs, moves, size) in zip(fibers, grown):
+            pulled = _run_masks(
+                runs, cover.membership(bundle.base.apply_theta(omega, step)), k
+            )
+            live = []
+            for m in walks[omega][1]:
+                up = 0
+                for off, full, pos in moves:
+                    up |= (m >> off & full) << pos
+                live.extend(x for p in pulled if (x := up & p))
+            walks[omega] = (runs, live)
+            row.append(exact_min_cover(size, live))
+        rows.append(tuple(row))
+    return rows
+
+
 def cover_count(cover: PositionedCover, nmax: int) -> list[tuple[int, ...]]:
     """Minimal subcover counts of the ``n``-step joined pullbacks of the cover
     for ``n = 1..nmax``: one tuple per step, one count per fiber.
 
-    A partition's counts are its nonempty joined cells, counted by
-    :func:`partition_join_counts` without building the joins; for
+    Neither kind of cover builds a join to count.  A partition's counts are
+    its nonempty joined cells, counted by :func:`partition_join_counts`; for
     singleton-cell partitions they are admissible word counts over the joined
-    window.  A cover's come from one :func:`~rdelab.covers.join_sequence` and
-    :func:`min_subcover_count`.  Both check the join size first.
+    window.  A cover's come from a bitmask walk over the joined windows'
+    words (:func:`_walk_counts`), one :func:`exact_min_cover` per step and
+    fiber, equal to :func:`min_subcover_count` of each built join, with the
+    same guards at the same step and fiber.  Both check the join size first.
     """
     if nmax < 1:
         raise ValueError("need nmax >= 1")
     fibers = range(cover.bundle.base.omega_count)
     if isinstance(cover, PositionedPartition):
         return list(zip(*(partition_join_counts(cover, omega, nmax) for omega in fibers)))
-    return [
-        tuple(min_subcover_count(joined, omega) for omega in fibers)
-        for joined in join_sequence(cover, nmax)
-    ]
+    return _walk_counts(cover, nmax)
 
 
 def maximal_multi_separated(

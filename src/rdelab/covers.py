@@ -18,11 +18,12 @@ the fibers, which keeps the union).
 Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
 incremental loop, :func:`join_sequence`, which checks the cap
 :data:`ELEMENT_CAP` on index tuples (:func:`check_join_size`) before building
-anything.  The nonempty-cell counts and conditional entropies of a
-partition's joins need no join at all:
-:func:`rdelab.covercomb.partition_join_counts` and the partition reports of
-:mod:`rdelab.entropy` read them from the cell labels of admissible words,
-under the same cap check.
+anything.  Counting needs no join at all, under the same cap check: the
+nonempty-cell counts and conditional entropies of a partition's joins come
+from the cell labels of admissible words
+(:func:`rdelab.covercomb.partition_join_counts` and the partition reports of
+:mod:`rdelab.entropy`), and the minimal subcover counts of any cover's joins
+from :func:`rdelab.covercomb.cover_count`'s bitmask walk.
 
 Covers are frozen dataclasses and every operation returns a new cover, with
 one exception: each cover memoizes, in a per-object dict (``_mcache``,

@@ -1,6 +1,7 @@
 import builtins
 import json
 import math
+import time
 
 import pytest
 import numpy as np
@@ -417,6 +418,49 @@ class TestVerify:
         res = run("topent", str(bad), "--cover", "x", "--nmax", "1")
         assert res.exit_code == 3
         assert "schema error" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, window, words",
+    [
+        (["topent", "--cover", "overlap"], 4, 40**4),
+        (["measent", "--measure", "uniform", "--cover", "overlap"], 6, 40**6),
+        (["measent", "--measure", "uniform", "--cover", "overlap", "--kind", "plus"],
+         6, 40**6),
+    ],
+)
+def test_counts_and_measures_trip_the_word_cap_on_a_large_alphabet(
+    args, window, words, tmp_path
+):
+    # the same one-fiber full shift on 40 symbols, with a two-element
+    # cover and the uniform measure: the first window over WORD_CAP
+    # stops each command, and no word list of it is built
+    d = 40
+    names = [f"s{i}" for i in range(d)]
+    doc = {
+        "alphabet": names,
+        "omega": ["w0"],
+        "theta": [0],
+        "P": [1.0],
+        "adjacency": {"w0": [[1] * d] * d},
+        "covers": {
+            "overlap": {
+                "window": 1,
+                "product": [[[s] for s in names[:21]], [[s] for s in names[20:]]],
+            }
+        },
+        "measures": {"uniform": {"Q": {"w0": [[1 / d] * d] * d}}},
+    }
+    path = tmp_path / "full40.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    res = run(args[0], str(path), *args[1:])
+    assert time.perf_counter() - start < 30
+    assert res.exit_code == 4
+    assert (
+        f"guard exceeded: window [0, {window}) of fiber w0 has {words} admissible "
+        "words (cap 1000000)" in res.output
+    )
 
 
 PLAIN_SUM = builtins.sum

@@ -17,6 +17,10 @@ from rdelab import (
     trivial_cover,
     zero_cylinders,
 )
+import rdelab.base as base_module
+import rdelab.covercomb as covercomb
+import rdelab.covers as covers_module
+from rdelab import ProbBase, SymbolicBundle, presets
 from rdelab.base import admissible_tuples
 from rdelab.base import plain_sum
 from rdelab.covercomb import (
@@ -29,6 +33,7 @@ from rdelab.covercomb import (
 )
 from rdelab.covers import (
     JoinSizeError,
+    PositionedCover,
     PositionedPartition,
     join_sequence,
     per_fiber_cover,
@@ -37,7 +42,7 @@ from rdelab.entropy import topological_cover_entropy
 from rdelab.harness import gen_instance
 from rdelab.instances import load_instance
 
-from conftest import brute_min_cover, small_cover
+from conftest import alphabet2_bundle, brute_min_cover, small_cover
 
 
 class TestExactMinCover:
@@ -349,3 +354,192 @@ class TestPartitionJoinCounts:
             with pytest.raises(JoinSizeError) as got:
                 call()
             assert str(got.value) == str(want.value) == "join would create 2^10 elements (cap 100)"
+
+
+def built_join_counts(cover, nmax):
+    """Reference: the minimal subcover counts of the built joins, per step
+    and fiber."""
+    fibers = range(cover.bundle.base.omega_count)
+    return [
+        tuple(min_subcover_count(joined, omega) for omega in fibers)
+        for joined in join_sequence(cover, nmax)
+    ]
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def alphabet3_covers():
+    """Overlapping covers of an alphabet-3 bundle whose base is a 3-cycle and
+    a fixed point, on windows of one and two coordinates."""
+    b = SymbolicBundle(
+        base=ProbBase(weights=(0.2, 0.2, 0.2, 0.4), theta=(1, 2, 0, 3)),
+        alphabet=("a", "b", "c"),
+        adjacency=tuple(
+            np.array(m, dtype=np.int8)
+            for m in (
+                [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                [[1, 1, 1], [1, 0, 0], [0, 1, 1]],
+                [[0, 1, 1], [1, 1, 0], [1, 1, 1]],
+                [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+            )
+        ),
+    )
+    pairs = list(itertools.product(range(3), repeat=2))
+    return [
+        product_cover(b, [[(0,), (1,)], [(1,), (2,)], [(2,), (0,)]]),
+        product_cover(
+            b, [[w for w in pairs if w[0] <= w[1]], [w for w in pairs if w[0] >= w[1]]],
+            start=1,
+        ),
+        per_fiber_cover(
+            b,
+            [
+                [[(0,), (1,)], [(0,)], [(0,), (2,)], [(1,)]],
+                [[(2,)], [(1,), (2,)], [(1,), (2,)], [(0,), (2,)]],
+                [[(1,)], [(0,), (2,)], [(1,)], [(0,), (1,)]],
+            ],
+        ),
+    ]
+
+
+def walk_cases():
+    """Every non-partition cover of the demo instances, of ``gen_instance``
+    seeds 0-99 and of the alphabet-3 bundle."""
+    for path in DEMOS:
+        inst = load_instance(path)
+        covers = [inst.covers[name] for name in sorted(inst.covers)]
+        yield pytest.param(covers, id=path[15:-5])
+    for seed in range(100):
+        inst = gen_instance(seed)
+        covers = [inst.covers[name] for name in sorted(inst.covers)]
+        yield pytest.param(covers, id=f"gen{seed}")
+    yield pytest.param(alphabet3_covers(), id="alphabet3")
+
+
+class TestCoverCountWalk:
+    """A cover's counts come from a bitmask walk over the joined windows'
+    words; the built joins are the reference, values and guards alike."""
+
+    @pytest.mark.parametrize("covers", list(walk_cases()))
+    def test_matches_the_built_joins(self, covers):
+        walked = [c for c in covers if not isinstance(c, PositionedPartition)]
+        for cover in walked:
+            for nmax in range(1, 6):
+                assert outcome(lambda: cover_count(cover, nmax)) == outcome(
+                    lambda: built_join_counts(cover, nmax)
+                )
+
+    def test_cases_reach_long_cycles_and_alphabet_3(self):
+        bundles = [
+            c.bundle
+            for param in walk_cases()
+            for c in param.values[0]
+            if not isinstance(c, PositionedPartition)
+        ]
+        assert max(max(map(len, b.base.cycles())) for b in bundles) >= 3
+        assert max(b.alphabet_size for b in bundles) == 3
+
+    def test_join_size_guard_comes_before_any_work(self, monkeypatch):
+        u = product_cover(presets.alternating_golden_mean(), [[(0,), (1,)], [(1,)]])
+        monkeypatch.setattr(covers_module, "ELEMENT_CAP", 100)
+        want = outcome(lambda: built_join_counts(u, 10))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work done before the size check")
+
+        for owner, name in [
+            (covers_module, "join"),
+            (covercomb, "min_subcover_count"),
+            (covercomb, "exact_min_cover"),
+            (covercomb, "admissible_tuples"),
+            (PositionedCover, "membership"),
+        ]:
+            monkeypatch.setattr(owner, name, fail)
+        assert outcome(lambda: cover_count(u, 10)) == want == (
+            JoinSizeError, "join would create 2^10 elements (cap 100)"
+        )
+
+    @pytest.mark.parametrize("cap", range(2, 40))
+    def test_word_cap_trips_at_the_same_window_and_fiber(self, cap, monkeypatch):
+        # fiber w1 reads the full shift first, so it outgrows fiber w0; each
+        # path runs on a bundle of its own, whose word lists are not cached
+        def cover():
+            b = alphabet2_bundle((1, 0), [[[1, 1], [1, 0]], [[1, 1], [1, 1]]])
+            return product_cover(b, [[(0,), (1,)], [(1,)]])
+
+        monkeypatch.setattr(base_module, "WORD_CAP", cap)
+        got = outcome(lambda: cover_count(cover(), 8))
+        want = outcome(lambda: built_join_counts(cover(), 8))
+        assert got == want
+        assert got[0] is base_module.WordListSizeError
+
+    def test_word_cap_trips_in_a_later_fiber(self, monkeypatch):
+        # fiber w0 has 3 words of length 2 and fiber w1 has 4, so a cap of 3
+        # trips in fiber w1 at the first joined window
+        b = alphabet2_bundle((1, 0), [[[1, 1], [1, 0]], [[1, 1], [1, 1]]])
+        monkeypatch.setattr(base_module, "WORD_CAP", 3)
+        u = product_cover(b, [[(0,), (1,)], [(1,)]])
+        assert outcome(lambda: cover_count(u, 8)) == (
+            base_module.WordListSizeError,
+            "window [0, 2) of fiber w1 has 4 admissible words (cap 3)",
+        )
+
+    def test_set_cover_guard_trips_at_the_same_step_and_fiber(self, monkeypatch):
+        # fiber 1 trips at step 2 and fiber 0 only at step 3, so both paths
+        # stop at their sixth solve, step 2 of fiber 1
+        u = gen_instance(9).covers["U0"]
+        assert u.bundle.base.omega_count == 2
+        monkeypatch.setattr(
+            exact_min_cover, "__defaults__", (SolverLimits(universe_max=2, elems_max=2),)
+        )
+        real = covercomb.exact_min_cover
+        sizes = []
+
+        def recording(universe_size, masks, *args):
+            sizes.append(universe_size)
+            return real(universe_size, masks, *args)
+
+        monkeypatch.setattr(covercomb, "exact_min_cover", recording)
+        got = outcome(lambda: cover_count(u, 5))
+        walked, sizes[:] = sizes[:], []
+        want = outcome(lambda: built_join_counts(u, 5))
+        assert got == want
+        assert got[0] is SetCoverSizeError
+        assert walked == sizes and len(sizes) == 6
+
+    def test_every_fibers_word_cap_comes_before_the_steps_counts(self, monkeypatch):
+        # at step 3 the solve of fiber 1 trips, but fiber 3's window has 32
+        # words, over a cap of 20: a built join lists every fiber's words
+        # before any count, so the word cap trips first
+        got_cover, want_cover = gen_instance(0).covers["U0"], gen_instance(0).covers["U0"]
+        monkeypatch.setattr(
+            exact_min_cover, "__defaults__", (SolverLimits(universe_max=2, elems_max=2),)
+        )
+        monkeypatch.setattr(base_module, "WORD_CAP", 20)
+        got = outcome(lambda: cover_count(got_cover, 5))
+        assert got == outcome(lambda: built_join_counts(want_cover, 5))
+        assert got[0] is base_module.WordListSizeError and "has 32 admissible" in got[1]
+
+    def test_uncovered_item_reads_as_the_lexicographic_index(self):
+        # fiber w1's words are (0,0), (0,1), (1,0) and no element holds
+        # (1,0): its lexicographic index is 2, its colex index 1
+        gm = presets.alternating_golden_mean()
+        u = PositionedCover(
+            bundle=gm,
+            start=0,
+            length=2,
+            sections=(
+                (frozenset({(0, 0), (0, 1), (1, 0)}), frozenset({(0, 0)})),
+                (frozenset({(0, 1), (1, 1)}), frozenset({(0, 1)})),
+            ),
+            check=False,
+        )
+        got = outcome(lambda: cover_count(u, 3))
+        assert got == outcome(lambda: built_join_counts(u, 3))
+        assert got == (UncoveredUniverseError, "universe item 2 is uncovered")

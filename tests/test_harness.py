@@ -213,11 +213,11 @@ class TestSuite:
             for inst in corpus
         )
         assert joined_covers < sum(len(inst.covers) for inst in corpus)
-        # N-1 joins per h_minus_report of a non-partition cover and N-1 per
-        # such cover for the complexities (a partition's entropies and counts
-        # come from cell labels, without joins), where one range_join per
-        # step would take N(N-1)/2 per pair
-        assert len(calls) == (cover_pairs + joined_covers) * (n - 1)
+        # N-1 joins per h_minus_report of a non-partition cover, where one
+        # range_join per step would take N(N-1)/2 per pair; the complexities
+        # build none (a cover's counts come from the bitmask walk, a
+        # partition's entropies and counts from cell labels)
+        assert len(calls) == cover_pairs * (n - 1)
         # the margins are those of one fresh range_join per step
         worst = min(
             top + harness.TOLERANCE - val * k
@@ -236,14 +236,14 @@ class TestSuite:
     @pytest.mark.parametrize(
         "routine, joins",
         [
-            # 3 joins of one sequence
-            ("cover_count", 3),
+            # none: the counts come from the bitmask walk
+            ("cover_count", 0),
             # 3 range joins of 3 steps: the cover's and its 2 refinements'
             ("maximal_multi_separated", 9),
-            # at n = 2: the separated sets' 3 range joins of n**2 = 4 steps,
-            # the counts' one sequence of 6 steps (the pulled counts are its
-            # 4-step row) and one sequence of 6 steps per refinement
-            ("witness_measures", 12 + 5 + 2 * 5),
+            # at n = 2: the separated sets' 3 range joins of n**2 = 4 steps
+            # and one sequence of 6 steps per refinement (the counts build
+            # none)
+            ("witness_measures", 12 + 2 * 5),
         ],
     )
     def test_each_count_builds_its_joins_once_for_all_fibers(

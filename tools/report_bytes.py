@@ -28,7 +28,10 @@ cover and block step ``M`` in 1..3 reads ``block_power_system(cover, M)``
 directly: its ``block_alphabet_sizes()``, ``block_word_count(omega, k)`` for
 every fiber and ``k`` in 1..3, and the ``float.hex`` values of
 ``h_value_sequence(mu, 2, mode)`` for every measure in both modes, or the type
-name of the error a call raises.  Then one ``perron`` line per valid demo
+name of the error a call raises.  Then one ``count`` line per cover that is
+not a partition, of each valid demo instance and of ``harness.gen_instance``
+seeds 0..19: ``covercomb.cover_count(cover, 6)``, or the type name of the
+error it raises.  Then one ``perron`` line per valid demo
 instance and per ``harness.gen_instance`` seed 0..19: the ``float.hex`` of
 every cycle rate of ``cycle_growth_rate``, and the sha256 of the transition
 and of the start bytes of ``parry_measure``, or the type name of the error
@@ -64,6 +67,22 @@ def hex_sequence(ps, mu, mode):
         return [v.hex() for _, v in ps.h_value_sequence(mu, 2, mode).sequence]
     except Exception as exc:  # the line records which error, not its text
         return type(exc).__name__
+
+
+def count_lines(label, covers):
+    """The ``count`` lines of one instance: ``cover_count(cover, 6)`` of each
+    cover that is not a partition, or the type name of the error it raises."""
+    from rdelab.covercomb import cover_count
+    from rdelab.covers import PositionedPartition
+
+    for name in sorted(covers):
+        if isinstance(covers[name], PositionedPartition):
+            continue
+        try:
+            counts = cover_count(covers[name], 6)
+        except Exception as exc:  # the line records which error, not its text
+            counts = type(exc).__name__
+        print("count", label, name, counts, flush=True)
 
 
 def perron_line(label, bundle):
@@ -166,6 +185,11 @@ def main(argv) -> int:
                           for m in sorted(inst.measures) for mode in ("general", "product")]
                 print("power", os.path.basename(path), cover, steps,
                       ps.block_alphabet_sizes(), counts, *values, flush=True)
+    for path in demos:
+        if "broken" not in os.path.basename(path):
+            count_lines(os.path.basename(path), load_instance(path).covers)
+    for seed in range(20):
+        count_lines(f"gen_instance {seed}", gen_instance(seed).covers)
     for path in demos:
         if "broken" not in os.path.basename(path):
             perron_line(os.path.basename(path), load_instance(path).bundle)
