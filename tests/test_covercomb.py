@@ -5,22 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rdelab.base as base_module
+import rdelab.covercomb as covercomb
+import rdelab.covers as covers_module
 from rdelab import (
+    ProbBase,
+    SymbolicBundle,
     cover_count,
     exact_min_cover,
     global_min_subcover_count,
     maximal_multi_separated,
     min_subcover_count,
+    presets,
     product_cover,
     product_partitions_finer,
     range_join,
     trivial_cover,
     zero_cylinders,
 )
-import rdelab.base as base_module
-import rdelab.covercomb as covercomb
-import rdelab.covers as covers_module
-from rdelab import ProbBase, SymbolicBundle, presets
 from rdelab.base import admissible_tuples
 from rdelab.base import plain_sum
 from rdelab.covercomb import (
@@ -507,7 +509,8 @@ class TestCoverCountWalk:
 
         monkeypatch.setattr(covercomb, "exact_min_cover", recording)
         got = outcome(lambda: cover_count(u, 5))
-        walked, sizes[:] = sizes[:], []
+        walked = list(sizes)
+        sizes.clear()
         want = outcome(lambda: built_join_counts(u, 5))
         assert got == want
         assert got[0] is SetCoverSizeError
