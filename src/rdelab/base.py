@@ -296,13 +296,14 @@ def _bundle_violations(bundle: SymbolicBundle) -> list[Violation]:
                 )
             )
             continue
-        if not np.isin(mat, (0, 1)).all():
+        rows = mat.tolist()
+        if not all(x in (0, 1) for row in rows for x in row):
             out.append(
                 Violation("not-binary", f"adjacency of fiber {name} has entries outside 0/1", omega=omega)
             )
             continue
-        for r in range(d):
-            if mat[r].sum() == 0:
+        for r, row in enumerate(rows):
+            if not any(row):
                 out.append(
                     Violation(
                         "dead-row",
@@ -311,8 +312,8 @@ def _bundle_violations(bundle: SymbolicBundle) -> list[Violation]:
                         index=r,
                     )
                 )
-        for c in range(d):
-            if mat[:, c].sum() == 0:
+        for c, col in enumerate(zip(*rows)):
+            if not any(col):
                 out.append(
                     Violation(
                         "dead-column",

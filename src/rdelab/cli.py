@@ -55,7 +55,7 @@ def _schema_checked(fn):
 
 
 def _load(path, check=True):
-    return _schema_checked(lambda: load_instance(path, check=check))
+    return _solve(lambda: load_instance(path, check=check))
 
 
 def _pick(mapping, name, kind):
@@ -75,8 +75,9 @@ def _guarded(fn):
 
 
 def _solve(read):
-    """``read()`` of a loaded file's measures, which solves them: a solve that
-    fails its checks is a schema error, and a tripped guard exits 4."""
+    """``read()`` of a file, which loads it, or of a loaded file's measures,
+    which solves them: a load or solve that fails its checks is a schema
+    error, and a tripped guard exits 4."""
     return _guarded(lambda: _schema_checked(read))
 
 

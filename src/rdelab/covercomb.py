@@ -13,24 +13,27 @@ construction over the cell labels of admissible words, without building the
 joins; :mod:`rdelab.entropy` reads a partition's join entropies from the same
 labels, so a partition's joins are never built.
 
-The count and separated-set routines serve every fiber at once.
-:func:`cover_count` returns, for ``n = 1..nmax``, one tuple of per-fiber
-minimal subcover counts of the ``n``-step join, and neither kind of cover
-builds a join to count: a cover's joined elements are walked as bitmasks over
-the joined window's words in colex order, step by step.
-:func:`min_subcover_count` counts a cover it is given, built joins included,
-and :func:`maximal_multi_separated` builds its joins, each once for all fibers,
-and returns one word tuple per fiber.
+The count and separated-set routines serve every fiber at once, and none
+builds a join.  :func:`cover_count` returns, for ``n = 1..nmax``, one tuple
+of per-fiber minimal subcover counts of the ``n``-step join: a cover's joined
+elements are walked as bitmasks over the joined window's words in colex
+order, step by step.  :func:`maximal_multi_separated` returns one word tuple
+per fiber, reading each word's joined cells from labels built step by step
+from the cell maps (:func:`_join_labels`, which the witness construction of
+:mod:`rdelab.variational` reads too), and its floor from :func:`cover_count`.
+:func:`min_subcover_count` counts a cover it is given, built joins included.
 
 The branch-and-bound memo is per call.  Two tables outlive a call, both on
-objects the caller passes in: :func:`partition_join_counts` and the cover
-walk memoize through :meth:`~rdelab.covers.PositionedPartition.cell_of` and
+objects the caller passes in: :func:`partition_join_counts`, the cover walk
+and :func:`_join_labels` memoize through
+:meth:`~rdelab.covers.PositionedPartition.cell_of` and
 :meth:`~rdelab.covers.PositionedCover.membership` into the cover's
-``_mcache``, one own-window map per fiber, and :func:`_section_masks` and the
-walk enumerate the cover window's words through
+``_mcache``, one own-window map per fiber, and :func:`_section_masks`, the
+walk and :func:`_join_labels` enumerate words through
 :func:`~rdelab.base.admissible_tuples`, which memoizes them in the bundle's
-``_word_cache``.  The walk counts its joined windows' words without listing
-them.
+``_word_cache``: the cover window's, and the label routine's joined windows,
+the lists a built join would read.  The walk counts its joined windows' words
+without listing them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .covers import (
     PositionedPartition,
     check_join_size,
     is_finer,
-    range_join,
 )
 
 __all__ = [
@@ -428,8 +430,10 @@ def maximal_multi_separated(
     full scan no remaining word can be added, so the set is maximal.  Any
     maximal set has at least ``floor(N / K)`` members, where ``N`` is the
     fiber's joined minimal subcover count of ``cover`` and ``K`` the number of
-    partitions; that bound is asserted before returning.  Each join is built
-    once, for all fibers.
+    partitions; that bound is asserted before returning.  No join is built:
+    a word's joined atoms are its labels (:func:`_join_labels`), the cells
+    of a built join up to their numbering, and ``N`` is read from
+    :func:`cover_count`.
     """
     if not partitions:
         raise SeparationError("need at least one partition")
@@ -438,27 +442,65 @@ def maximal_multi_separated(
             raise SeparationError(f"entry {l} is not a partition")
         if not is_finer(part, cover):
             raise SeparationError(f"partition {l} is not finer than the cover")
-    joined_parts = [range_join(p, 0, n - 1) for p in partitions]
-    joined_cover = range_join(cover, 0, n - 1)
-    hs = min(j.start for j in joined_parts + [joined_cover])
-    he = max(j.stop for j in joined_parts + [joined_cover])
+    labels = [_join_labels(p, n) for p in partitions]
+    counts = cover_count(cover, n)[n - 1]
+    hs = min(j.start for j in (*partitions, cover))
+    he = max(j.stop for j in (*partitions, cover)) + n - 1
+    # each joined window's place in the hull
+    spans = [(p.start - hs, p.stop + n - 1 - hs) for p in partitions]
     out = []
     for omega in range(cover.bundle.base.omega_count):
-        atom_of = [j.cell_of(omega, (hs, he)) for j in joined_parts]
-        used: list[set[int]] = [set() for _ in joined_parts]
+        atom_of = [(lab[omega], lo, hi) for lab, (lo, hi) in zip(labels, spans)]
+        used: list[set[int]] = [set() for _ in partitions]
         chosen: list[tuple[int, ...]] = []
         for w in admissible_tuples(cover.bundle, omega, hs, he - hs):
-            atoms = [atom_of[l][w] for l in range(len(joined_parts))]
+            atoms = [lab[w[lo:hi]] for lab, lo, hi in atom_of]
             if any(a in used[l] for l, a in enumerate(atoms)):
                 continue
             chosen.append(w)
             for l, a in enumerate(atoms):
                 used[l].add(a)
-        n_count = min_subcover_count(joined_cover, omega)
-        if len(chosen) < n_count // len(partitions):
+        if len(chosen) < counts[omega] // len(partitions):
             raise AssertionError(
                 f"separated set of size {len(chosen)} below "
-                f"floor({n_count}/{len(partitions)}) in fiber {omega}"
+                f"floor({counts[omega]}/{len(partitions)}) in fiber {omega}"
             )
         out.append(tuple(chosen))
     return tuple(out)
+
+
+def _join_labels(p: PositionedPartition, steps: int) -> list[dict]:
+    """Per fiber, each admissible word of the ``steps``-step joined window of
+    ``p`` mapped to the label ``c_0 K^(steps-1) + ... + c_(steps-1)`` of its
+    joined cell, without building the join.
+
+    ``c_j`` is the cell of ``p.cell_of(theta^j omega)`` holding the word's
+    block at offset ``j``, and ``K`` the number of cells, so labels order
+    the cells as a built join stores them and as
+    :func:`rdelab.entropy._join_entropies` labels them.  Each step's labels
+    extend the last step's by one block, over the window's words as
+    :func:`~rdelab.base.admissible_tuples` lists them, fiber by fiber, so the
+    join size and word caps trip where :func:`~rdelab.covers.join_sequence`
+    would.
+    """
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    check_join_size(p, steps)
+    base = p.bundle.base
+    fibers = range(base.omega_count)
+    k = p.element_count
+    m = p.length
+    labels = [p.cell_of(omega) for omega in fibers]
+    for j in range(1, steps):
+        step = []
+        for omega in fibers:
+            prev = labels[omega]
+            cell = p.cell_of(base.apply_theta(omega, j))
+            step.append(
+                {
+                    w: prev[w[:-1]] * k + cell[w[-m:]]
+                    for w in admissible_tuples(p.bundle, omega, p.start, m + j)
+                }
+            )
+        labels = step
+    return labels

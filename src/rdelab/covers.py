@@ -22,8 +22,17 @@ anything.  Counting needs no join at all, under the same cap check: the
 nonempty-cell counts and conditional entropies of a partition's joins come
 from the cell labels of admissible words
 (:func:`rdelab.covercomb.partition_join_counts` and the partition reports of
-:mod:`rdelab.entropy`), and the minimal subcover counts of any cover's joins
-from :func:`rdelab.covercomb.cover_count`'s bitmask walk.
+:mod:`rdelab.entropy`), the minimal subcover counts of any cover's joins
+from :func:`rdelab.covercomb.cover_count`'s bitmask walk, and the separated
+sets and certificate entropies of the witness construction from the same
+cell labels (:func:`rdelab.covercomb.maximal_multi_separated` and
+:func:`rdelab.variational.witness_measures`).
+
+:func:`product_cover` and :func:`per_fiber_cover` build every cover that is
+not a join or a pullback: each fiber's admissible window words are listed
+once per cover, every section is cut down to them, and one pass checks
+covering and decides whether the sections are disjoint, which can make the
+cover a partition (instance files load so).
 
 Covers are frozen dataclasses and every operation returns a new cover, with
 one exception: each cover memoizes, in a per-object dict (``_mcache``,
@@ -111,26 +120,14 @@ class PositionedCover:
             raise CoverError("cover window must be nonempty and start at >= 0")
         if not self.sections:
             raise CoverError("cover must have at least one element")
-        omega_count = self.bundle.base.omega_count
-        for omega in range(omega_count):
-            admissible = set(admissible_tuples(self.bundle, omega, self.start, self.length))
-            union = set()
-            for sect in self.sections:
-                union |= sect[omega]
-                if not sect[omega] <= admissible:
-                    raise CoverError("sections must contain admissible words only")
-            missing = admissible - union
-            if missing:
-                raise CoverError(
-                    f"covering fails in fiber {self.bundle.base.labels[omega]}: "
-                    f"word {min(missing)} uncovered"
-                )
-            if not union:
-                raise CoverError("every fiber needs at least one nonempty section")
-        self._validate_extra()
+        adm = _admissible_sets(self.bundle, self.start, self.length)
+        if not _check_sections(self.bundle, self.sections, adm):
+            self._validate_extra()
 
     def _validate_extra(self):
-        pass
+        """Raise on what the class forbids beyond covering, once the
+        sections are known to overlap in some fiber; a cover forbids
+        nothing."""
 
     @property
     def stop(self) -> int:
@@ -244,28 +241,89 @@ def _defining_sets(sections: Sequence[Sequence[frozenset]]) -> tuple[frozenset, 
     return tuple(frozenset().union(*elem) or _EMPTY for elem in sections)
 
 
-def _canonical_sections(
+def _admissible_sets(bundle: SymbolicBundle, start: int, length: int) -> list[frozenset]:
+    """Each fiber's admissible words on the window, as a set."""
+    return [
+        frozenset(admissible_tuples(bundle, omega, start, length))
+        for omega in range(bundle.base.omega_count)
+    ]
+
+
+def _check_sections(
+    bundle: SymbolicBundle, sections: Sequence[Sequence[frozenset]], adm: list[frozenset]
+) -> bool:
+    """Raise :class:`CoverError` unless, in each fiber in turn, the sections
+    hold admissible words only, cover the fiber's admissible words ``adm``
+    and are not all empty; then return whether they are pairwise disjoint
+    in every fiber."""
+    disjoint = True
+    for omega, words in enumerate(adm):
+        per = [elem[omega] for elem in sections]
+        union = frozenset().union(*per)
+        if not union <= words:
+            raise CoverError("sections must contain admissible words only")
+        missing = words - union
+        if missing:
+            raise CoverError(
+                f"covering fails in fiber {bundle.base.labels[omega]}: "
+                f"word {min(missing)} uncovered"
+            )
+        if not union:
+            raise CoverError("every fiber needs at least one nonempty section")
+        disjoint = disjoint and sum(map(len, per)) == len(union)
+    return disjoint
+
+
+def _word_set(words: Iterable) -> frozenset:
+    """An element's words as a frozenset of int tuples.  A frozenset is taken
+    to hold such tuples already (the instance loader builds them so); any
+    other iterable is normalized word by word."""
+    if type(words) is frozenset:
+        return words
+    return frozenset(_normalize_word(w) for w in words)
+
+
+def _window_length(words: Iterable[WordTuple]) -> int:
+    lengths = {len(w) for w in words}
+    if len(lengths) != 1:
+        raise CoverError("all cover words must share one window length")
+    return lengths.pop()
+
+
+def _build(
     bundle: SymbolicBundle,
     start: int,
     length: int,
     raw: Sequence[Sequence[frozenset]],
-) -> tuple[tuple[frozenset, ...], ...]:
+    product: bool,
+    partition: bool | None,
+) -> PositionedCover:
+    """The cover of :func:`product_cover` and :func:`per_fiber_cover`: each
+    raw word set cut down to its fiber's admissible words, checked in one
+    pass over sets built once per fiber, which also decides disjointness."""
     omega_count = bundle.base.omega_count
-    adm = [
-        set(admissible_tuples(bundle, omega, start, length))
-        for omega in range(omega_count)
-    ]
-    out = []
+    adm = _admissible_sets(bundle, start, length)
+    sections = []
     for elem in raw:
         if len(elem) != omega_count:
             raise CoverError("need one section per fiber for every element")
-        out.append(
-            tuple(
-                elem[omega] & adm[omega]
-                for omega in range(omega_count)
-            )
-        )
-    return tuple(out)
+        sections.append(tuple(elem[omega] & adm[omega] for omega in range(omega_count)))
+    sections = tuple(sections)
+    disjoint = _check_sections(bundle, sections, adm)
+    if partition is None:
+        partition = disjoint
+    cls = PositionedPartition if partition else PositionedCover
+    cover = cls(
+        bundle=bundle,
+        start=start,
+        length=length,
+        sections=sections,
+        product_sections=_defining_sets(sections) if product else None,
+        check=False,
+    )
+    if not disjoint:
+        cover._validate_extra()
+    return cover
 
 
 def _somewhere_admissible(bundle: SymbolicBundle, start: int, length: int) -> frozenset:
@@ -280,24 +338,18 @@ def product_cover(
     elements: Sequence[Iterable],
     *,
     start: int = 0,
-    partition: bool = False,
+    partition: bool | None = False,
 ) -> PositionedCover:
-    """Cover whose every fiber sees the same defining word set per element."""
-    defs = [frozenset(_normalize_word(w) for w in elem) for elem in elements]
-    lengths = {len(w) for d in defs for w in d}
-    if len(lengths) != 1:
-        raise CoverError("all cover words must share one window length")
-    length = lengths.pop()
+    """Cover whose every fiber sees the same defining word set per element.
+
+    With ``partition=True`` overlapping sections raise :class:`CoverError`;
+    with ``None`` the result is a partition exactly when its sections are
+    disjoint in every fiber, as instance files load.
+    """
+    defs = [_word_set(elem) for elem in elements]
+    length = _window_length(w for d in defs for w in d)
     raw = [[d] * bundle.base.omega_count for d in defs]
-    sections = _canonical_sections(bundle, start, length, raw)
-    cls = PositionedPartition if partition else PositionedCover
-    return cls(
-        bundle=bundle,
-        start=start,
-        length=length,
-        sections=sections,
-        product_sections=_defining_sets(sections),
-    )
+    return _build(bundle, start, length, raw, True, partition)
 
 
 def per_fiber_cover(
@@ -305,32 +357,19 @@ def per_fiber_cover(
     elements: Sequence[Sequence[Iterable]],
     *,
     start: int = 0,
-    partition: bool = False,
+    partition: bool | None = False,
 ) -> PositionedCover:
     """Cover with explicitly fiber-dependent sections.
 
     ``elements[i][omega]`` is the word set of element ``i`` in fiber ``omega``.
     When the defining sets of every element agree across fibers the result is
-    flagged product-form automatically.
+    flagged product-form automatically.  ``partition`` is read as by
+    :func:`product_cover`.
     """
-    norm = [
-        [frozenset(_normalize_word(w) for w in per) for per in elem]
-        for elem in elements
-    ]
-    lengths = {len(w) for elem in norm for per in elem for w in per}
-    if len(lengths) != 1:
-        raise CoverError("all cover words must share one window length")
-    length = lengths.pop()
-    sections = _canonical_sections(bundle, start, length, norm)
+    norm = [[_word_set(per) for per in elem] for elem in elements]
+    length = _window_length(w for elem in norm for per in elem for w in per)
     product = all(len(set(elem)) == 1 for elem in norm)
-    cls = PositionedPartition if partition else PositionedCover
-    return cls(
-        bundle=bundle,
-        start=start,
-        length=length,
-        sections=sections,
-        product_sections=_defining_sets(sections) if product else None,
-    )
+    return _build(bundle, start, length, norm, product, partition)
 
 
 def zero_cylinders(bundle: SymbolicBundle, coordinate: int = 0) -> PositionedPartition:

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import SymbolicBundle, ProbBase, validate
-from .covers import (
-    CoverError,
-    PositionedCover,
-    PositionedPartition,
-    per_fiber_cover,
-    product_cover,
-)
+from .covers import CoverError, PositionedCover, per_fiber_cover, product_cover
 from .measures import MarkovMeasure, MeasureError, check_transition, stationary_starts
 
 __all__ = [
@@ -118,23 +112,25 @@ def _expect(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _parse_word(raw, symbol_index: dict, window: int, where: str) -> tuple[int, ...]:
+def _parse_word(
+    raw, symbol_index: dict, single_char: bool, window: int, where: str
+) -> tuple[int, ...]:
+    """The symbol indices of one word; ``single_char`` says whether every
+    symbol name is one character long, which string words need.  Messages
+    are formatted only when a check fails."""
     if isinstance(raw, str):
-        _expect(
-            all(len(s) == 1 for s in symbol_index),
-            f"{where}: string words need single-character symbol names",
-        )
-        parts = list(raw)
-    elif isinstance(raw, list):
-        parts = raw
-    else:
+        if not single_char:
+            raise SchemaError(f"{where}: string words need single-character symbol names")
+    elif not isinstance(raw, list):
         raise SchemaError(f"{where}: a word must be a string or a list of symbols")
-    _expect(len(parts) == window, f"{where}: word {raw!r} does not span the window")
-    out = []
-    for s in parts:
-        _expect(s in symbol_index, f"{where}: unknown symbol {s!r}")
-        out.append(symbol_index[s])
-    return tuple(out)
+    if len(raw) != window:
+        raise SchemaError(f"{where}: word {raw!r} does not span the window")
+    try:
+        return tuple([symbol_index[s] for s in raw])
+    except (KeyError, TypeError):
+        # a name that is not declared, or a list or object in its place
+        bad = next(s for s in raw if not (isinstance(s, str) and s in symbol_index))
+        raise SchemaError(f"{where}: unknown symbol {bad!r}") from None
 
 
 def loads_instance(text: str, check: bool = True) -> LoadedInstance:
@@ -230,9 +226,10 @@ def parse_instance(doc, check: bool = True) -> LoadedInstance:
         return LoadedInstance(bundle=bundle, covers={}, measures={})
 
     symbol_index = {s: i for i, s in enumerate(alphabet)}
+    single_char = all(len(s) == 1 for s in alphabet)
     covers: dict[str, PositionedCover] = {}
     for name, entry in (doc.get("covers") or {}).items():
-        covers[name] = _parse_cover(bundle, name, entry, symbol_index, omega)
+        covers[name] = _parse_cover(bundle, name, entry, symbol_index, single_char, omega)
     transitions = {
         name: _parse_measure(bundle, name, entry, omega)
         for name, entry in (doc.get("measures") or {}).items()
@@ -242,7 +239,9 @@ def parse_instance(doc, check: bool = True) -> LoadedInstance:
     )
 
 
-def _parse_cover(bundle, name, entry, symbol_index, omega_names) -> PositionedCover:
+def _parse_cover(
+    bundle, name, entry, symbol_index, single_char, omega_names
+) -> PositionedCover:
     where = f"covers[{name!r}]"
     _expect(isinstance(entry, dict), f"{where} must be an object")
     unknown = set(entry) - COVER_KEYS
@@ -261,16 +260,19 @@ def _parse_cover(bundle, name, entry, symbol_index, omega_names) -> PositionedCo
         _expect(isinstance(raw, list) and raw, f"{tag} must be a nonempty list")
         out = []
         for i, words in enumerate(raw):
-            _expect(isinstance(words, list), f"{tag}[{i}] must be a list of words")
+            at = f"{tag}[{i}]"
+            _expect(isinstance(words, list), f"{at} must be a list of words")
             out.append(
-                [_parse_word(w, symbol_index, window, f"{tag}[{i}]") for w in words]
+                frozenset(
+                    [_parse_word(w, symbol_index, single_char, window, at) for w in words]
+                )
             )
         return out
 
     try:
         if has_p:
             elements = parse_elements(entry["product"], f"{where}.product")
-            cover = product_cover(bundle, elements)
+            cover = product_cover(bundle, elements, partition=None)
         else:
             per = entry["per_omega"]
             _expect(isinstance(per, dict), f"{where}.per_omega must be an object")
@@ -291,27 +293,11 @@ def _parse_cover(bundle, name, entry, symbol_index, omega_names) -> PositionedCo
             elements = [
                 [by_fiber[fn][i] for fn in omega_names] for i in range(k)
             ]
-            cover = per_fiber_cover(bundle, elements)
+            cover = per_fiber_cover(bundle, elements, partition=None)
     except CoverError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     _expect(cover.length == window, f"{where}: words do not span the window")
-    return _as_partition_if_disjoint(cover)
-
-
-def _as_partition_if_disjoint(cover: PositionedCover) -> PositionedCover:
-    part = PositionedPartition(
-        bundle=cover.bundle,
-        start=cover.start,
-        length=cover.length,
-        sections=cover.sections,
-        product_sections=cover.product_sections,
-        check=False,
-    )
-    try:
-        part._validate_extra()
-    except CoverError:
-        return cover
-    return part
+    return cover
 
 
 def _parse_measure(bundle, name, entry, omega_names) -> list[np.ndarray]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import admissible_tuples
-from .covercomb import cover_count, maximal_multi_separated
+from .covercomb import _join_labels, cover_count, maximal_multi_separated
 from .covers import (
     CoverError,
     PositionedCover,
@@ -46,10 +46,10 @@ from .covers import (
 from .entropy import (
     VALUE_TOL,
     cover_conditional_entropy,
-    partition_conditional_entropy,
     topological_cover_entropy,
     _cell_entropy,
     _chain_rule_rate,
+    _join_entropies,
     _pins_coordinate,
 )
 from .forked import run_tasks
@@ -170,6 +170,12 @@ def witness_measures(
     the empirical measure spread uniformly over the completions of each
     separated word, and ``mu`` is its skew-product average over
     ``n**2 + n`` steps, materialized at the largest common horizon.
+
+    No join is built.  The separated sets and the separation checks read
+    each word's joined cell from its label (:func:`_join_labels`), the
+    averaged checks take the joined refinements' entropies from cell
+    labels (:func:`~rdelab.entropy._join_entropies`), and every floor is a
+    :func:`cover_count`; each gives the bits the built joins give.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -225,16 +231,18 @@ def witness_measures(
     nu = WordMeasure(bundle=bundle, horizon=horizon, weights=tuple(tables))
 
     separation_checks: list[SeparationCheck] = []
-    # per refinement, its joins over 1..span steps
-    join_seqs = [list(join_sequence(refinement, span)) for refinement in refinements]
+    # per refinement and fiber, the labels of the cells of its span-step join
+    labels = [_join_labels(refinement, span) for refinement in refinements]
+    width = span + m0 - 1
     for shift in range(n + 1):
-        for l, joins in enumerate(join_seqs):
-            # the shifted range join is exactly the pullback of the base join
-            joined = pullback(joins[-1], shift)
-            lo, hi = joined.window
+        for l, lab in enumerate(labels):
+            # the shift-pulled join holds at omega the join's cells at
+            # theta^shift omega, on the window moved right by shift
             for omega in range(base.omega_count):
-                cell_of = joined.cell_of(omega)
-                lhs = _cell_entropy(nu.weights[omega], lambda u: cell_of[u[lo:hi]])
+                cell = lab[base.apply_theta(omega, shift)]
+                lhs = _cell_entropy(
+                    nu.weights[omega], lambda u: cell[u[shift : shift + width]]
+                )
                 rhs1, vac1 = _log_floor(pulled_counts[omega] // n)
                 rhs2, vac2 = _log_floor(full_counts[omega] // (n * d**n))
                 vac = vac1 and vac2
@@ -269,9 +277,8 @@ def witness_measures(
         term, vac = _log_floor(full_counts[omega] // (n * d**n))
         vac_int = vac_int or vac
         logdet += base.weights[omega] * term
-    for l, joins in enumerate(join_seqs):
-        for m in range(1, n + 1):
-            lhs = partition_conditional_entropy(mu, joins[m - 1])
+    for l, refinement in enumerate(refinements):
+        for m, lhs in enumerate(_join_entropies(mu, refinement, n), 1):
             rhs = (m / span) * (logdet - m * math.log(d))
             ok = vac_int or lhs >= rhs - VALUE_TOL
             averaged_checks.append(

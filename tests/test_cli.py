@@ -269,6 +269,65 @@ class TestBrokenBundle:
         assert "violation [dead-row]" in res.output
 
 
+def write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def full_shift_window_24(tmp_path):
+    # one fiber of the full 2-shift, a one-element product cover on a
+    # window of 24: building the cover lists 2^24 admissible words
+    return write_doc(
+        tmp_path,
+        {
+            "alphabet": ["a", "b"],
+            "omega": ["w0"],
+            "theta": [0],
+            "P": [1.0],
+            "adjacency": {"w0": [[1, 1], [1, 1]]},
+            "covers": {"long": {"window": 24, "product": [["a" * 24]]}},
+            "measures": {"m": {"Q": {"w0": [[0.5, 0.5], [0.5, 0.5]]}}},
+        },
+    )
+
+
+class TestLoadErrors:
+    """A file whose load raises exits with the code of the error, before the
+    command reads anything of it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate"],
+            ["topent", "--cover", "long"],
+            ["measent", "--measure", "m", "--partition", "long"],
+            ["witness", "--cover", "long", "--n", "1"],
+            ["maximize", "--partition", "long"],
+            ["verify", "--file"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_a_guard_tripped_at_load_exits_4(self, args, tmp_path):
+        path = full_shift_window_24(tmp_path)
+        res = run(*args, path)
+        assert res.exit_code == 4
+        assert res.output == (
+            "guard exceeded: window [0, 24) of fiber w0 has 16777216 admissible "
+            "words (cap 1000000)\n"
+        )
+
+    def test_a_list_symbol_is_a_schema_error(self, tmp_path):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["covers"]["zero_cyl"]["product"] = [["a"], [[["b"]]]]
+        res = run("validate", write_doc(tmp_path, doc))
+        assert res.exit_code == 3
+        assert res.output == (
+            "schema error: covers['zero_cyl'].product[1]: unknown symbol ['b']\n"
+        )
+
+
 class TestVerify:
     def test_small_seeded_suite(self, tmp_path):
         out = tmp_path / "report.json"

@@ -231,19 +231,15 @@ class TestSuite:
         assert res.passes == pairs * n and res.failures == 0
         assert res.worst_margin == worst
 
-    # joins built by the one-fiber and the four-fiber call: a range join of k
-    # steps is one call plus its k - 1 joins
+    # joins built by the one-fiber and the four-fiber call: none, as the
+    # counts come from the bitmask walk and the separated sets' and
+    # entropies' joined cells from cell labels
     @pytest.mark.parametrize(
         "routine, joins",
         [
-            # none: the counts come from the bitmask walk
             ("cover_count", 0),
-            # 3 range joins of 3 steps: the cover's and its 2 refinements'
-            ("maximal_multi_separated", 9),
-            # at n = 2: the separated sets' 3 range joins of n**2 = 4 steps
-            # and one sequence of 6 steps per refinement (the counts build
-            # none)
-            ("witness_measures", 12 + 2 * 5),
+            ("maximal_multi_separated", 0),
+            ("witness_measures", 0),
         ],
     )
     def test_each_count_builds_its_joins_once_for_all_fibers(

@@ -1,11 +1,16 @@
+import glob
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rdelab import presets, validate, zero_cylinders
-from rdelab.covers import PositionedPartition
+from rdelab.base import admissible_tuples
+from rdelab.cli import main
+from rdelab.covers import PositionedCover, PositionedPartition
+from rdelab.harness import gen_instance
 from rdelab.instances import (
     SchemaError,
     canonical_json,
@@ -212,3 +217,208 @@ class TestCanonicalJson:
         x = 0.5493061443340549
         assert repr(x)[:10] in canonical_json({"x": x})
         assert json.loads(canonical_json({"x": x}))["x"] == x
+
+
+def three_symbol_dead_doc():
+    # fiber w0 has dead rows 0 and 2 and dead columns 1 and 2, fiber w1 a
+    # dead row 1: the messages list each fiber's rows, then its columns
+    return {
+        "alphabet": ["a", "b", "c"],
+        "omega": ["w0", "w1"],
+        "theta": [1, 0],
+        "P": [0.5, 0.5],
+        "adjacency": {
+            "w0": [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+            "w1": [[1, 1, 1], [0, 0, 0], [1, 0, 0]],
+        },
+    }
+
+
+def edited(path, value):
+    """``golden_doc()`` with the entry at ``path`` (a key sequence) set to
+    ``value``."""
+    doc = golden_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def multi_character_doc(product):
+    return {
+        "alphabet": ["aa", "b"],
+        "omega": ["w0"],
+        "theta": [0],
+        "P": [1.0],
+        "adjacency": {"w0": [[1, 1], [1, 1]]},
+        "covers": {"c": {"window": 2, "product": product}},
+    }
+
+
+LOADER_ERRORS = {
+    "bad-shape": (
+        edited(["adjacency", "w0"], [[1, 1]]),
+        "adjacency['w0'] must be a 2x2 matrix",
+    ),
+    "not-binary": (
+        edited(["adjacency", "w0"], [[1, 2], [1, 1]]),
+        "adjacency['w0'] entries must be 0 or 1",
+    ),
+    "dead-rows-and-columns": (
+        three_symbol_dead_doc(),
+        "fiber w0: row 0 (symbol a) has no outgoing edge; "
+        "fiber w0: row 2 (symbol c) has no outgoing edge; "
+        "fiber w0: column 1 (symbol b) has no incoming edge; "
+        "fiber w0: column 2 (symbol c) has no incoming edge; "
+        "fiber w1: row 1 (symbol b) has no outgoing edge",
+    ),
+    "multi-character-string-word": (
+        # a list word may use the names; the string word after it may not
+        multi_character_doc([[["aa", "b"]], ["bb"]]),
+        "covers['c'].product[1]: string words need single-character symbol names",
+    ),
+    "unknown-symbol": (
+        edited(["covers", "zero_cyl", "product"], [["a"], ["z"]]),
+        "covers['zero_cyl'].product[1]: unknown symbol 'z'",
+    ),
+    "word-off-the-window": (
+        edited(["covers", "zero_cyl", "product"], [["aa"], ["b"]]),
+        "covers['zero_cyl'].product[0]: word 'aa' does not span the window",
+    ),
+    "uncovered-word": (
+        edited(["covers", "zero_cyl", "product"], [["a"], ["a"]]),
+        "covers['zero_cyl']: covering fails in fiber w0: word (1,) uncovered",
+    ),
+    "per-omega-fibers": (
+        edited(["covers", "split", "per_omega"], {"w0": [["a"], ["b"]]}),
+        "covers['split'].per_omega must name exactly the declared fibers",
+    ),
+    "per-omega-element-counts": (
+        edited(["covers", "split", "per_omega"], {"w0": [["a"], ["b"]], "w1": [["a", "b"]]}),
+        "covers['split']: every fiber must list the same number of elements",
+    ),
+    "empty-element-list": (
+        edited(["covers", "zero_cyl", "product"], []),
+        "covers['zero_cyl'].product must be a nonempty list",
+    ),
+    "mass-on-a-forbidden-edge": (
+        edited(["measures", "balanced", "Q", "w1"], [[0.5, 0.5], [0.5, 0.5]]),
+        "measures['balanced']: fiber w1: transition mass on a forbidden edge",
+    ),
+    "rows-off-one": (
+        edited(["measures", "balanced", "Q", "w0"], [[0.9, 0.5], [0.5, 0.5]]),
+        "measures['balanced']: fiber w0: rows must sum to 1",
+    ),
+}
+
+
+class TestLoaderErrors:
+    """Each load error keeps its exact message, and the CLI exits 3 on it."""
+
+    @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+    def test_message_and_exit_code(self, case, tmp_path):
+        doc, message = LOADER_ERRORS[case]
+        with pytest.raises(ValueError) as err:
+            parse_instance(doc)
+        assert str(err.value) == message
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(
+            main, ["topent", str(path), "--cover", "zero_cyl"], catch_exceptions=False
+        )
+        assert res.exit_code == 3
+        assert res.output == f"schema error: {message}\n"
+
+    def test_validate_lists_the_dead_rows_and_columns_in_order(self, tmp_path):
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(three_symbol_dead_doc()))
+        res = CliRunner().invoke(main, ["validate", str(path)], catch_exceptions=False)
+        assert res.exit_code == 1
+        message = LOADER_ERRORS["dead-rows-and-columns"][1]
+        codes = ["dead-row", "dead-row", "dead-column", "dead-column", "dead-row"]
+        assert res.output == "".join(
+            f"violation [{code}]: {m}\n" for code, m in zip(codes, message.split("; "))
+        )
+
+    @pytest.mark.parametrize("symbol", [["b"], {"b": 1}, [["b"]]])
+    def test_a_list_or_object_symbol_is_an_unknown_symbol(self, symbol):
+        doc = edited(["covers", "zero_cyl", "product"], [["a"], [[symbol]]])
+        with pytest.raises(SchemaError) as err:
+            parse_instance(doc)
+        assert str(err.value) == (
+            f"covers['zero_cyl'].product[1]: unknown symbol {symbol!r}"
+        )
+
+
+def reference_covers(doc) -> dict:
+    """Each cover of ``doc`` built straight from the schema's meaning: a
+    section is the fiber's words of the element cut down to the fiber's
+    admissible window words, the product sections (when every fiber lists
+    the same words) their union, and the cover a partition when its
+    sections are disjoint in every fiber."""
+    bundle = parse_instance({k: v for k, v in doc.items() if k != "covers"}).bundle
+    index = {s: i for i, s in enumerate(doc["alphabet"])}
+    fibers = doc["omega"]
+    out = {}
+    for name, entry in doc.get("covers", {}).items():
+        window = entry["window"]
+        adm = [set(admissible_tuples(bundle, w, 0, window)) for w in range(len(fibers))]
+
+        def word_set(words):
+            return frozenset(tuple(index[s] for s in w) for w in words)
+
+        if "product" in entry:
+            raw = [[word_set(e)] * len(fibers) for e in entry["product"]]
+        else:
+            per = entry["per_omega"]
+            raw = [
+                [word_set(per[f][i]) for f in fibers]
+                for i in range(len(per[fibers[0]]))
+            ]
+        sections = tuple(
+            tuple(frozenset(e[w] & adm[w]) for w in range(len(fibers))) for e in raw
+        )
+        product = None
+        if all(len(set(e)) == 1 for e in raw):
+            product = tuple(frozenset().union(*e) for e in sections)
+        disjoint = all(
+            sum(len(e[w]) for e in sections) == len(set().union(*(e[w] for e in sections)))
+            for w in range(len(fibers))
+        )
+        out[name] = (disjoint, (0, window), sections, product)
+    return out
+
+
+def parity_documents():
+    for path in sorted(glob.glob("demos/instances/*.json")):
+        if "broken" not in path:
+            with open(path, encoding="utf-8") as fh:
+                yield path, json.load(fh)
+    for seed in range(100):
+        inst = gen_instance(seed)
+        yield f"gen_instance {seed}", dump_instance(inst.bundle, inst.covers, inst.measures)
+
+
+class TestLoadedObjects:
+    def test_covers_match_the_reference_builder(self):
+        checked = 0
+        for label, doc in parity_documents():
+            loaded = parse_instance(doc)
+            expected = reference_covers(doc)
+            assert sorted(loaded.covers) == sorted(expected), label
+            for name, cover in loaded.covers.items():
+                disjoint, window, sections, product = expected[name]
+                assert type(cover) is (
+                    PositionedPartition if disjoint else PositionedCover
+                ), (label, name)
+                assert cover.window == window, (label, name)
+                assert cover.sections == sections, (label, name)
+                assert cover.product_sections == product, (label, name)
+                for elem in cover.sections:
+                    for sect in elem:
+                        assert all(
+                            type(s) is int for w in sect for s in w
+                        ), (label, name)
+                checked += 1
+        assert checked > 400

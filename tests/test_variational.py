@@ -1,3 +1,5 @@
+import glob
+import itertools
 import math
 import os
 import pickle
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rdelab.covercomb as covercomb
 import rdelab.covers as covers
 import rdelab.forked as forked
 import rdelab.variational as variational
@@ -39,15 +42,19 @@ from rdelab import (
     witness_measures,
     zero_cylinders,
 )
+from rdelab.base import admissible_tuples
 from rdelab.cli import main
-from rdelab.covers import CoverError, join_sequence
+from rdelab.covercomb import maximal_multi_separated, min_subcover_count
+from rdelab.covers import CoverError, join_sequence, product_partitions_finer
 from rdelab.entropy import VALUE_TOL, EnumerationGuardError, _chain_rule_rate
 from rdelab.guards import GUARDS
-from rdelab.instances import canonical_json
+from rdelab.harness import gen_instance
+from rdelab.instances import canonical_json, load_instance
 from rdelab.measures import NORM_TOL
 from rdelab.variational import HorizonGuardError
 
 from conftest import alphabet2_bundle, diagonal_partition, rebuilt_pullback
+from test_entropy import hexes, reference_separation_lhs
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -481,3 +488,130 @@ class TestErrorsSurvivePickling:
         assert str(back) == str(error)
         assert back.args == error.args
         assert back.__dict__ == error.__dict__
+
+
+def reference_multi_separated(partitions, cover, n):
+    """:func:`maximal_multi_separated`'s sets and floor counts from built
+    joins, the loop it ran before it read cells from labels: the sets, and
+    per fiber the minimal subcover count of the built ``n``-step join of
+    ``cover``."""
+    base = cover.bundle.base
+    joined_parts = [range_join(p, 0, n - 1) for p in partitions]
+    joined_cover = range_join(cover, 0, n - 1)
+    hs = min(j.start for j in joined_parts + [joined_cover])
+    he = max(j.stop for j in joined_parts + [joined_cover])
+    out = []
+    for omega in range(base.omega_count):
+        atom_of = [j.cell_of(omega, (hs, he)) for j in joined_parts]
+        used = [set() for _ in joined_parts]
+        chosen = []
+        for w in admissible_tuples(cover.bundle, omega, hs, he - hs):
+            atoms = [atom_of[l][w] for l in range(len(joined_parts))]
+            if any(a in used[l] for l, a in enumerate(atoms)):
+                continue
+            chosen.append(w)
+            for l, a in enumerate(atoms):
+                used[l].add(a)
+        out.append(tuple(chosen))
+    counts = tuple(min_subcover_count(joined_cover, w) for w in range(base.omega_count))
+    return tuple(out), counts
+
+
+def reference_averaged_lhs(cover, n, mu):
+    """The ``lhs`` of each averaged check of ``witness_measures(cover, n)``,
+    whose averaged measure is ``mu``, in report order, from built joins."""
+    refinements = list(product_partitions_finer(cover))[:n]
+    return [
+        partition_conditional_entropy(mu, joined)
+        for r in refinements
+        for joined in join_sequence(r, n)
+    ]
+
+
+def one_fiber_golden_mean():
+    return alphabet2_bundle((0,), [[[1, 1], [1, 0]]])
+
+
+def witness_cases():
+    """Product covers anchored at 0 of the valid demos and of
+    ``gen_instance`` seeds 0..59, each with n = 1 and 2, then the one-fiber
+    golden mean's zero cylinders and overlap cover at n = 1, 2 and 3."""
+    covers = []
+    for path in sorted(glob.glob("demos/instances/*.json")):
+        if "broken" not in path:
+            covers += [c for _, c in sorted(load_instance(path).covers.items())]
+    for seed in range(60):
+        covers += [c for _, c in sorted(gen_instance(seed).covers.items())]
+    for cov in covers:
+        if cov.product_form and cov.start == 0:
+            for n in (1, 2):
+                yield cov, n
+    gm1 = one_fiber_golden_mean()
+    for cov in (zero_cylinders(gm1), product_cover(gm1, [[(0,), (1,)], [(1,)]])):
+        for n in (1, 2, 3):
+            yield cov, n
+
+
+class TestWitnessReadsLabels:
+    """The witness and the separated sets build no join and keep the sets,
+    entropies and floors of the built joins."""
+
+    def test_witness_equals_the_built_joins(self):
+        checked = 0
+        for cov, n in witness_cases():
+            try:
+                separated, nu, mu, report = witness_measures(cov, n)
+            except GUARDS:
+                continue
+            refinements = list(product_partitions_finer(cov))[:n]
+            sets, counts = reference_multi_separated(
+                [pullback(r, n) for r in refinements], pullback(cov, n), n * n
+            )
+            assert tuple(separated[w] for w in sorted(separated)) == sets
+            assert report.separated_sizes == tuple(map(len, sets))
+            assert report.pulled_counts == counts
+            assert hexes(c.lhs for c in report.separation_checks) == hexes(
+                reference_separation_lhs(cov, n, nu)
+            )
+            assert hexes(c.lhs for c in report.averaged_checks) == hexes(
+                reference_averaged_lhs(cov, n, mu)
+            )
+            checked += 1
+        assert checked >= 400
+
+    def test_separated_sets_equal_the_built_joins(self):
+        checked = 0
+        for cov, n in witness_cases():
+            parts = list(itertools.islice(iter(product_partitions_finer(cov)), 2))
+            try:
+                sets, counts = reference_multi_separated(parts, cov, n)
+            except GUARDS:
+                continue
+            assert maximal_multi_separated(parts, cov, n) == sets
+            # the floor the assert reads
+            assert cover_count(cov, n)[n - 1] == counts
+            checked += 1
+        assert checked >= 400
+
+    def test_the_floor_assert_fires_on_counts_patched_upward(self, monkeypatch):
+        gm1 = one_fiber_golden_mean()
+        cov = product_cover(gm1, [[(0,), (1,)], [(1,)]])
+        parts = list(product_partitions_finer(cov))
+        (chosen,) = maximal_multi_separated(parts, cov, 3)
+        # only the step-3 counts move, and their floor is then at least
+        # len(chosen) + 1
+        extra = len(parts) * (len(chosen) + 1)
+        real = covercomb.cover_count
+
+        def patched(c, n):
+            *rows, last = real(c, n)
+            return [*rows, tuple(x + extra for x in last)]
+
+        monkeypatch.setattr(covercomb, "cover_count", patched)
+        (count,) = real(cov, 3)[2]
+        with pytest.raises(AssertionError) as err:
+            maximal_multi_separated(parts, cov, 3)
+        assert str(err.value) == (
+            f"separated set of size {len(chosen)} below "
+            f"floor({count + extra}/{len(parts)}) in fiber 0"
+        )

@@ -28,8 +28,13 @@ cover and block step ``M`` in 1..3 reads ``block_power_system(cover, M)``
 directly: its ``block_alphabet_sizes()``, ``block_word_count(omega, k)`` for
 every fiber and ``k`` in 1..3, and the ``float.hex`` values of
 ``h_value_sequence(mu, 2, mode)`` for every measure in both modes, or the type
-name of the error a call raises.  Then one ``count`` line per cover that is
-not a partition, of each valid demo instance and of ``harness.gen_instance``
+name of the error a call raises.  Then one ``load`` line per demo instance, the
+broken one included, and per ``harness.gen_instance`` seed 0..19 written out
+with ``dump_instance``: the sha256 over the class name, window, sections and
+product sections of every cover the file loads to and over ``validate``'s
+report of its bundle (as ``rdelab validate`` loads it), each part replaced by
+the error type and message when its load raises.  Then one ``count`` line per
+cover that is not a partition, of each valid demo instance and of ``harness.gen_instance``
 seeds 0..19: ``covercomb.cover_count(cover, 6)``, or the type name of the
 error it raises.  Then one ``perron`` line per valid demo
 instance and per ``harness.gen_instance`` seed 0..19: the ``float.hex`` of
@@ -85,6 +90,33 @@ def count_lines(label, covers):
         print("count", label, name, counts, flush=True)
 
 
+def sorted_sets(sections):
+    return [sorted(s) for s in sections]
+
+
+def load_line(label, path):
+    """The ``load`` line of one instance file: a sha256 over its loaded covers
+    and its ``validate`` report, or over each one's error type and message."""
+    from rdelab.base import validate
+    from rdelab.instances import canonical_json, load_instance
+
+    parts = []
+    try:
+        covers = load_instance(path).covers
+        for name in sorted(covers):
+            c = covers[name]
+            product = None if c.product_sections is None else sorted_sets(c.product_sections)
+            parts.append(repr((name, type(c).__name__, c.window,
+                               [sorted_sets(e) for e in c.sections], product)))
+    except Exception as exc:  # the line records the error, text included
+        parts.append(f"{type(exc).__name__}: {exc}")
+    try:
+        parts.append(canonical_json(validate(load_instance(path, check=False).bundle).to_dict()))
+    except Exception as exc:  # the line records the error, text included
+        parts.append(f"{type(exc).__name__}: {exc}")
+    print("load", label, sha("\n".join(parts).encode()), flush=True)
+
+
 def perron_line(label, bundle):
     """The ``perron`` line of one bundle: its cycle rates as ``float.hex`` and
     the sha256 of its Parry family's transitions and starts."""
@@ -114,7 +146,7 @@ def main(argv) -> int:
     from rdelab.covers import PositionedPartition
     from rdelab.entropy import block_power_system
     from rdelab.harness import gen_instance
-    from rdelab.instances import load_instance
+    from rdelab.instances import dump_instance, load_instance
 
     cli = run.import_cli()
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,6 +217,15 @@ def main(argv) -> int:
                           for m in sorted(inst.measures) for mode in ("general", "product")]
                 print("power", os.path.basename(path), cover, steps,
                       ps.block_alphabet_sizes(), counts, *values, flush=True)
+    for path in demos:
+        load_line(os.path.basename(path), path)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(20):
+            inst = gen_instance(seed)
+            path = os.path.join(tmp, f"gen{seed}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dump_instance(inst.bundle, inst.covers, inst.measures), fh)
+            load_line(f"gen_instance {seed}", path)
     for path in demos:
         if "broken" not in os.path.basename(path):
             count_lines(os.path.basename(path), load_instance(path).covers)
