@@ -275,9 +275,8 @@ def _check_sections(
 
 
 def _word_set(words: Iterable) -> frozenset:
-    """An element's words as a frozenset of int tuples.  A frozenset is taken
-    to hold such tuples already (the instance loader builds them so); any
-    other iterable is normalized word by word."""
+    """An element's words as a frozenset of int tuples; a frozenset is taken
+    as one already (the instance loader builds them so)."""
     if type(words) is frozenset:
         return words
     return frozenset(_normalize_word(w) for w in words)
@@ -342,9 +341,11 @@ def product_cover(
 ) -> PositionedCover:
     """Cover whose every fiber sees the same defining word set per element.
 
-    With ``partition=True`` overlapping sections raise :class:`CoverError`;
-    with ``None`` the result is a partition exactly when its sections are
-    disjoint in every fiber, as instance files load.
+    A word is a sequence of symbol indices (or one index); an element given
+    as a frozenset is taken to hold tuples of ints already and is not
+    normalized.  With ``partition=True`` overlapping sections raise
+    :class:`CoverError`; with ``None`` the result is a partition exactly when
+    its sections are disjoint in every fiber, as instance files load.
     """
     defs = [_word_set(elem) for elem in elements]
     length = _window_length(w for d in defs for w in d)
@@ -363,8 +364,8 @@ def per_fiber_cover(
 
     ``elements[i][omega]`` is the word set of element ``i`` in fiber ``omega``.
     When the defining sets of every element agree across fibers the result is
-    flagged product-form automatically.  ``partition`` is read as by
-    :func:`product_cover`.
+    flagged product-form automatically.  Word sets and ``partition`` are
+    read as by :func:`product_cover`.
     """
     norm = [[_word_set(per) for per in elem] for elem in elements]
     length = _window_length(w for elem in norm for per in elem for w in per)
