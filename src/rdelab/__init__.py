@@ -40,7 +40,6 @@ from .base import (
 from .covercomb import (
     SeparationError,
     SetCoverSizeError,
-    SolverLimits,
     UncoveredUniverseError,
     cover_count,
     exact_min_cover,

@@ -340,7 +340,8 @@ def admissible_tuples(
     matrix read at the pair's left coordinate.  Cached on the bundle.  The
     words are counted first (:func:`transfer_count`), and a window with more
     than :data:`WORD_CAP` of them raises :class:`WordListSizeError` before
-    any is built.
+    any is built.  A cached list one coordinate shorter is extended, each
+    word by its successors in symbol order, which keeps lexicographic order.
     """
     if length < 1:
         raise ValueError("span must contain at least one coordinate")
@@ -354,10 +355,11 @@ def admissible_tuples(
     d = bundle.alphabet_size
     mats = [bundle.matrix_at(omega, start + c) for c in range(length - 1)]
     _check_word_count(bundle, omega, start, length, transfer_count(mats, d))
-    words: list[tuple[int, ...]] = [(a,) for a in range(d)]
-    for mat in mats:
-        words = [w + (b,) for w in words for b in range(d) if mat[w[-1], b]]
-    result = tuple(sorted(words))
+    words = cache.get((omega, start, length - 1)) or [(a,) for a in range(d)]
+    for mat in mats[len(words[0]) - 1 :]:
+        succ = [[b for b, ok in enumerate(row) if ok] for row in mat.tolist()]
+        words = [w + (b,) for w in words for b in succ[w[-1]]]
+    result = tuple(words)
     cache[key] = result
     return result
 

@@ -6,22 +6,26 @@ forced picks and dominated sets are eliminated up front, a greedy pass seeds
 the incumbent, branching runs over the covering sets of the most constrained
 uncovered item in decreasing coverage order, and solved subproblem states are
 memoized by their uncovered-universe bitmask.  Disjoint families of any size
-resolve through forced picks alone, without branching.
+resolve through forced picks alone, without branching.  Its size box after
+reductions is :data:`UNIVERSE_MAX` items and :data:`ELEMS_MAX` sets.
 
-The nonempty-cell counts of a partition's joins come from a subset
-construction over the cell labels of admissible words, without building the
-joins; :mod:`rdelab.entropy` reads a partition's join entropies from the same
-labels, so a partition's joins are never built.
+A partition's joins are never built.  :func:`_join_labels` is the one walk
+that maps admissible words to joined-cell labels, step by step and at any
+stride; :func:`maximal_multi_separated`, the witness construction of
+:mod:`rdelab.variational` and every partition entropy of
+:mod:`rdelab.entropy` read their cells from it.  The nonempty-cell counts of
+a partition's joins come from a subset construction over the cell labels of
+admissible words (:func:`partition_join_counts`), which lists no joined
+window's words.
 
 The count and separated-set routines serve every fiber at once, and none
 builds a join.  :func:`cover_count` returns, for ``n = 1..nmax``, one tuple
 of per-fiber minimal subcover counts of the ``n``-step join: a cover's joined
 elements are walked as bitmasks over the joined window's words in colex
 order, step by step.  :func:`maximal_multi_separated` returns one word tuple
-per fiber, reading each word's joined cells from labels built step by step
-from the cell maps (:func:`_join_labels`, which the witness construction of
-:mod:`rdelab.variational` reads too), and its floor from :func:`cover_count`.
-:func:`min_subcover_count` counts a cover it is given, built joins included.
+per fiber, its cells from the last step of :func:`_join_labels` and its
+floor from :func:`cover_count`.  :func:`min_subcover_count` counts a cover it
+is given, built joins included.
 
 The branch-and-bound memo is per call.  Two tables outlive a call, both on
 objects the caller passes in: :func:`partition_join_counts`, the cover walk
@@ -38,7 +42,7 @@ without listing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Sequence
 
 from .base import _check_word_count, admissible_tuples
@@ -53,7 +57,6 @@ __all__ = [
     "UncoveredUniverseError",
     "SetCoverSizeError",
     "SeparationError",
-    "SolverLimits",
     "exact_min_cover",
     "min_subcover_count",
     "partition_join_counts",
@@ -74,12 +77,10 @@ class SeparationError(ValueError):
     """The supplied partitions do not refine the reference cover."""
 
 
-@dataclass(frozen=True)
-class SolverLimits:
-    """Size box (after reductions) inside which exactness is guaranteed."""
-
-    universe_max: int = 4096
-    elems_max: int = 64
+# the size box, after reductions, inside which exact_min_cover solves; read
+# at call time
+UNIVERSE_MAX = 4096
+ELEMS_MAX = 64
 
 
 def _iter_bits(x: int):
@@ -101,15 +102,12 @@ def _forced(pool: Sequence[int]) -> set[int]:
     return {m for m in pool if m & unique}
 
 
-def exact_min_cover(
-    universe_size: int,
-    masks: Sequence[int],
-    limits: SolverLimits = SolverLimits(),
-) -> int:
+def exact_min_cover(universe_size: int, masks: Sequence[int]) -> int:
     """Exact minimum number of ``masks`` whose union is the full universe.
 
-    Items are bit positions ``0..universe_size-1``.  The limits apply to the
-    instance left after reductions, not to the raw input.
+    Items are bit positions ``0..universe_size-1``.  :data:`UNIVERSE_MAX`
+    and :data:`ELEMS_MAX` bound the instance left after reductions, not the
+    raw input.
     """
     full = (1 << universe_size) - 1
     union = 0
@@ -145,10 +143,10 @@ def exact_min_cover(
                 kept.append(m)
         pool = kept
 
-    if uncovered.bit_count() > limits.universe_max or len(pool) > limits.elems_max:
+    if uncovered.bit_count() > UNIVERSE_MAX or len(pool) > ELEMS_MAX:
         raise SetCoverSizeError(
             f"reduced instance ({uncovered.bit_count()} items, {len(pool)} sets) "
-            f"exceeds limits {limits}"
+            f"exceeds limits ({UNIVERSE_MAX} items, {ELEMS_MAX} sets)"
         )
 
     def greedy(state: int) -> int:
@@ -431,8 +429,8 @@ def maximal_multi_separated(
     maximal set has at least ``floor(N / K)`` members, where ``N`` is the
     fiber's joined minimal subcover count of ``cover`` and ``K`` the number of
     partitions; that bound is asserted before returning.  No join is built:
-    a word's joined atoms are its labels (:func:`_join_labels`), the cells
-    of a built join up to their numbering, and ``N`` is read from
+    a word's joined atoms are its last-step labels (:func:`_join_labels`),
+    the cells of a built join up to their numbering, and ``N`` is read from
     :func:`cover_count`.
     """
     if not partitions:
@@ -442,7 +440,7 @@ def maximal_multi_separated(
             raise SeparationError(f"entry {l} is not a partition")
         if not is_finer(part, cover):
             raise SeparationError(f"partition {l} is not finer than the cover")
-    labels = [_join_labels(p, n) for p in partitions]
+    labels = [deque(_join_labels(p, n), maxlen=1)[0] for p in partitions]
     counts = cover_count(cover, n)[n - 1]
     hs = min(j.start for j in (*partitions, cover))
     he = max(j.stop for j in (*partitions, cover)) + n - 1
@@ -469,19 +467,21 @@ def maximal_multi_separated(
     return tuple(out)
 
 
-def _join_labels(p: PositionedPartition, steps: int) -> list[dict]:
-    """Per fiber, each admissible word of the ``steps``-step joined window of
-    ``p`` mapped to the label ``c_0 K^(steps-1) + ... + c_(steps-1)`` of its
-    joined cell, without building the join.
+def _join_labels(p: PositionedPartition, steps: int, stride: int = 1):
+    """For ``j = 1..steps``, yield per fiber each admissible word of the
+    join of the pullbacks of ``p`` through ``0, s, ..., (j-1) s`` (``s`` the
+    stride) mapped to the label ``c_0 K^(j-1) + ... + c_(j-1)`` of its joined
+    cell, without building the join.
 
-    ``c_j`` is the cell of ``p.cell_of(theta^j omega)`` holding the word's
-    block at offset ``j``, and ``K`` the number of cells, so labels order
-    the cells as a built join stores them and as
-    :func:`rdelab.entropy._join_entropies` labels them.  Each step's labels
-    extend the last step's by one block, over the window's words as
-    :func:`~rdelab.base.admissible_tuples` lists them, fiber by fiber, so the
-    join size and word caps trip where :func:`~rdelab.covers.join_sequence`
-    would.
+    ``c_i`` is the cell of ``p.cell_of(theta^(i s) omega)`` holding the
+    word's block at offset ``i s``, and ``K`` the number of cells: the cell's
+    place among all ``K^j`` index tuples, of which a built join stores the
+    nonempty ones in this order.  Each step extends the last step's labels by
+    one block, over the window's words as
+    :func:`~rdelab.base.admissible_tuples` lists them, fiber by fiber, after
+    :func:`~rdelab.covers.check_join_size`, so both caps trip where
+    :func:`~rdelab.covers.join_sequence` would.  Callers that read only the
+    last step drain the walk through a one-slot ``deque``.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -491,16 +491,17 @@ def _join_labels(p: PositionedPartition, steps: int) -> list[dict]:
     k = p.element_count
     m = p.length
     labels = [p.cell_of(omega) for omega in fibers]
+    yield labels
     for j in range(1, steps):
         step = []
         for omega in fibers:
             prev = labels[omega]
-            cell = p.cell_of(base.apply_theta(omega, j))
+            cell = p.cell_of(base.apply_theta(omega, j * stride))
             step.append(
                 {
-                    w: prev[w[:-1]] * k + cell[w[-m:]]
-                    for w in admissible_tuples(p.bundle, omega, p.start, m + j)
+                    w: prev[w[:-stride]] * k + cell[w[-m:]]
+                    for w in admissible_tuples(p.bundle, omega, p.start, m + j * stride)
                 }
             )
         labels = step
-    return labels
+        yield labels

@@ -19,14 +19,13 @@ Every n-step join ``U v T^{-1}U v ... v T^{-(n-1)}U`` comes from one
 incremental loop, :func:`join_sequence`, which checks the cap
 :data:`ELEMENT_CAP` on index tuples (:func:`check_join_size`) before building
 anything.  Counting needs no join at all, under the same cap check: the
-nonempty-cell counts and conditional entropies of a partition's joins come
-from the cell labels of admissible words
-(:func:`rdelab.covercomb.partition_join_counts` and the partition reports of
-:mod:`rdelab.entropy`), the minimal subcover counts of any cover's joins
-from :func:`rdelab.covercomb.cover_count`'s bitmask walk, and the separated
-sets and certificate entropies of the witness construction from the same
-cell labels (:func:`rdelab.covercomb.maximal_multi_separated` and
-:func:`rdelab.variational.witness_measures`).
+nonempty-cell counts of a partition's joins come from a subset construction
+over cell labels (:func:`rdelab.covercomb.partition_join_counts`), their
+conditional entropies, the witness's separated sets and its certificate
+entropies from one label walk over the joined windows' words
+(:func:`rdelab.covercomb._join_labels`), and the minimal subcover counts of
+any cover's joins from :func:`rdelab.covercomb.cover_count`'s bitmask walk.
+The witness builds no pullback either.
 
 :func:`product_cover` and :func:`per_fiber_cover` build every cover that is
 not a join or a pullback: each fiber's admissible window words are listed

@@ -31,9 +31,9 @@ keeps the lists.  Sums that reach a report are added left to right by
 Every partition entropy adds its cell masses in :func:`_cell_entropy`.  The
 step-n reports of :func:`h_minus_report` and :func:`h_plus_value` build no
 partition join: a cell of the n-step join is the sequence of cells a word
-visits, so they read cells from label sequences (:func:`_join_entropies`), as
-:func:`rdelab.covercomb.partition_join_counts` counts them, with the bits a
-built join gives.  :class:`PowerSystem` still builds its joins.
+visits, so :func:`_join_entropies` reads each word's cell from the label walk
+:func:`rdelab.covercomb._join_labels`, with the bits a built join gives.
+:class:`PowerSystem` still builds its joins.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .base import (
     plain_sum,
     word_count,
 )
-from .covercomb import cover_count
+from .covercomb import _join_labels, cover_count
 from .covers import (
     CoverError,
     PositionedCover,
@@ -988,39 +988,19 @@ def _join_entropies(
 ) -> list[float]:
     """:func:`partition_conditional_entropy` under ``nu`` of the join of the
     pullbacks of the partition through steps ``0, s, ..., (n-1) s`` (``s`` the
-    stride) for ``n = 1..nmax``, without building the joins.
-
-    The pullback through ``j`` steps has at fiber ``omega`` the section at
-    ``theta^j omega``, so a word lies in the joined cell labelled by the cells
-    ``c_i`` of ``cell_of(theta^(i s) omega)`` holding its blocks at offsets
-    ``i s``, ``i < n``: the label ``c_0 K^(n-1) + ... + c_(n-1)`` for ``K``
-    cells, the cell's place among all ``K^n`` index tuples (a built join
-    stores only the nonempty ones, in this order), each word's from its
-    prefix's one stride back, found as :func:`_cell_entropy` adds the
-    masses.  Callers of the unit stride check the join size first, as
-    :func:`~rdelab.covers.join_sequence` does before any join.
+    stride) for ``n = 1..nmax``, without building the joins: each word's
+    joined cell is its label from :func:`~rdelab.covercomb._join_labels`,
+    which checks the join size as :func:`~rdelab.covers.join_sequence` does
+    before any join.  Each step adds its fibers' entropies in fiber order.
     """
     base = partition.bundle.base
-    k = partition.element_count
-    length = partition.length
-    h = [0.0] * nmax
-    for omega in range(base.omega_count):
-        labels: dict[WordTuple, int] = {}
-        for n in range(nmax):
-            cell_of = partition.cell_of(base.apply_theta(omega, n * stride))
-            step: dict[WordTuple, int] = {}
-
-            def label(w: WordTuple) -> int:
-                c = cell_of[w[-length:]]
-                if n:
-                    # a positive-mass word's prefix has positive mass
-                    c += labels[w[:-stride]] * k
-                step[w] = c
-                return c
-
-            masses = nu.window_masses(omega, partition.start, length + n * stride)
-            h[n] += base.weights[omega] * _cell_entropy(masses, label)
-            labels = step
+    h = []
+    for n, labels in enumerate(_join_labels(partition, nmax, stride)):
+        total = 0.0
+        for omega in range(base.omega_count):
+            masses = nu.window_masses(omega, partition.start, partition.length + n * stride)
+            total += base.weights[omega] * _cell_entropy(masses, labels[omega].__getitem__)
+        h.append(total)
     return h
 
 

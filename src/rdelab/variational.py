@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ from .covers import (
     PositionedPartition,
     join_sequence,
     product_partitions_finer,
-    pullback,
 )
 from .entropy import (
     VALUE_TOL,
@@ -171,11 +171,14 @@ def witness_measures(
     separated word, and ``mu`` is its skew-product average over
     ``n**2 + n`` steps, materialized at the largest common horizon.
 
-    No join is built.  The separated sets and the separation checks read
-    each word's joined cell from its label (:func:`_join_labels`), the
-    averaged checks take the joined refinements' entropies from cell
-    labels (:func:`~rdelab.entropy._join_entropies`), and every floor is a
-    :func:`cover_count`; each gives the bits the built joins give.
+    No join or pullback is built.  An ``n``-step pullback's joins at
+    ``omega`` are the joins at ``theta^n omega`` on the same word tuples, so
+    the separated sets are :func:`maximal_multi_separated`'s sets read there.
+    The separation checks read each word's joined cell from its label
+    (:func:`_join_labels`), the averaged checks the joined refinements'
+    entropies from the same labels (:func:`~rdelab.entropy._join_entropies`),
+    and every floor is a :func:`cover_count`; each gives the bits the built
+    joins give.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -198,15 +201,11 @@ def witness_measures(
     bundle = cover.bundle
     base = bundle.base
 
-    pulled_cover = pullback(cover, n)
-    pulled_refs = [pullback(r, n) for r in refinements]
-
-    separated = dict(enumerate(maximal_multi_separated(pulled_refs, pulled_cover, n * n)))
+    shifted = [base.apply_theta(w, n) for w in range(base.omega_count)]
+    sets = maximal_multi_separated(refinements, cover, n * n)
+    separated = {w: sets[t] for w, t in enumerate(shifted)}
     rows = cover_count(cover, span)
-    # the pulled cover's joins at omega are the cover's at theta^n omega
-    pulled_counts = tuple(
-        rows[n * n - 1][base.apply_theta(w, n)] for w in range(base.omega_count)
-    )
+    pulled_counts = tuple(rows[n * n - 1][t] for t in shifted)
     full_counts = rows[-1]
 
     # empirical measure: uniform over separated words, split uniformly over
@@ -232,7 +231,7 @@ def witness_measures(
 
     separation_checks: list[SeparationCheck] = []
     # per refinement and fiber, the labels of the cells of its span-step join
-    labels = [_join_labels(refinement, span) for refinement in refinements]
+    labels = [deque(_join_labels(r, span), maxlen=1)[0] for r in refinements]
     width = span + m0 - 1
     for shift in range(n + 1):
         for l, lab in enumerate(labels):

@@ -151,6 +151,40 @@ class TestAdmissibleWords:
                 assert fresh._word_cache == {}
 
 
+    def test_word_cap_trips_with_the_shorter_list_cached(self, gm, monkeypatch):
+        fresh = SymbolicBundle(base=gm.base, alphabet=gm.alphabet, adjacency=gm.adjacency)
+        shorter = admissible_tuples(fresh, 0, 1, 4)
+        count = word_count(gm, 1, 5)
+        monkeypatch.setattr(base_module, "WORD_CAP", count - 1)
+        with pytest.raises(WordListSizeError, match=f"has {count} admissible"):
+            admissible_tuples(fresh, 0, 1, 5)
+        assert fresh._word_cache == {(0, 1, 4): shorter}
+
+    def test_lists_equal_the_filtered_product_cold_and_extended(self):
+        # each window's list is built once from nothing and once from the
+        # cached list of the window one shorter
+        bundles = [
+            load_instance(path).bundle
+            for path in sorted(glob.glob("demos/instances/*.json"))
+            if "broken" not in path
+        ]
+        bundles += [gen_instance(seed).bundle for seed in range(60)]
+        checked = 0
+        for bundle in bundles:
+            for omega in range(bundle.base.omega_count):
+                for start in range(3):
+                    for length in range(1, 7):
+                        want = tuple(enumerate_words(bundle, omega, start, length))
+                        bundle._word_cache.clear()
+                        assert admissible_tuples(bundle, omega, start, length) == want
+                        if length > 1:
+                            bundle._word_cache.clear()
+                            admissible_tuples(bundle, omega, start, length - 1)
+                            assert admissible_tuples(bundle, omega, start, length) == want
+                        checked += 1
+        assert checked >= 3000
+
+
 class TestWordCount:
     def test_frozen_counts(self, gm):
         assert (word_count(gm, 0, 2), word_count(gm, 1, 2)) == (4, 3)

@@ -28,17 +28,19 @@ from rdelab.base import plain_sum
 from rdelab.covercomb import (
     SeparationError,
     SetCoverSizeError,
-    SolverLimits,
     UncoveredUniverseError,
     _forced,
+    _join_labels,
     partition_join_counts,
 )
 from rdelab.covers import (
     JoinSizeError,
     PositionedCover,
     PositionedPartition,
+    join,
     join_sequence,
     per_fiber_cover,
+    pullback,
 )
 from rdelab.entropy import topological_cover_entropy
 from rdelab.harness import gen_instance
@@ -52,19 +54,23 @@ class TestExactMinCover:
         with pytest.raises(UncoveredUniverseError, match="item 2"):
             exact_min_cover(3, [0b011])
 
-    def test_limits_apply_after_reductions(self):
+    def test_limits_apply_after_reductions(self, monkeypatch):
         # a disjoint family of any size resolves through forced picks
         masks = [1 << i for i in range(200)]
-        assert exact_min_cover(200, masks, SolverLimits(universe_max=8, elems_max=4)) == 200
+        monkeypatch.setattr(covercomb, "UNIVERSE_MAX", 8)
+        monkeypatch.setattr(covercomb, "ELEMS_MAX", 4)
+        assert exact_min_cover(200, masks) == 200
 
-    def test_size_guard_raises(self):
+    def test_size_guard_raises(self, monkeypatch):
         # pairwise overlapping family that survives the reductions
         rng = np.random.default_rng(5)
         n = 30
         masks = [int(rng.integers(1, 1 << n)) | 1 for _ in range(40)]
         masks.append((1 << n) - 1 & ~0)
-        with pytest.raises(SetCoverSizeError):
-            exact_min_cover(n, masks, SolverLimits(universe_max=4, elems_max=2))
+        monkeypatch.setattr(covercomb, "UNIVERSE_MAX", 4)
+        monkeypatch.setattr(covercomb, "ELEMS_MAX", 2)
+        with pytest.raises(SetCoverSizeError, match=r"sets\) exceeds limits \(4 items, 2 sets\)$"):
+            exact_min_cover(n, masks)
 
     @given(st.data())
     def test_matches_bruteforce(self, data):
@@ -497,9 +503,8 @@ class TestCoverCountWalk:
         # stop at their sixth solve, step 2 of fiber 1
         u = gen_instance(9).covers["U0"]
         assert u.bundle.base.omega_count == 2
-        monkeypatch.setattr(
-            exact_min_cover, "__defaults__", (SolverLimits(universe_max=2, elems_max=2),)
-        )
+        monkeypatch.setattr(covercomb, "UNIVERSE_MAX", 2)
+        monkeypatch.setattr(covercomb, "ELEMS_MAX", 2)
         real = covercomb.exact_min_cover
         sizes = []
 
@@ -521,9 +526,8 @@ class TestCoverCountWalk:
         # words, over a cap of 20: a built join lists every fiber's words
         # before any count, so the word cap trips first
         got_cover, want_cover = gen_instance(0).covers["U0"], gen_instance(0).covers["U0"]
-        monkeypatch.setattr(
-            exact_min_cover, "__defaults__", (SolverLimits(universe_max=2, elems_max=2),)
-        )
+        monkeypatch.setattr(covercomb, "UNIVERSE_MAX", 2)
+        monkeypatch.setattr(covercomb, "ELEMS_MAX", 2)
         monkeypatch.setattr(base_module, "WORD_CAP", 20)
         got = outcome(lambda: cover_count(got_cover, 5))
         assert got == outcome(lambda: built_join_counts(want_cover, 5))
@@ -546,3 +550,98 @@ class TestCoverCountWalk:
         got = outcome(lambda: cover_count(u, 3))
         assert got == outcome(lambda: built_join_counts(u, 3))
         assert got == (UncoveredUniverseError, "universe item 2 is uncovered")
+
+
+def stride_joins(p, steps, stride):
+    """The built joins of the pullbacks of ``p`` through ``0, stride, ...,
+    (j-1) stride`` for ``j = 1..steps``."""
+    out = p
+    for j in range(steps):
+        if j:
+            out = join(out, pullback(p, j * stride))
+        yield out
+
+
+def label_partitions():
+    """Every partition of the valid demos and of ``gen_instance`` seeds
+    0-59."""
+    for inst in [load_instance(path) for path in DEMOS] + [
+        gen_instance(seed) for seed in range(60)
+    ]:
+        for name in sorted(inst.covers):
+            if isinstance(inst.covers[name], PositionedPartition):
+                yield inst.covers[name]
+
+
+def two_fiber_partition():
+    # fiber w1 reads the full shift first, so it outgrows fiber w0
+    b = alphabet2_bundle((1, 0), [[[1, 1], [1, 0]], [[1, 1], [1, 1]]])
+    return zero_cylinders(b)
+
+
+class TestJoinLabels:
+    """One label walk numbers the cells of a partition's joins at any
+    stride, as the built joins store them, with their guards."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_labels_number_the_built_cells(self, stride):
+        # windows of one and two coordinates, so strides 2 and 3 leave gaps
+        # between the pulled windows
+        checked = 0
+        for p in label_partitions():
+            built = list(stride_joins(p, 3, stride))
+            walked = list(_join_labels(p, 3, stride))
+            assert len(walked) == len(built)
+            for joined, labels in zip(built, walked):
+                pairs = set()
+                for omega, lab in enumerate(labels):
+                    words = admissible_tuples(p.bundle, omega, joined.start, joined.length)
+                    assert lab.keys() == set(words)
+                    cells = joined.cell_of(omega)
+                    pairs |= {(lab[w], cells[w]) for w in words}
+                # across every fiber, one stored cell per label and one label
+                # per stored cell, both in ascending order
+                ordered = sorted(pairs)
+                assert [c for _, c in ordered] == sorted({c for _, c in pairs})
+                assert len({l for l, _ in pairs}) == len(pairs)
+            checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_join_size_guard_comes_before_any_word_list(self, monkeypatch, stride):
+        p = two_fiber_partition()
+        monkeypatch.setattr(covers_module, "ELEMENT_CAP", 100)
+        before = dict(p.bundle._word_cache)
+        want = outcome(lambda: next(join_sequence(p, 10)))
+        assert outcome(lambda: next(_join_labels(p, 10, stride))) == want == (
+            JoinSizeError, "join would create 2^10 elements (cap 100)"
+        )
+        assert p.bundle._word_cache == before
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("cap", range(2, 40))
+    def test_word_cap_trips_at_the_first_window_past_it(self, monkeypatch, stride, cap):
+        ref = two_fiber_partition().bundle
+        fibers = range(ref.base.omega_count)
+        # the first step and fiber whose window has more than cap words
+        j, omega, count = next(
+            (j, omega, c)
+            for j in range(8)
+            for omega in fibers
+            if (c := base_module.word_count(ref, omega, 1 + j * stride)) > cap
+        )
+        monkeypatch.setattr(base_module, "WORD_CAP", cap)
+        p = two_fiber_partition()
+        steps = []
+        with pytest.raises(base_module.WordListSizeError) as err:
+            for labels in _join_labels(p, 8, stride):
+                steps.append(labels)
+        assert len(steps) == j
+        assert str(err.value) == (
+            f"window [0, {1 + j * stride}) of fiber {ref.base.labels[omega]} has "
+            f"{count} admissible words (cap {cap})"
+        )
+        built = two_fiber_partition()
+        assert outcome(lambda: list(stride_joins(built, 8, stride))) == (
+            type(err.value), str(err.value)
+        )

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rdelab.base as base_module
 import rdelab.covercomb as covercomb
-import rdelab.covers as covers
 import rdelab.forked as forked
 import rdelab.variational as variational
 from rdelab import (
@@ -53,7 +53,7 @@ from rdelab.instances import canonical_json, load_instance
 from rdelab.measures import NORM_TOL
 from rdelab.variational import HorizonGuardError
 
-from conftest import alphabet2_bundle, diagonal_partition, rebuilt_pullback
+from conftest import alphabet2_bundle, diagonal_partition
 from test_entropy import hexes, reference_separation_lhs
 
 LN2 = math.log(2)
@@ -450,24 +450,6 @@ class TestRestartsInProcesses:
         assert group() == []
 
 
-class TestWitnessWithFixedFibers:
-    """Pulling back through a theta power that fixes every fiber reuses the
-    cover's sections; the witness report is the rebuilt sections' report."""
-
-    @pytest.mark.parametrize(
-        "bundle",
-        [alphabet2_bundle((0,), [GM]), alphabet2_bundle((0, 1), [FULL, GM])],
-        ids=["one-fiber-golden-mean", "two-fixed-points"],
-    )
-    def test_same_report_as_rebuilt_sections(self, bundle, monkeypatch):
-        cover = zero_cylinders(bundle)
-        reused = witness_measures(cover, 3)[3]
-        monkeypatch.setattr(variational, "pullback", rebuilt_pullback)
-        monkeypatch.setattr(covers, "pullback", rebuilt_pullback)
-        rebuilt = witness_measures(cover, 3)[3]
-        assert canonical_json(reused.to_dict()) == canonical_json(rebuilt.to_dict())
-
-
 class TestErrorsSurvivePickling:
     """A forked restart sends its error to the parent pickled."""
 
@@ -535,7 +517,9 @@ def one_fiber_golden_mean():
 def witness_cases():
     """Product covers anchored at 0 of the valid demos and of
     ``gen_instance`` seeds 0..59, each with n = 1 and 2, then the one-fiber
-    golden mean's zero cylinders and overlap cover at n = 1, 2 and 3."""
+    golden mean's zero cylinders and overlap cover at n = 1, 2 and 3, and the
+    zero cylinders of two fixed points at n = 3, where theta^n fixes every
+    fiber."""
     covers = []
     for path in sorted(glob.glob("demos/instances/*.json")):
         if "broken" not in path:
@@ -550,6 +534,7 @@ def witness_cases():
     for cov in (zero_cylinders(gm1), product_cover(gm1, [[(0,), (1,)], [(1,)]])):
         for n in (1, 2, 3):
             yield cov, n
+    yield zero_cylinders(alphabet2_bundle((0, 1), [FULL, GM])), 3
 
 
 class TestWitnessReadsLabels:
@@ -592,6 +577,15 @@ class TestWitnessReadsLabels:
             assert cover_count(cov, n)[n - 1] == counts
             checked += 1
         assert checked >= 400
+
+    def test_word_cap_names_the_unpulled_window(self, monkeypatch):
+        # the separated sets' labels list the unpulled joined windows, so a
+        # word cap trips on the window from coordinate 0 (fiber w0, 12 words
+        # on 4 coordinates), where a pulled-back join listed [2, 6)
+        monkeypatch.setattr(base_module, "WORD_CAP", 10)
+        with pytest.raises(base_module.WordListSizeError) as err:
+            witness_measures(zero_cylinders(presets.alternating_golden_mean()), 2)
+        assert str(err.value) == "window [0, 4) of fiber w0 has 12 admissible words (cap 10)"
 
     def test_the_floor_assert_fires_on_counts_patched_upward(self, monkeypatch):
         gm1 = one_fiber_golden_mean()
